@@ -9,8 +9,8 @@
 //! * **Append** compares the new frame's row signatures against the
 //!   previous frame's (both cached on the rows, so the compare is O(1) per
 //!   row) and XORs only the rows whose signatures differ — append cost is
-//!   proportional to what changed, the same leverage the pipeline's
-//!   signature prefilter gets (see `DiffPipelineConfig::signature_prefilter`).
+//!   proportional to what changed, the same leverage the executor's
+//!   signature prefilter gets (see `DiffExecutorConfig::signature_prefilter`).
 //! * **Extract** reconstructs any version by replaying deltas forward from
 //!   the nearest keyframe, then checks the reconstruction's row signatures
 //!   against the stored signature index — bit-rot anywhere in the replay

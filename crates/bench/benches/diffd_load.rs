@@ -28,7 +28,7 @@ const DENSITY: f64 = 0.3;
 
 /// The committed 8-client p99 from the pipeline-mutex era (PR 8's
 /// BENCH_diffd.json, this same workload): every session serialized on one
-/// `Mutex<DiffPipeline>`. The smoke guard asserts the executor keeps the
+/// mutex around a single-submitter engine. The smoke guard asserts the executor keeps the
 /// 8-client p99 below this — a regression back to session serialization
 /// roughly doubles it and fails loudly.
 const MUTEX_ERA_P99_MS: f64 = 16.854;

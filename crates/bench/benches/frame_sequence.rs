@@ -4,7 +4,7 @@
 //! A frame sequence with bounded row churn is the workload the rolling
 //! row signatures were built for: when only `c·height` rows change per
 //! frame, diffing consecutive frames through the prefilter pipeline
-//! (`DiffPipelineConfig::signature_prefilter`) short-circuits the other
+//! (`DiffExecutorConfig::signature_prefilter`) short-circuits the other
 //! `(1−c)·height` rows host-side — no chunk, no checkout, no kernel. This
 //! bench sweeps churn from 1 % to 50 % and compares the prefilter
 //! pipeline against the plain pipeline on the identical frame stream,
@@ -25,7 +25,7 @@ use rle::RleImage;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use systolic_core::DiffPipelineConfig;
+use systolic_core::DiffExecutorConfig;
 use workload::{FrameSequence, GenParams, SequenceParams};
 
 /// Full-run geometry: matches the E13 pipeline bench so the absolute
@@ -67,7 +67,7 @@ fn build_frames(width: u32, height: usize, frames: usize, churn: f64) -> Vec<Arc
 
 /// Diffs every consecutive pair through one pool; returns total skipped
 /// rows as a cheap checksum that the prefilter actually engaged.
-fn diff_stream(pipeline: &mut systolic_core::DiffPipeline, frames: &[Arc<RleImage>]) -> usize {
+fn diff_stream(pipeline: &mut systolic_core::DiffExecutor, frames: &[Arc<RleImage>]) -> usize {
     let mut skipped = 0;
     for pair in frames.windows(2) {
         let (_, stats) = pipeline
@@ -110,8 +110,8 @@ fn main() {
         // letting the bypass engage would measure the cure instead of
         // the disease.
         {
-            let mut plain = DiffPipelineConfig::new(2).build();
-            let mut filtered = DiffPipelineConfig::new(2)
+            let mut plain = DiffExecutorConfig::new(2).build();
+            let mut filtered = DiffExecutorConfig::new(2)
                 .signature_prefilter()
                 .sig_prefilter_min_skip_rate(0.0)
                 .build();
@@ -128,14 +128,14 @@ fn main() {
 
         let mut thread_json = String::new();
         let speedup_at = |threads: usize| -> (f64, f64, f64, usize) {
-            let mut plain = DiffPipelineConfig::new(threads).build();
+            let mut plain = DiffExecutorConfig::new(threads).build();
             let (full_best, _) = time(samples, || diff_stream(&mut plain, &stream));
-            let mut filtered = DiffPipelineConfig::new(threads)
+            let mut filtered = DiffExecutorConfig::new(threads)
                 .signature_prefilter()
                 .sig_prefilter_min_skip_rate(0.0)
                 .build();
             let (inc_best, _) = time(samples, || diff_stream(&mut filtered, &stream));
-            let mut verified = DiffPipelineConfig::new(threads)
+            let mut verified = DiffExecutorConfig::new(threads)
                 .signature_prefilter()
                 .sig_prefilter_min_skip_rate(0.0)
                 .verify_signatures()

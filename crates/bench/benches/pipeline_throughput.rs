@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use systolic_core::engine::parallel::systolic_xor_parallel;
-use systolic_core::{DiffPipelineConfig, Kernel};
+use systolic_core::{DiffExecutorConfig, Kernel};
 use workload::{errors, ErrorModel, GenParams, RowGenerator};
 
 /// Rows in the benchmark image; the acceptance floor is 1024.
@@ -92,7 +92,7 @@ fn time_pipeline(
     kernel: Kernel,
     samples: usize,
 ) -> (Duration, Duration) {
-    let mut pipeline = DiffPipelineConfig::new(threads).kernel(kernel).build();
+    let mut pipeline = DiffExecutorConfig::new(threads).kernel(kernel).build();
     time(samples, || {
         let (diff, stats) = pipeline.diff_images_shared(a, b).expect("image diff");
         (diff.total_runs(), stats.totals.iterations)
@@ -114,11 +114,11 @@ fn observed_overhead(
     threads: usize,
     samples: usize,
 ) -> (f64, f64) {
-    let mut plain = DiffPipelineConfig::new(threads).build();
+    let mut plain = DiffExecutorConfig::new(threads).build();
     let (plain_best, _) = time(samples, || {
         plain.diff_images_shared(a, b).expect("image diff").1.rows
     });
-    let mut observed = DiffPipelineConfig::new(threads).observe().build();
+    let mut observed = DiffExecutorConfig::new(threads).observe().build();
     let (observed_best, _) = time(samples, || {
         observed
             .diff_images_shared(a, b)
@@ -197,7 +197,7 @@ fn main() {
         // Same pool with the supervision knobs exercised (a generous batch
         // deadline forces the deadline-arithmetic path on every collect):
         // quantifies what fault tolerance costs on the happy path.
-        let mut supervised = DiffPipelineConfig::new(threads)
+        let mut supervised = DiffExecutorConfig::new(threads)
             .row_deadline(Duration::from_secs(60))
             .build();
         let (sup_best, sup_mean) = time(samples, || {

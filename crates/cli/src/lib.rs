@@ -75,20 +75,20 @@ pub enum Command {
         threads: usize,
         /// Despeckle radius: drop difference components shorter than this.
         clean: u32,
-        /// Per-row pipeline deadline in milliseconds (`None` = wait
-        /// indefinitely); wired to
-        /// [`systolic_core::DiffPipelineConfig::row_deadline`].
+        /// Longest wait for the batch's next row, in milliseconds (`None` =
+        /// wait indefinitely); wired to
+        /// [`systolic_core::DiffExecutorConfig::row_deadline`].
         timeout_ms: Option<u64>,
         /// Per-row kernel policy; wired to
-        /// [`systolic_core::DiffPipelineConfig::kernel`].
+        /// [`systolic_core::DiffExecutorConfig::kernel`].
         kernel: systolic_core::Kernel,
         /// Scheduling weight per chunk in input runs (`None` = derive from
         /// the batch); wired to
-        /// [`systolic_core::DiffPipelineConfig::chunk_target`].
+        /// [`systolic_core::DiffExecutorConfig::chunk_target`].
         chunk_target: Option<usize>,
         /// SIMD level for the packed kernel (`None` = env / auto-detect,
         /// clamped to the hardware); wired to
-        /// [`systolic_core::DiffPipelineConfig::simd`].
+        /// [`systolic_core::DiffExecutorConfig::simd`].
         simd: Option<systolic_core::SimdLevel>,
         /// Write a metrics snapshot here after the batch (`.json` gets the
         /// JSON exposition, anything else Prometheus text). Enables
@@ -98,11 +98,11 @@ pub enum Command {
         /// observation.
         trace_out: Option<PathBuf>,
         /// Skip rows whose cached 64-bit signatures match; wired to
-        /// [`systolic_core::DiffPipelineConfig::signature_prefilter`].
+        /// [`systolic_core::DiffExecutorConfig::signature_prefilter`].
         sig_prefilter: bool,
         /// Cross-check sampled skips against the reference XOR (implies
         /// `--sig-prefilter`); wired to
-        /// [`systolic_core::DiffPipelineConfig::verify_signatures`].
+        /// [`systolic_core::DiffExecutorConfig::verify_signatures`].
         verify_sigs: bool,
     },
     /// Convert a PBM file to the compact RLE format.
@@ -900,7 +900,7 @@ pub fn run_command(cmd: &Command) -> Result<String, CliError> {
             } else {
                 *threads
             };
-            let mut config = systolic_core::DiffPipelineConfig::new(threads).kernel(*kernel);
+            let mut config = systolic_core::DiffExecutorConfig::new(threads).kernel(*kernel);
             if let Some(ms) = timeout_ms {
                 config = config.row_deadline(std::time::Duration::from_millis(*ms));
             }
@@ -990,11 +990,7 @@ pub fn run_command(cmd: &Command) -> Result<String, CliError> {
                     stats.rows_sig_skipped, stats.sig_collisions, stats.sig_verified
                 );
             }
-            let _ = writeln!(
-                s,
-                "  allocations: {} row clones avoided, {} buffers reused",
-                stats.row_clones_avoided, stats.buffers_reused
-            );
+            let _ = writeln!(s, "  allocations: {} buffers reused", stats.buffers_reused);
             if stats.retries + stats.respawns + stats.timeouts > 0 {
                 let _ = writeln!(
                     s,
@@ -1974,7 +1970,7 @@ mod tests {
         assert!(msg.contains("pipeline:"), "{msg}");
         assert!(msg.contains("workers"), "{msg}");
         assert!(msg.contains("kernels"), "{msg}");
-        assert!(msg.contains("row clones avoided"), "{msg}");
+        assert!(msg.contains("buffers reused"), "{msg}");
         assert_eq!(
             load_image(&via_diff).unwrap(),
             load_image(&via_pipeline).unwrap()

@@ -168,7 +168,7 @@ fn diff_image_kernel_and_chunk_target_flags() {
         );
         let text = String::from_utf8_lossy(&out.stdout).to_string();
         assert!(text.contains("kernels    :"), "{kernel}: {text}");
-        assert!(text.contains("row clones avoided"), "{kernel}: {text}");
+        assert!(text.contains("buffers reused"), "{kernel}: {text}");
         let first_line = text.lines().next().unwrap_or("").to_string();
         diffs.push((std::fs::read(&out_path).unwrap(), first_line));
     }

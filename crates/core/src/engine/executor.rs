@@ -1,55 +1,105 @@
-//! Sharded multi-image executor: the engine under [`crate::DiffPipeline`]
-//! and `diffd`, generalized so the schedulable unit is a **job** — one
-//! independent image-pair diff (kernel, row-range, source `Arc`s, job id,
-//! contiguous ticket range) — instead of a per-batch chunk list drained by
-//! a single collector.
+//! The diff engine: a supervised, sharded worker pool that diffs whole
+//! images row by row, scheduling each image pair as an independent **job**
+//! (kernel, row range, source `Arc`s, job id, contiguous ticket range).
 //!
-//! Many jobs are in flight on one shard set at once. Three layers replace
-//! the old per-batch machinery:
+//! [`crate::engine::parallel`] parallelises *within* one row by splitting
+//! the cell array across threads. For whole images the natural unit of
+//! parallelism is the row pair itself — rows are independent, so a pool of
+//! workers can each diff its own rows, like a rack of systolic chips
+//! scanning different board regions.
+//!
+//! # Two ways in
+//!
+//! * **Many submitters** (`&self`): [`DiffExecutor::submit_pair`],
+//!   [`DiffExecutor::diff_pair`] and the returned [`JobHandle`]. An
+//!   `Arc<DiffExecutor>` serves any number of threads with no outer lock;
+//!   `diffd` sessions submit this way, each with its own deadline budget.
+//! * **One owner** (`&mut self`): the batch API
+//!   ([`DiffExecutor::diff_images_shared`], [`DiffExecutor::diff_images`])
+//!   adds the signature prefilter
+//!   ([`DiffExecutorConfig::signature_prefilter`]) with its adaptive
+//!   bypass, paranoid verification and an inline path for tiny residuals,
+//!   plus the per-collect [`DiffExecutorConfig::row_deadline`]. The
+//!   streaming API ([`DiffExecutor::submit`] / [`DiffExecutor::collect`])
+//!   feeds single row pairs as they arrive (e.g. from a scanner head)
+//!   through one internal stream job, matching each result to its
+//!   [`Ticket`].
+//!
+//! Both image entry points run one plan → submit → collect → assemble
+//! path. The planner splits an image into contiguous row chunks weighted
+//! by per-row run counts ([`DiffExecutorConfig::chunk_target`]); chunks
+//! reference the caller's images through `Arc`s, so neither submission
+//! nor checkout copies row data. Workers diff rows through
+//! [`crate::engine::kernel::diff_row`] on per-worker reusable scratch.
+//!
+//! # Scheduling
+//!
+//! Many jobs are in flight on one shard set at once:
 //!
 //! * **Job-fair scheduling.** Every shard keeps one deque *per job* plus a
 //!   round-robin rotation over the job ids present, so chunks from
 //!   different jobs interleave: a submitter with four rows gets its turn
 //!   between the chunks of a 100 000-row batch instead of queueing behind
-//!   all of them. Work-stealing is unchanged (the owner pops the front of
-//!   the rotated job's deque, a thief the back), and steals are attributed
-//!   to the stolen chunk's job.
+//!   all of them. The owner pops the front of the rotated job's deque, a
+//!   thief the back, and steals are attributed to the stolen chunk's job.
 //! * **Result routing keyed by job id.** A worker delivers each finished
 //!   chunk straight into the owning job's completion state (a mutex +
 //!   condvar pair per job) — there is no shared collector loop and no
 //!   global pending queue to serialize on. [`JobHandle::collect_next`]
 //!   waits on its own job's condvar; concurrent submitters never contend
 //!   except on the shard queues themselves.
-//! * **Job-granular supervision.** A dedicated supervisor thread ticks
-//!   every `SUPERVISION_TICK`, respawns dead workers and recovers the
-//!   orphaned chunk from the dead worker's checkout slot — retried, failed
-//!   past the retry budget, or written off if its job was already
-//!   abandoned. Retries, respawns, timeouts, steals and buffer hits are
-//!   counted twice: globally (the lifetime
-//!   [`SupervisionCounters`] / metrics) and on the owning job, which is
-//!   what makes per-job [`PipelineStats`] exact under interleaving — the
-//!   old implementation diffed global counters across a batch and
-//!   misattributed any concurrent job's interventions.
+//! * **Job-granular attribution.** Retries, respawns, timeouts, steals and
+//!   buffer hits are counted twice: globally ([`SupervisionCounters`] and
+//!   the metrics) and on the owning job, which makes per-job
+//!   [`PipelineStats`] exact under interleaving.
 //!
-//! Abandonment is per job: an expired job drops its queued chunks, writes
-//! off the rows a wedged worker still holds, and discards their stale
-//! results on arrival — other jobs on the same executor are untouched.
-//! The ticket space stays global and monotonic, so a fresh executor still
-//! numbers rows `0, 1, 2, …` in submission order and the deterministic
-//! fault drills keep addressing rows by ticket.
+//! The ticket space is global and monotonic, so a fresh executor numbers
+//! rows `0, 1, 2, …` in submission order and the deterministic fault
+//! drills address rows by ticket.
+//!
+//! # Supervision
+//!
+//! The pool is built for the continuous-inspection service the paper
+//! targets, where one crashed row must not take down the line. The *chunk*
+//! is the checkout and retry unit; every row inside it keeps its own
+//! ticket:
+//!
+//! * **Caught panics.** Each row runs inside `catch_unwind`; a panicking
+//!   row discards the worker's (possibly corrupt) kernel state and its
+//!   whole chunk is re-enqueued, up to [`DiffExecutorConfig::retry_limit`]
+//!   extra attempts. A chunk that keeps crashing fails only the culprit row
+//!   (as a structured [`SystolicError::RowFailed`]); the sibling rows are
+//!   re-queued as smaller chunks.
+//! * **Dead workers.** A worker parks the chunk it is processing in its
+//!   shard's *checkout slot*. A dedicated supervisor thread ticks every
+//!   `SUPERVISION_TICK`, respawns worker threads that exited without being
+//!   asked to, and recovers the orphaned chunk — re-enqueued, failed past
+//!   the retry budget, or written off if its job was already abandoned.
+//! * **Stalls and deadlines.** A collect deadline bounds how long a wedged
+//!   worker can hold a caller, returning
+//!   [`SystolicError::DeadlineExceeded`] instead of hanging. An expired job
+//!   is *abandoned*: its queued chunks are dropped, the rows a wedged
+//!   worker still holds are written off ([`DiffExecutor::abandoned`]), and
+//!   their stale results are discarded on arrival — other jobs on the same
+//!   executor are untouched. Dropping the executor never deadlocks:
+//!   workers get [`DiffExecutorConfig::shutdown_grace`] to exit, after
+//!   which wedged threads are detached instead of joined.
+//!
+//! Results are bit-identical to the sequential reference
+//! ([`crate::image::xor_image`]) for every kernel policy; the test-suite
+//! asserts this across all kernels and across injected faults.
 
 use crate::engine::kernel::{self, Kernel, KernelChoice, KernelScratch};
-use crate::engine::pipeline::{lock, PipelineLoad, RowOutcome, SupervisionCounters, Ticket};
 use crate::engine::simd::SimdLevel;
 use crate::error::SystolicError;
 use crate::image::check_dims;
 use crate::obs::{ObsConfig, Observer, TraceKind};
-use crate::stats::{ArrayStats, PipelineStats};
+use crate::stats::{ArrayStats, PipelineStats, SigPrefilterMode};
 use rle::{RleImage, RleRow};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,37 +108,86 @@ use crate::engine::fault::{Fault, FaultPlan};
 
 /// How often the supervisor thread checks worker liveness (and a blocked
 /// worker or collector re-polls — the doorbell backstop).
-pub(crate) const SUPERVISION_TICK: Duration = Duration::from_millis(20);
+const SUPERVISION_TICK: Duration = Duration::from_millis(20);
 
 /// The scheduler aims for this many chunks per worker, so stragglers can
 /// steal the tail of a job without per-row traffic.
-pub(crate) const CHUNKS_PER_WORKER: usize = 4;
+const CHUNKS_PER_WORKER: usize = 4;
 
 /// At most this many spare chunk-result vectors are kept for reuse.
 const SPARE_POOL_CAP: usize = 64;
+
+/// In paranoid mode ([`DiffExecutorConfig::verify_signatures`]), every
+/// `SIG_VERIFY_SAMPLE`-th signature skip of a batch (starting with the
+/// first) is cross-checked against the reference XOR.
+const SIG_VERIFY_SAMPLE: usize = 16;
+
+/// When the signature prefilter resolves all but at most this many rows,
+/// the leftovers are diffed inline on the host instead of dispatched: for
+/// a handful of rows the pool round-trip (enqueue, wake, collect
+/// handshake) costs more than the kernels themselves, and it is exactly
+/// the low-churn frame-sequence case the prefilter exists for.
+const INLINE_RESIDUAL_ROWS: usize = 16;
+
+/// Poison-tolerant lock: a holder that panicked leaves consistent-enough
+/// data (every critical section is a single push/pop/take), so callers
+/// proceed on the recovered guard instead of propagating the poison.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Identifies one submitted row pair; returned by [`DiffExecutor::submit`]
+/// and echoed by [`DiffExecutor::collect`] so streaming callers can match
+/// results (which complete out of order) to submissions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Ticket(u64);
+
+impl Ticket {
+    /// The submission sequence number (0 for the first row ever submitted).
+    #[must_use]
+    pub fn id(self) -> u64 {
+        self.0
+    }
+}
+
+/// One completed row diff, as handed back by [`DiffExecutor::collect`] and
+/// [`JobHandle::collect_next`].
+#[derive(Debug)]
+pub struct RowOutcome {
+    /// Which submission this result answers.
+    pub ticket: Ticket,
+    /// Index of the pool worker that processed the row (for utilization
+    /// accounting; see [`PipelineStats::effective_workers`]).
+    pub worker: usize,
+    /// Which kernel diffed the row; `None` when the row errored before a
+    /// kernel could run (or was failed by the supervisor).
+    pub kernel: Option<KernelChoice>,
+    /// The diff row and its per-row statistics, or the error for this row
+    /// pair.
+    pub result: Result<(RleRow, ArrayStats), SystolicError>,
+}
+
+/// Lifetime totals of the supervisor's interventions (never reset; the
+/// per-job view lives in [`PipelineStats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SupervisionCounters {
+    /// Chunks re-enqueued after a worker panic or death.
+    pub retries: u64,
+    /// Worker threads replaced after dying unexpectedly.
+    pub respawns: u64,
+    /// Deadline expiries observed by collectors.
+    pub timeouts: u64,
+}
 
 /// Where a chunk's row pairs live. Cloning is `Arc`-cheap in both cases,
 /// which is what makes chunk checkout (and retry re-enqueue) free of row
 /// copies.
 #[derive(Clone)]
-pub(crate) enum RowsSource {
-    /// Rows owned by this chunk (streaming submits and the borrowing batch
-    /// API). `first` is the image row the slice starts at, so sub-chunks
-    /// can keep absolute indices.
-    Owned {
-        rows: Arc<[(RleRow, RleRow)]>,
-        first: usize,
-    },
-    /// Rows shared with the caller's images (the zero-copy batch API).
-    /// Indexed by absolute image row.
+enum RowsSource {
+    /// One streamed row pair: the single row of a stream-job chunk.
+    Row(Arc<(RleRow, RleRow)>),
+    /// Rows shared with the caller's images, indexed by absolute image row.
     Shared { a: Arc<RleImage>, b: Arc<RleImage> },
-}
-
-/// One planned chunk of a job, before tickets are allocated.
-pub(crate) struct ChunkSpec {
-    pub lo: usize,
-    pub hi: usize,
-    pub source: RowsSource,
 }
 
 /// A contiguous chunk of one job's row pairs: the scheduling, checkout and
@@ -117,10 +216,7 @@ impl Chunk {
 
     fn row(&self, i: usize) -> (&RleRow, &RleRow) {
         match &self.source {
-            RowsSource::Owned { rows, first } => {
-                let pair = &rows[i - first];
-                (&pair.0, &pair.1)
-            }
+            RowsSource::Row(pair) => (&pair.0, &pair.1),
             RowsSource::Shared { a, b } => (&a.rows()[i], &b.rows()[i]),
         }
     }
@@ -171,12 +267,11 @@ struct JobState {
     id: u64,
     lo: u64,
     hi: u64,
-    /// Chunks the job was planned into (0 for the streaming job, whose
-    /// rows are single-row chunks ticketed individually).
+    /// Chunks the job was planned into (0 for the stream job, whose rows
+    /// are single-row chunks ticketed individually).
     chunks: usize,
     /// Whether this job participates in the batch/job ledgers
-    /// (`batches`, `jobs_submitted`, …); the streaming front end's
-    /// persistent job does not.
+    /// (`batches`, `jobs_submitted`, …); the stream job does not.
     ledger: bool,
     created: Instant,
     /// Nanoseconds from job creation to the first chunk checkout, plus one
@@ -194,6 +289,32 @@ struct JobState {
 }
 
 impl JobState {
+    fn new(id: u64, lo: u64, hi: u64, chunks: usize, ledger: bool, workers: usize) -> Self {
+        Self {
+            id,
+            lo,
+            hi,
+            chunks,
+            ledger,
+            created: Instant::now(),
+            first_checkout_ns: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            respawns: AtomicU64::new(0),
+            timeouts: AtomicU64::new(0),
+            steals: AtomicU64::new(0),
+            buffer_hits: AtomicU64::new(0),
+            inner: Mutex::new(JobInner {
+                pending: VecDeque::new(),
+                undelivered: (hi - lo) as usize,
+                abandoned: false,
+                completed: false,
+                stale: 0,
+                seen: vec![false; workers],
+            }),
+            bell: Condvar::new(),
+        }
+    }
+
     fn rows(&self) -> u64 {
         self.hi - self.lo
     }
@@ -279,8 +400,6 @@ struct Shared {
     /// Rows submitted but not yet collected or written off, across all
     /// jobs.
     in_flight: AtomicUsize,
-    /// Rows delivered to a live job but not yet collected.
-    ready_rows: AtomicUsize,
     /// Rows written off by abandoned jobs whose stale results are still
     /// outstanding; drains back to 0 as they arrive or are recovered.
     abandoned_rows: AtomicUsize,
@@ -479,7 +598,7 @@ impl Shared {
                     }
                     any_ok |= row.result.is_ok();
                     inner.pending.push_back(RowOutcome {
-                        ticket: Ticket::from_id(row.ticket),
+                        ticket: Ticket(row.ticket),
                         worker,
                         kernel: row.kernel,
                         result: row.result,
@@ -489,7 +608,6 @@ impl Shared {
                     inner.seen[worker] = true;
                 }
                 inner.undelivered -= n;
-                self.ready_rows.fetch_add(n, Ordering::Relaxed);
                 if inner.undelivered == 0 && job.ledger && !inner.completed {
                     inner.completed = true;
                     if let Some(obs) = &self.obs {
@@ -513,31 +631,87 @@ fn decrement(counter: &AtomicUsize) {
     let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
 }
 
-/// Configuration for a [`DiffExecutor`]: the engine-level subset of
-/// [`crate::DiffPipelineConfig`] (the pipeline facade maps the rest —
-/// deadlines, chunk targets, the signature prefilter — onto jobs itself).
+/// Configuration for a [`DiffExecutor`].
 #[derive(Clone, Debug)]
 pub struct DiffExecutorConfig {
     /// Worker threads in the pool (must be > 0).
     pub threads: usize,
-    /// Extra attempts a chunk is granted after a worker panic or death.
+    /// Extra attempts the supervisor grants a chunk whose worker panicked
+    /// or died. A chunk is attempted at most `retry_limit + 1` times before
+    /// its culprit row surfaces as [`SystolicError::RowFailed`].
     pub retry_limit: u32,
-    /// How long [`Drop`] waits for workers before detaching wedged
-    /// threads.
+    /// Per-collect deadline honoured by the batch API: the longest
+    /// [`DiffExecutor::diff_images_shared`] waits for the *next* completed
+    /// row before abandoning the batch with
+    /// [`SystolicError::DeadlineExceeded`]. `None` (the default) waits
+    /// indefinitely (supervision still recovers dead workers; only genuine
+    /// stalls can block). [`DiffExecutor::diff_pair`] takes a per-call
+    /// budget instead.
+    pub row_deadline: Option<Duration>,
+    /// How long [`Drop`] waits for workers to exit before detaching wedged
+    /// threads instead of joining them (the never-deadlock guarantee).
     pub shutdown_grace: Duration,
-    /// Kernel policy workers diff rows with.
+    /// Kernel policy workers diff rows with (default [`Kernel::Auto`]).
     pub kernel: Kernel,
-    /// SIMD level override (`None` = env / runtime detection).
+    /// SIMD level for the packed kernel's run-comparison scan. `None` (the
+    /// default) resolves from the `SYSTOLIC_SIMD` environment variable,
+    /// falling back to runtime CPU detection. `Some` requests an explicit
+    /// level, clamped down to what the host actually supports — a forced
+    /// level can narrow the choice, never exceed the hardware.
     pub simd: Option<SimdLevel>,
-    /// Target scheduling weight per chunk for [`DiffExecutor::submit_pair`]
-    /// plans, in input runs (`None` derives it per job; see
-    /// [`plan_ranges`]).
+    /// Target scheduling weight per chunk, measured in input runs (each row
+    /// weighs `k1 + k2 + 1`). `None` (the default) derives it from the
+    /// job: `total_weight / (threads * 4)`, clamped to at least one row —
+    /// and the derived plan is further split until it has at least one
+    /// chunk per worker (an explicit target is honoured exactly).
     pub chunk_target: Option<usize>,
-    /// Observability: attach an [`Observer`] to the executor.
+    /// Observability: `Some` attaches an [`Observer`] (metrics registry +
+    /// trace ring) to the executor. `None` (the default) compiles every
+    /// recording site down to one predictable `if let` branch — no
+    /// timestamps are taken and nothing is recorded.
     pub observe: Option<ObsConfig>,
-    /// Deterministic fault schedule for tests.
+    /// Signature prefilter for the batch API (default off): before planning
+    /// chunks, compare the two images' cached per-row signatures
+    /// ([`rle::RleRow::signature`]) and resolve every matching row
+    /// host-side as an empty diff — no submit, no checkout round-trip, no
+    /// kernel. Skips surface in [`PipelineStats::rows_sig_skipped`], the
+    /// `rows_sig_skipped` metric and `sig_skip` trace events. Equal rows
+    /// always match (signatures are canonical-view), and distinct rows
+    /// collide with probability ~2⁻⁶⁴; use [`Self::verify_signatures`] if
+    /// even that is too much. Ignored under [`Kernel::Systolic`], whose
+    /// contract is cycle-exact per-row statistics against the reference
+    /// machine — skipping rows would zero their iteration counts.
+    pub signature_prefilter: bool,
+    /// Adaptive auto-off for the prefilter (default `0.75`): when the
+    /// previous batch's observed skip rate (fraction of rows whose
+    /// signatures matched) falls below this threshold, the next batch
+    /// *bypasses* skip resolution — every row goes to the kernels — while
+    /// still comparing the cached signatures (a u64 compare per row) to
+    /// keep measuring, so the prefilter re-arms the moment churn drops
+    /// again. `0.75` matches the measured break-even: above ~25 % churn
+    /// the prefilter's bookkeeping costs more than it saves (the
+    /// BENCH_delta sweep). Set `0.0` to disable adaptation (always resolve
+    /// skips). The first batch after build always runs the prefilter
+    /// (there is no rate to adapt to yet); the engaged mode is reported in
+    /// [`PipelineStats::sig_prefilter`].
+    pub sig_prefilter_min_skip_rate: f64,
+    /// Paranoid mode for the prefilter (default off): cross-check a
+    /// deterministic sample of signature skips (the first of each batch,
+    /// then every 16th) against the reference XOR. A confirmed check
+    /// counts in [`PipelineStats::sig_verified`]; a caught collision
+    /// substitutes the reference diff for the empty row (the output stays
+    /// exact) and counts in [`PipelineStats::sig_collisions`].
+    pub verify_signatures: bool,
+    /// Deterministic fault schedule for tests (see
+    /// [`crate::engine::fault`]).
     #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<FaultPlan>,
+    /// Test hook: image rows whose signature comparison is forced to
+    /// "equal" even when the rows differ — a synthetic 64-bit collision,
+    /// used by the false-skip drill to prove what [`Self::verify_signatures`]
+    /// catches.
+    #[cfg(feature = "fault-injection")]
+    pub fault_sig_collisions: Vec<usize>,
 }
 
 impl Default for DiffExecutorConfig {
@@ -545,13 +719,19 @@ impl Default for DiffExecutorConfig {
         Self {
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             retry_limit: 2,
+            row_deadline: None,
             shutdown_grace: Duration::from_millis(500),
             kernel: Kernel::Auto,
             simd: None,
             chunk_target: None,
             observe: None,
+            signature_prefilter: false,
+            sig_prefilter_min_skip_rate: 0.75,
+            verify_signatures: false,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
+            #[cfg(feature = "fault-injection")]
+            fault_sig_collisions: Vec::new(),
         }
     }
 }
@@ -564,6 +744,104 @@ impl DiffExecutorConfig {
             threads,
             ..Self::default()
         }
+    }
+
+    /// Sets the retry budget (see [`Self::retry_limit`]).
+    #[must_use]
+    pub fn retry_limit(mut self, retries: u32) -> Self {
+        self.retry_limit = retries;
+        self
+    }
+
+    /// Sets the per-collect batch deadline (see [`Self::row_deadline`]).
+    #[must_use]
+    pub fn row_deadline(mut self, deadline: Duration) -> Self {
+        self.row_deadline = Some(deadline);
+        self
+    }
+
+    /// Sets the shutdown grace period (see [`Self::shutdown_grace`]).
+    #[must_use]
+    pub fn shutdown_grace(mut self, grace: Duration) -> Self {
+        self.shutdown_grace = grace;
+        self
+    }
+
+    /// Sets the kernel policy (see [`Self::kernel`]).
+    #[must_use]
+    pub fn kernel(mut self, kernel: Kernel) -> Self {
+        self.kernel = kernel;
+        self
+    }
+
+    /// Requests an explicit SIMD level (see [`Self::simd`]).
+    #[must_use]
+    pub fn simd(mut self, level: SimdLevel) -> Self {
+        self.simd = Some(level);
+        self
+    }
+
+    /// Sets the chunk scheduling weight (see [`Self::chunk_target`]).
+    #[must_use]
+    pub fn chunk_target(mut self, runs_per_chunk: usize) -> Self {
+        self.chunk_target = Some(runs_per_chunk);
+        self
+    }
+
+    /// Enables the signature prefilter (see [`Self::signature_prefilter`]).
+    #[must_use]
+    pub fn signature_prefilter(mut self) -> Self {
+        self.signature_prefilter = true;
+        self
+    }
+
+    /// Sets the adaptive prefilter bypass threshold (see
+    /// [`Self::sig_prefilter_min_skip_rate`]); `0.0` pins the prefilter
+    /// active regardless of the observed skip rate.
+    #[must_use]
+    pub fn sig_prefilter_min_skip_rate(mut self, rate: f64) -> Self {
+        self.sig_prefilter_min_skip_rate = rate;
+        self
+    }
+
+    /// Enables paranoid skip verification (see [`Self::verify_signatures`]);
+    /// the prefilter itself is still opted into separately.
+    #[must_use]
+    pub fn verify_signatures(mut self) -> Self {
+        self.verify_signatures = true;
+        self
+    }
+
+    /// Forces synthetic signature collisions on the given image rows (test
+    /// builds only; see [`Self::fault_sig_collisions`]).
+    #[cfg(feature = "fault-injection")]
+    #[must_use]
+    pub fn fault_sig_collisions(mut self, rows: Vec<usize>) -> Self {
+        self.fault_sig_collisions = rows;
+        self
+    }
+
+    /// Enables observability with the default settings (see
+    /// [`Self::observe`]).
+    #[must_use]
+    pub fn observe(mut self) -> Self {
+        self.observe = Some(ObsConfig::default());
+        self
+    }
+
+    /// Enables observability with explicit settings (see [`Self::observe`]).
+    #[must_use]
+    pub fn observe_with(mut self, obs: ObsConfig) -> Self {
+        self.observe = Some(obs);
+        self
+    }
+
+    /// Installs a deterministic fault schedule (test builds only).
+    #[cfg(feature = "fault-injection")]
+    #[must_use]
+    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.fault_plan = Some(plan);
+        self
     }
 
     /// Builds the executor described by this configuration.
@@ -586,19 +864,44 @@ pub struct JobOutcome {
     /// attributed to *this* job only, exact under interleaving.
     pub stats: PipelineStats,
     /// Submission → first chunk checkout: time the job waited for a
-    /// worker (the executor-level replacement for the old pipeline-mutex
-    /// wait).
+    /// worker.
     pub queue_wait: Duration,
 }
 
+/// How long a job's collector may wait for its next row.
+#[derive(Clone, Copy)]
+enum Deadline {
+    /// One budget for the whole job ([`DiffExecutor::diff_pair`]).
+    Job(Duration),
+    /// A window that restarts at every collect
+    /// ([`DiffExecutorConfig::row_deadline`]).
+    Collect(Duration),
+}
+
 /// A supervised, shard-scheduled worker pool that runs many independent
-/// image-pair jobs concurrently (see the module docs). All methods take
-/// `&self`: an `Arc<DiffExecutor>` can be submitted to and collected from
-/// by any number of threads with no outer lock.
+/// image-pair jobs concurrently (see the module docs). The `&self` methods
+/// serve any number of submitting threads; the `&mut self` batch and
+/// streaming methods serve the executor's single owner.
 pub struct DiffExecutor {
     shared: Arc<Shared>,
     supervisor: Option<JoinHandle<()>>,
     shutdown_grace: Duration,
+    row_deadline: Option<Duration>,
+    signature_prefilter: bool,
+    sig_prefilter_min_skip_rate: f64,
+    verify_signatures: bool,
+    #[cfg(feature = "fault-injection")]
+    fault_sig_collisions: Vec<usize>,
+    /// The previous batch's observed signature skip rate (matched rows /
+    /// total rows), driving the adaptive prefilter bypass. `None` until a
+    /// non-empty prefiltered batch has been measured.
+    sig_skip_rate: Option<f64>,
+    /// Kernel scratch for the inline residual path, so tiny batches reuse
+    /// buffers exactly like a worker does.
+    host_scratch: KernelScratch,
+    /// The non-ledger job [`Self::submit`] pushes single-row chunks
+    /// through, created on first use.
+    stream: Option<JobHandle>,
 }
 
 impl std::fmt::Debug for DiffExecutor {
@@ -629,7 +932,6 @@ impl DiffExecutor {
             shards: (0..config.threads).map(|_| Shard::default()).collect(),
             queued: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
-            ready_rows: AtomicUsize::new(0),
             abandoned_rows: AtomicUsize::new(0),
             next_ticket: AtomicU64::new(0),
             next_job_id: AtomicU64::new(0),
@@ -665,6 +967,15 @@ impl DiffExecutor {
             shared,
             supervisor: Some(supervisor),
             shutdown_grace: config.shutdown_grace,
+            row_deadline: config.row_deadline,
+            signature_prefilter: config.signature_prefilter,
+            sig_prefilter_min_skip_rate: config.sig_prefilter_min_skip_rate,
+            verify_signatures: config.verify_signatures,
+            #[cfg(feature = "fault-injection")]
+            fault_sig_collisions: config.fault_sig_collisions,
+            sig_skip_rate: None,
+            host_scratch: KernelScratch::with_simd(simd),
+            stream: None,
         }
     }
 
@@ -674,27 +985,19 @@ impl DiffExecutor {
         self.shared.shards.len()
     }
 
-    /// The SIMD level the pool's kernels resolved to.
+    /// The SIMD level the pool's kernels resolved to (after the env /
+    /// config override and the hardware clamp).
     #[must_use]
     pub fn simd_level(&self) -> SimdLevel {
         self.shared.simd
     }
 
-    /// The kernel policy workers diff rows with.
-    #[must_use]
-    pub fn kernel(&self) -> Kernel {
-        self.shared.kernel
-    }
-
     /// The executor's [`Observer`], if observability was enabled. The
-    /// `Arc` stays valid after the executor is dropped.
+    /// `Arc` stays valid after the executor is dropped, so snapshots can
+    /// outlive the pool.
     #[must_use]
     pub fn observer(&self) -> Option<Arc<Observer>> {
         self.shared.obs.clone()
-    }
-
-    pub(crate) fn obs(&self) -> Option<&Arc<Observer>> {
-        self.shared.obs.as_ref()
     }
 
     /// Lifetime supervision totals across every job.
@@ -711,93 +1014,60 @@ impl DiffExecutor {
     }
 
     /// Rows written off by abandoned jobs whose stale results are still
-    /// outstanding; drains back to 0 as they arrive or are recovered.
+    /// outstanding — held by a wedged worker. Each one is discarded (and
+    /// this count decremented) when its stale result finally arrives or
+    /// its dead worker is reaped, so a healed executor drains back to 0.
     #[must_use]
     pub fn abandoned(&self) -> usize {
         self.shared.abandoned_rows.load(Ordering::Relaxed)
     }
 
     /// The ticket the next submitted row will receive (global, monotonic
-    /// across all jobs).
+    /// across all jobs). A job's rows take consecutive tickets, so reading
+    /// this before and after a batch call gives the half-open range the
+    /// batch occupied.
     #[must_use]
     pub fn next_ticket(&self) -> u64 {
         self.shared.next_ticket.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time load snapshot — the admission-control hook.
-    /// `ready_chunks` reports delivered-but-uncollected *rows* under the
-    /// executor (the old per-batch collector counted swept chunk
-    /// messages); an idle executor reports all four fields zero either
-    /// way.
-    #[must_use]
-    pub fn load(&self) -> PipelineLoad {
-        PipelineLoad {
-            queued_chunks: self.shared.queued.load(Ordering::Relaxed),
-            ready_chunks: self.shared.ready_rows.load(Ordering::Relaxed),
-            in_flight_rows: self.in_flight(),
-            abandoned_rows: self.abandoned(),
-        }
-    }
-
-    /// Creates the persistent non-ledger job the streaming front end
-    /// pushes single-row chunks through.
-    pub(crate) fn streaming_job(&self) -> JobHandle {
-        let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-        let lo = self.next_ticket();
-        JobHandle {
-            job: Arc::new(self.new_job_state(id, lo, lo, 0, false)),
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    fn new_job_state(&self, id: u64, lo: u64, hi: u64, chunks: usize, ledger: bool) -> JobState {
-        JobState {
-            id,
-            lo,
-            hi,
-            chunks,
-            ledger,
-            created: Instant::now(),
-            first_checkout_ns: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            buffer_hits: AtomicU64::new(0),
-            inner: Mutex::new(JobInner {
-                pending: VecDeque::new(),
-                undelivered: (hi - lo) as usize,
-                abandoned: false,
-                completed: false,
-                stale: 0,
-                seen: vec![false; self.shared.shards.len()],
-            }),
-            bell: Condvar::new(),
-        }
-    }
-
-    /// Submits one job: allocates its id and a contiguous ticket range,
-    /// records the submit ledger, and deals the chunks round-robin across
-    /// the shards. Chunks must cover disjoint ascending row ranges; row
-    /// `specs[j].lo + k` gets the ticket after all rows before it in spec
-    /// order.
-    pub(crate) fn submit_job(&self, specs: Vec<ChunkSpec>) -> JobHandle {
-        let rows: usize = specs.iter().map(|s| s.hi - s.lo).sum();
+    /// Submits one job over `ranges` of the shared images: allocates its
+    /// id and a contiguous ticket range, records the submit ledger, and
+    /// deals the chunks round-robin across the shards. Ranges must be
+    /// disjoint and ascending; row `lo + k` of a range gets the ticket
+    /// after all rows of the ranges before it.
+    fn submit_job(
+        &self,
+        a: &Arc<RleImage>,
+        b: &Arc<RleImage>,
+        ranges: Vec<(usize, usize)>,
+    ) -> JobHandle {
+        let rows: usize = ranges.iter().map(|(lo, hi)| hi - lo).sum();
         let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
         let lo = self
             .shared
             .next_ticket
             .fetch_add(rows as u64, Ordering::Relaxed);
-        let job = Arc::new(self.new_job_state(id, lo, lo + rows as u64, specs.len(), true));
-        let mut chunks = Vec::with_capacity(specs.len());
+        let job = Arc::new(JobState::new(
+            id,
+            lo,
+            lo + rows as u64,
+            ranges.len(),
+            true,
+            self.workers(),
+        ));
+        let mut chunks = Vec::with_capacity(ranges.len());
         let mut base = lo;
-        for spec in specs {
+        for (lo, hi) in ranges {
             let chunk = Chunk {
                 base,
-                lo: spec.lo,
-                hi: spec.hi,
+                lo,
+                hi,
                 attempts: 0,
-                source: spec.source,
+                source: RowsSource::Shared {
+                    a: Arc::clone(a),
+                    b: Arc::clone(b),
+                },
                 job: Arc::clone(&job),
             };
             base += chunk.len() as u64;
@@ -845,10 +1115,9 @@ impl DiffExecutor {
         }
     }
 
-    /// Plans and submits one image pair as a job (zero-copy shared
-    /// sources, derived chunk target) without waiting for it. The caller
-    /// collects through the returned [`JobHandle`]; many submitters can
-    /// do this concurrently on one executor.
+    /// Plans and submits one image pair as a job without waiting for it.
+    /// The caller collects through the returned [`JobHandle`]; many
+    /// submitters can do this concurrently on one executor.
     pub fn submit_pair(
         &self,
         a: &Arc<RleImage>,
@@ -856,18 +1125,7 @@ impl DiffExecutor {
     ) -> Result<JobHandle, SystolicError> {
         check_dims(a, b)?;
         let ranges = plan_ranges(a, b, None, self.shared.chunk_target, self.workers());
-        let specs = ranges
-            .into_iter()
-            .map(|(lo, hi)| ChunkSpec {
-                lo,
-                hi,
-                source: RowsSource::Shared {
-                    a: Arc::clone(a),
-                    b: Arc::clone(b),
-                },
-            })
-            .collect();
-        Ok(self.submit_job(specs))
+        Ok(self.submit_job(a, b, ranges))
     }
 
     /// Diffs one image pair end to end: plan, submit, collect,
@@ -882,36 +1140,298 @@ impl DiffExecutor {
         b: &Arc<RleImage>,
         budget: Option<Duration>,
     ) -> Result<JobOutcome, SystolicError> {
-        let start = Instant::now();
-        let deadline = budget.map(|d| start + d);
-        let handle = self.submit_pair(a, b)?;
-        let (lo, _hi) = handle.tickets();
+        check_dims(a, b)?;
+        self.run_job(
+            a,
+            b,
+            PipelineStats::default(),
+            None,
+            budget.map(Deadline::Job),
+        )
+    }
+
+    /// Diffs two images row by row across the pool, reassembling the rows
+    /// in order and aggregating per-row statistics. Copies both images
+    /// into `Arc`s once; use [`Self::diff_images_shared`] to avoid that.
+    pub fn diff_images(
+        &mut self,
+        a: &RleImage,
+        b: &RleImage,
+    ) -> Result<(RleImage, PipelineStats), SystolicError> {
+        self.diff_images_shared(&Arc::new(a.clone()), &Arc::new(b.clone()))
+    }
+
+    /// The batch API: diffs two shared images as one job, through the
+    /// signature prefilter and inline residual path when
+    /// [`DiffExecutorConfig::signature_prefilter`] is on. No row data is
+    /// copied.
+    ///
+    /// Bit-identical to [`crate::image::xor_image`] for every kernel
+    /// policy. If any row fails, the remaining rows are still drained and
+    /// the first error is returned. With a
+    /// [`DiffExecutorConfig::row_deadline`], a stall longer than the
+    /// deadline aborts the batch with [`SystolicError::DeadlineExceeded`];
+    /// the batch's remaining rows are abandoned (see [`Self::abandoned`])
+    /// and the executor is immediately reusable.
+    pub fn diff_images_shared(
+        &mut self,
+        a: &Arc<RleImage>,
+        b: &Arc<RleImage>,
+    ) -> Result<(RleImage, PipelineStats), SystolicError> {
+        check_dims(a, b)?;
+        let (mut stats, mut resolved) = self.prefilter(a, b);
+        if let Some(rows) = &mut resolved {
+            self.inline_residual(a, b, rows, &mut stats)?;
+        }
+        let deadline = self.row_deadline.map(Deadline::Collect);
+        let out = self.run_job(a, b, stats, resolved, deadline)?;
+        Ok((out.image, out.stats))
+    }
+
+    /// Enqueues one row pair for differencing on the stream job; returns
+    /// the [`Ticket`] its [`RowOutcome`] will carry. Never blocks.
+    pub fn submit(&mut self, a: RleRow, b: RleRow) -> Ticket {
+        self.stream().submit_row(a, b)
+    }
+
+    /// Blocks for the next completed streamed row, in completion (not
+    /// submission) order. Returns `None` when no streamed row is in
+    /// flight.
+    ///
+    /// While blocked, the supervisor keeps watching the pool: dead workers
+    /// are respawned and the chunks they held recovered, so a crashed
+    /// thread delays rows rather than hanging the collector. Only a
+    /// genuinely wedged worker can block indefinitely — use
+    /// [`Self::collect_timeout`] to bound that.
+    pub fn collect(&mut self) -> Option<RowOutcome> {
+        self.stream()
+            .collect_next(None)
+            .expect("collect without a deadline cannot time out")
+    }
+
+    /// Like [`Self::collect`], but gives up with
+    /// [`SystolicError::DeadlineExceeded`] if no row completes within
+    /// `timeout`. The timed-out rows stay in flight (their worker may still
+    /// deliver them later); callers can keep collecting, [`Self::drain`]
+    /// the stream, or drop the executor.
+    pub fn collect_timeout(
+        &mut self,
+        timeout: Duration,
+    ) -> Result<Option<RowOutcome>, SystolicError> {
+        self.stream().collect_next(Some(Instant::now() + timeout))
+    }
+
+    /// Collects every in-flight streamed outcome (blocking, with
+    /// supervision) and returns them, leaving the stream idle.
+    pub fn drain(&mut self) -> Vec<RowOutcome> {
+        let mut out = Vec::new();
+        while let Some(done) = self.collect() {
+            out.push(done);
+        }
+        if let Some(obs) = &self.shared.obs {
+            obs.record(TraceKind::Drain {
+                collected: out.len() as u64,
+            });
+        }
+        out
+    }
+
+    fn stream(&mut self) -> &JobHandle {
+        let shared = &self.shared;
+        self.stream.get_or_insert_with(|| {
+            let id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
+            let lo = shared.next_ticket.load(Ordering::Relaxed);
+            JobHandle {
+                job: Arc::new(JobState::new(id, lo, lo, 0, false, shared.shards.len())),
+                shared: Arc::clone(shared),
+            }
+        })
+    }
+
+    /// Runs the signature prefilter over a batch's rows, if enabled.
+    /// Returns the stats of the rows it resolved host-side (skipped, or
+    /// substituted after a caught collision) with the engaged mode, and
+    /// those rows' diffs — `None` means "plan every row": the prefilter is
+    /// off, the kernel policy demands exact per-row statistics, the
+    /// adaptive bypass is engaged (previous batch's skip rate below
+    /// [`DiffExecutorConfig::sig_prefilter_min_skip_rate`]), or no row
+    /// matched. Records this batch's observed match rate either way so the
+    /// next batch adapts.
+    fn prefilter(
+        &mut self,
+        a: &RleImage,
+        b: &RleImage,
+    ) -> (PipelineStats, Option<Vec<Option<RleRow>>>) {
+        let mut stats = PipelineStats::default();
+        if !self.signature_prefilter || self.shared.kernel == Kernel::Systolic {
+            return (stats, None);
+        }
         let height = a.height();
-        let mut rows: Vec<Option<RleRow>> = vec![None; height];
-        let mut stats = PipelineStats {
-            workers: self.workers(),
-            chunks: handle.chunks(),
-            row_clones_avoided: 4 * height as u64,
-            ..Default::default()
+        let threshold = self.sig_prefilter_min_skip_rate;
+        // Bypass: the last batch churned too much for skip resolution to
+        // pay for itself. Still compare the cached signatures — one u64
+        // equality per row — so the rate stays measured and the prefilter
+        // re-arms as soon as the sequence calms down.
+        let bypass = threshold > 0.0 && self.sig_skip_rate.is_some_and(|rate| rate < threshold);
+        stats.sig_prefilter = if bypass {
+            SigPrefilterMode::Bypassed
+        } else {
+            SigPrefilterMode::Active
         };
+        let mut rows: Option<Vec<Option<RleRow>>> = (!bypass).then(|| vec![None; height]);
+        let mut matched = 0usize;
+        for i in 0..height {
+            let (ra, rb) = (&a.rows()[i], &b.rows()[i]);
+            let matches = ra.signature() == rb.signature();
+            #[cfg(feature = "fault-injection")]
+            let matches = matches || self.fault_sig_collisions.contains(&i);
+            if !matches {
+                continue;
+            }
+            let ordinal = matched;
+            matched += 1;
+            let Some(rows) = rows.as_mut() else {
+                continue;
+            };
+            let row_stats = ArrayStats {
+                k1: ra.run_count(),
+                k2: rb.run_count(),
+                ..ArrayStats::default()
+            };
+            stats.rows += 1;
+            if self.verify_signatures && ordinal.is_multiple_of(SIG_VERIFY_SAMPLE) {
+                let reference = rle::ops::xor(ra, rb);
+                if !reference.is_empty() {
+                    // A 64-bit collision (or an injected one): the skip
+                    // would have dropped real differences. Resolve the row
+                    // with the reference diff instead — still host-side,
+                    // still no kernel, but exact.
+                    stats.totals.absorb(&ArrayStats {
+                        output_runs: reference.run_count(),
+                        ..row_stats
+                    });
+                    stats.sig_collisions += 1;
+                    rows[i] = Some(reference);
+                    continue;
+                }
+                stats.sig_verified += 1;
+            }
+            stats.totals.absorb(&row_stats);
+            stats.rows_sig_skipped += 1;
+            rows[i] = Some(RleRow::new(a.width()));
+            if let Some(obs) = &self.shared.obs {
+                obs.record(TraceKind::SigSkip { row: i as u64 });
+            }
+        }
+        if height > 0 {
+            self.sig_skip_rate = Some(matched as f64 / height as f64);
+        }
+        if let Some(obs) = &self.shared.obs {
+            obs.metrics
+                .rows_sig_skipped
+                .add(stats.rows_sig_skipped as u64);
+        }
+        (stats, rows.filter(|_| matched > 0))
+    }
+
+    /// Small-batch shortcut after the prefilter: when at most
+    /// [`INLINE_RESIDUAL_ROWS`] rows were *not* resolved, diff them here on
+    /// the host with the same kernel policy a worker would use. The batch
+    /// then plans zero chunks — no enqueue, no wake-up, no collect
+    /// handshake — which is what makes low-churn frame diffs cheap instead
+    /// of merely parallel. Inline rows join `stats` like collected rows do;
+    /// they never enter the submit/complete ledgers (nothing was
+    /// submitted).
+    fn inline_residual(
+        &mut self,
+        a: &RleImage,
+        b: &RleImage,
+        rows: &mut [Option<RleRow>],
+        stats: &mut PipelineStats,
+    ) -> Result<(), SystolicError> {
+        let residual = rows.iter().filter(|row| row.is_none()).count();
+        if residual == 0 || residual > INLINE_RESIDUAL_ROWS {
+            return Ok(());
+        }
+        for (i, slot) in rows.iter_mut().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            let row_start = self.shared.obs.as_ref().map(|_| Instant::now());
+            let (row, row_stats, choice) = kernel::diff_row(
+                self.shared.kernel,
+                &mut self.host_scratch,
+                &a.rows()[i],
+                &b.rows()[i],
+            )?;
+            // Mirror a worker's per-row accounting (kernel mix + the two
+            // row histograms) under `rows_inline_diffed` instead of
+            // `rows_diffed`, keeping both documented ledger identities
+            // closed: these rows were never submitted, so they must not
+            // appear on the worker/collector side.
+            if let Some(obs) = &self.shared.obs {
+                let latency_ns = row_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                obs.metrics.rows_inline_diffed.inc();
+                match choice {
+                    KernelChoice::FastPath => obs.metrics.rows_fast_path.inc(),
+                    KernelChoice::Rle => obs.metrics.rows_rle_kernel.inc(),
+                    KernelChoice::Packed => obs.metrics.rows_packed_kernel.inc(),
+                    KernelChoice::Systolic => obs.metrics.rows_systolic_kernel.inc(),
+                }
+                obs.metrics.row_latency_ns.record(latency_ns);
+                obs.metrics
+                    .row_runs
+                    .record((row_stats.k1 + row_stats.k2) as u64);
+            }
+            absorb_row(stats, &row_stats, Some(choice));
+            *slot = Some(row);
+        }
+        Ok(())
+    }
+
+    /// The one plan → submit → collect → assemble path behind
+    /// [`Self::diff_pair`] and [`Self::diff_images_shared`]. `resolved`
+    /// holds the rows already settled host-side, which the planner skips
+    /// (tickets then map to image rows through the plan); `stats` arrives
+    /// holding their share of the job's statistics.
+    fn run_job(
+        &self,
+        a: &Arc<RleImage>,
+        b: &Arc<RleImage>,
+        mut stats: PipelineStats,
+        resolved: Option<Vec<Option<RleRow>>>,
+        deadline: Option<Deadline>,
+    ) -> Result<JobOutcome, SystolicError> {
+        let start = Instant::now();
+        let ranges = plan_ranges(
+            a,
+            b,
+            resolved.as_deref(),
+            self.shared.chunk_target,
+            self.workers(),
+        );
+        let ticket_rows: Option<Vec<usize>> = resolved
+            .as_ref()
+            .map(|_| ranges.iter().flat_map(|&(lo, hi)| lo..hi).collect());
+        let mut rows = resolved.unwrap_or_else(|| vec![None; a.height()]);
+        stats.workers = self.workers();
+        stats.chunks = ranges.len();
+        let handle = self.submit_job(a, b, ranges);
+        let base = handle.tickets().0;
         let mut first_err: Option<SystolicError> = None;
         loop {
-            match handle.collect_next(deadline) {
+            let collect_deadline = match deadline {
+                None => None,
+                Some(Deadline::Job(budget)) => Some(start + budget),
+                Some(Deadline::Collect(window)) => Some(Instant::now() + window),
+            };
+            match handle.collect_next(collect_deadline) {
                 Ok(Some(outcome)) => match outcome.result {
                     Ok((row, row_stats)) => {
-                        stats.totals.absorb(&row_stats);
-                        stats.max_row_iterations =
-                            stats.max_row_iterations.max(row_stats.iterations);
-                        stats.rows += 1;
-                        match outcome.kernel {
-                            Some(KernelChoice::FastPath) => stats.rows_fast_path += 1,
-                            Some(KernelChoice::Rle) => stats.rows_rle_kernel += 1,
-                            Some(KernelChoice::Packed) => stats.rows_packed_kernel += 1,
-                            Some(KernelChoice::Systolic) => stats.rows_systolic_kernel += 1,
-                            None => {}
-                        }
-                        let idx = usize::try_from(outcome.ticket.id() - lo).expect("ticket fits");
-                        rows[idx] = Some(row);
+                        absorb_row(&mut stats, &row_stats, outcome.kernel);
+                        let offset =
+                            usize::try_from(outcome.ticket.id() - base).expect("ticket fits");
+                        rows[ticket_rows.as_ref().map_or(offset, |tr| tr[offset])] = Some(row);
                     }
                     Err(e) => {
                         first_err.get_or_insert(e);
@@ -941,6 +1461,21 @@ impl DiffExecutor {
             stats,
             queue_wait: handle.queue_wait().unwrap_or_default(),
         })
+    }
+}
+
+/// Folds one diffed row into a job's statistics, tallying the kernel that
+/// ran it (`None`: no kernel ran).
+fn absorb_row(stats: &mut PipelineStats, row: &ArrayStats, kernel: Option<KernelChoice>) {
+    stats.totals.absorb(row);
+    stats.max_row_iterations = stats.max_row_iterations.max(row.iterations);
+    stats.rows += 1;
+    match kernel {
+        Some(KernelChoice::FastPath) => stats.rows_fast_path += 1,
+        Some(KernelChoice::Rle) => stats.rows_rle_kernel += 1,
+        Some(KernelChoice::Packed) => stats.rows_packed_kernel += 1,
+        Some(KernelChoice::Systolic) => stats.rows_systolic_kernel += 1,
+        None => {}
     }
 }
 
@@ -987,7 +1522,7 @@ impl JobHandle {
     }
 
     /// The contiguous ticket range `[lo, hi)` allocated to this job's
-    /// rows (batch jobs; the streaming job tickets rows individually).
+    /// rows (batch jobs; the stream job tickets rows individually).
     #[must_use]
     pub fn tickets(&self) -> (u64, u64) {
         (self.job.lo, self.job.hi)
@@ -997,13 +1532,6 @@ impl JobHandle {
     #[must_use]
     pub fn chunks(&self) -> usize {
         self.job.chunks
-    }
-
-    /// Rows of this job not yet collected (delivered or still working).
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        let inner = lock(&self.job.inner);
-        inner.pending.len() + inner.undelivered
     }
 
     /// Submission → first chunk checkout, if a worker has started.
@@ -1017,8 +1545,8 @@ impl JobHandle {
 
     /// Copies this job's supervision attribution into `stats` — exact for
     /// this job even when other jobs were interleaving on the same shard
-    /// set (the old global-counter-delta approach misattributed those).
-    pub(crate) fn fill_supervision(&self, stats: &mut PipelineStats) {
+    /// set.
+    fn fill_supervision(&self, stats: &mut PipelineStats) {
         stats.retries = self.job.retries.load(Ordering::Relaxed);
         stats.respawns = self.job.respawns.load(Ordering::Relaxed);
         stats.timeouts = self.job.timeouts.load(Ordering::Relaxed);
@@ -1051,9 +1579,9 @@ impl JobHandle {
         self.job.steals.load(Ordering::Relaxed)
     }
 
-    /// Enqueues one row pair as a single-row chunk of this (streaming)
-    /// job; returns the row's [`Ticket`]. Never blocks.
-    pub(crate) fn submit_row(&self, a: RleRow, b: RleRow) -> Ticket {
+    /// Enqueues one row pair as a single-row chunk of this (stream) job;
+    /// returns the row's [`Ticket`]. Never blocks.
+    fn submit_row(&self, a: RleRow, b: RleRow) -> Ticket {
         let ticket = self.shared.next_ticket.fetch_add(1, Ordering::Relaxed);
         {
             let mut inner = lock(&self.job.inner);
@@ -1071,17 +1599,14 @@ impl JobHandle {
             lo: 0,
             hi: 1,
             attempts: 0,
-            source: RowsSource::Owned {
-                rows: Arc::from(vec![(a, b)]),
-                first: 0,
-            },
+            source: RowsSource::Row(Arc::new((a, b))),
             job: Arc::clone(&self.job),
         };
         let shards = self.shared.shards.len();
         let shard = self.shared.submit_cursor.fetch_add(1, Ordering::Relaxed) % shards;
         self.shared.push_chunk(shard, chunk);
         self.shared.notify_work_one();
-        Ticket::from_id(ticket)
+        Ticket(ticket)
     }
 
     /// Blocks for this job's next completed row, in completion order.
@@ -1100,7 +1625,6 @@ impl JobHandle {
             if let Some(outcome) = inner.pending.pop_front() {
                 drop(inner);
                 decrement(&self.shared.in_flight);
-                decrement(&self.shared.ready_rows);
                 self.shared.gauge_in_flight(-1);
                 return Ok(Some(outcome));
             }
@@ -1181,11 +1705,6 @@ impl JobHandle {
             .fetch_sub(pending_rows + undelivered, Ordering::Relaxed);
         self.shared
             .gauge_in_flight(-((pending_rows + undelivered) as i64));
-        if pending_rows > 0 {
-            self.shared
-                .ready_rows
-                .fetch_sub(pending_rows, Ordering::Relaxed);
-        }
         if undelivered == 0 {
             // All rows were delivered (and counted completed/errored);
             // dropping the uncollected remainder writes off nothing.
@@ -1212,19 +1731,19 @@ impl JobHandle {
 /// Splits `[0, height)` into contiguous row ranges whose summed weight
 /// (`k1 + k2 + 1`, so empty rows still make progress) reaches
 /// `target_override` or the derived target
-/// `total / (workers * CHUNKS_PER_WORKER)`. Rows with `resolved[i]` set
-/// are excluded (they break ranges). A *derived* plan is split further
+/// `total / (workers * CHUNKS_PER_WORKER)`. Rows already resolved
+/// (`resolved[i]` is `Some`) are excluded (they break ranges). A *derived* plan is split further
 /// until it holds at least one range per worker, so a single heavy row
 /// cannot idle the rest of the pool.
-pub(crate) fn plan_ranges(
+fn plan_ranges(
     a: &RleImage,
     b: &RleImage,
-    resolved: Option<&[bool]>,
+    resolved: Option<&[Option<RleRow>]>,
     target_override: Option<usize>,
     workers: usize,
 ) -> Vec<(usize, usize)> {
     let height = a.height();
-    let excluded = |i: usize| resolved.is_some_and(|r| r[i]);
+    let excluded = |i: usize| resolved.is_some_and(|r| r[i].is_some());
     let weight = |i: usize| a.rows()[i].run_count() + b.rows()[i].run_count() + 1;
     let target = target_override
         .unwrap_or_else(|| {
@@ -1602,6 +2121,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::xor_image;
 
     /// Deterministic sparse image generator (LCG over gap/len pairs) so
     /// executor unit tests don't depend on the workload crate.
@@ -1726,5 +2246,640 @@ mod tests {
         let out = exec.diff_pair(&a, &b, None).unwrap();
         assert_eq!(out.image, a.xor(&b).unwrap());
         assert_eq!(exec.in_flight(), 0);
+    }
+
+    fn img(art: &str) -> RleImage {
+        RleImage::from_ascii(art)
+    }
+
+    #[test]
+    fn batch_matches_sequential_reference() {
+        let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
+        let (seq, seq_stats) = xor_image(&a, &b).unwrap();
+
+        // The systolic kernel reproduces the reference machine's stats
+        // exactly — same per-row iteration counts, same totals.
+        let mut exact = DiffExecutorConfig::new(3).kernel(Kernel::Systolic).build();
+        let (got, stats) = exact.diff_images(&a, &b).unwrap();
+        assert_eq!(got, seq);
+        assert_eq!(stats.rows, 4);
+        assert_eq!(stats.totals.iterations, seq_stats.totals.iterations);
+        assert_eq!(stats.max_row_iterations, seq_stats.max_row_iterations);
+        assert_eq!(stats.rows_systolic_kernel, 4);
+        assert_eq!(stats.workers, 3);
+        assert!(stats.effective_workers >= 1 && stats.effective_workers <= 3);
+        // A healthy run needs no supervisor interventions.
+        assert_eq!((stats.retries, stats.respawns, stats.timeouts), (0, 0, 0));
+        assert_eq!(exact.counters(), SupervisionCounters::default());
+
+        // The default hybrid kernel is bit-identical with cheaper stats.
+        let mut pipeline = DiffExecutorConfig::new(3).build();
+        let (hybrid, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(hybrid, seq);
+        assert_eq!(stats.rows, 4);
+        assert_eq!(
+            stats.rows_fast_path
+                + stats.rows_rle_kernel
+                + stats.rows_packed_kernel
+                + stats.rows_systolic_kernel,
+            4,
+            "every row's kernel choice is recorded"
+        );
+        assert!(stats.totals.within_theorem1());
+        assert!(stats.chunks >= 1);
+    }
+
+    #[test]
+    fn owned_and_shared_batches_agree() {
+        let a = Arc::new(img("####....\n..##..##\n........\n#.#.#.#.\n"));
+        let b = Arc::new(img("####....\n..##..#.\n...##...\n.#.#.#.#\n"));
+        let mut pipeline = DiffExecutorConfig::new(2).build();
+        let (owned, _) = pipeline.diff_images(&a, &b).unwrap();
+        let (shared, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
+        assert_eq!(owned, shared);
+        assert_eq!(stats.rows, 4);
+    }
+
+    #[test]
+    fn forced_kernels_are_bit_identical() {
+        let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
+        let (seq, _) = xor_image(&a, &b).unwrap();
+        for kernel in [Kernel::Rle, Kernel::Packed] {
+            let mut pipeline = DiffExecutorConfig::new(2).kernel(kernel).build();
+            let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+            assert_eq!(got, seq, "{kernel:?}");
+            match kernel {
+                Kernel::Rle => assert_eq!(stats.rows_rle_kernel, 4),
+                Kernel::Packed => assert_eq!(stats.rows_packed_kernel, 4),
+                _ => unreachable!(),
+            }
+        }
+    }
+
+    #[test]
+    fn forced_simd_levels_are_bit_identical() {
+        let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
+        let (seq, _) = xor_image(&a, &b).unwrap();
+        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+            let mut pipeline = DiffExecutorConfig::new(2)
+                .kernel(Kernel::Packed)
+                .simd(level)
+                .build();
+            // An unsupported request clamps down instead of failing.
+            assert!(pipeline.simd_level() <= SimdLevel::detect());
+            let (got, _) = pipeline.diff_images(&a, &b).unwrap();
+            assert_eq!(got, seq, "{level}");
+        }
+    }
+
+    #[test]
+    fn chunk_target_controls_scheduling_granularity() {
+        let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
+        // A huge target packs the whole image into one chunk...
+        let mut coarse = DiffExecutorConfig::new(2).chunk_target(1_000_000).build();
+        let (_, stats) = coarse.diff_images(&a, &b).unwrap();
+        assert_eq!(stats.chunks, 1);
+        // ...a target of one run forces per-row chunks.
+        let mut fine = DiffExecutorConfig::new(2).chunk_target(1).build();
+        let (_, stats) = fine.diff_images(&a, &b).unwrap();
+        assert_eq!(stats.chunks, 4);
+    }
+
+    #[test]
+    fn derived_chunk_plan_feeds_every_worker() {
+        // One pathologically heavy row used to swallow the whole derived
+        // weight target, leaving fewer chunks than workers and most of the
+        // pool idle; the plan must split until every worker can get a
+        // chunk.
+        let width = 4096u32;
+        let heavy: Vec<(u32, u32)> = (0..512).map(|i| (i * 8, 3)).collect();
+        let mut rows = vec![RleRow::from_pairs(width, &heavy).unwrap()];
+        for _ in 0..7 {
+            rows.push(RleRow::new(width));
+        }
+        let a = RleImage::from_rows(width, rows).unwrap();
+        let b = RleImage::new(width, 8);
+        let mut pipeline = DiffExecutorConfig::new(4).build();
+        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(got, xor_image(&a, &b).unwrap().0);
+        assert!(
+            stats.chunks >= 4,
+            "derived plan must feed all 4 workers: {stats:?}"
+        );
+        // An image shorter than the pool caps at one chunk per row.
+        let a = img("####....\n..##..##\n");
+        let b = img("####....\n..##..#.\n");
+        let (_, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(stats.chunks, 2);
+    }
+
+    #[test]
+    fn result_buffers_are_recycled_across_batches() {
+        let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
+        let mut pipeline = DiffExecutorConfig::new(1).chunk_target(1).build();
+        let (_, _first) = pipeline.diff_images(&a, &b).unwrap();
+        let (_, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert!(
+            stats.buffers_reused > 0,
+            "second batch must hit the recycling pool: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn pool_is_reused_across_calls() {
+        let a = img("##..##..\n.######.\n");
+        let b = img("##.###..\n.#....#.\n");
+        let mut pipeline = DiffExecutorConfig::new(2).build();
+        let (first, _) = pipeline.diff_images(&a, &b).unwrap();
+        let (second, _) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(first, second);
+        let (identity, stats) = pipeline.diff_images(&a, &a.clone()).unwrap();
+        assert_eq!(identity.ones(), 0);
+        assert_eq!(stats.rows, 2);
+        assert_eq!(stats.rows_fast_path, 2, "equal rows take the fast path");
+    }
+
+    #[test]
+    fn streaming_submit_collect_round_trip() {
+        let a = img("####....\n..##..##\n#.#.#.#.\n");
+        let b = img("###.....\n..##..#.\n.#.#.#.#\n");
+        let mut pipeline = DiffExecutorConfig::new(2).build();
+        let tickets: Vec<Ticket> = a
+            .rows()
+            .iter()
+            .zip(b.rows())
+            .map(|(ra, rb)| pipeline.submit(ra.clone(), rb.clone()))
+            .collect();
+        assert_eq!(pipeline.in_flight(), 3);
+
+        let mut rows: Vec<Option<RleRow>> = vec![None; 3];
+        while let Some(done) = pipeline.collect() {
+            let slot = tickets.iter().position(|t| *t == done.ticket).unwrap();
+            rows[slot] = Some(done.result.unwrap().0);
+        }
+        assert_eq!(pipeline.in_flight(), 0);
+        let (expected, _) = xor_image(&a, &b).unwrap();
+        for (slot, row) in rows.into_iter().enumerate() {
+            assert_eq!(row.unwrap(), expected.rows()[slot]);
+        }
+    }
+
+    #[test]
+    fn row_error_is_reported_and_pipeline_survives() {
+        let mut pipeline = DiffExecutorConfig::new(2).build();
+        let good = RleRow::from_pairs(16, &[(0, 4)]).unwrap();
+        let bad = RleRow::new(8); // width mismatch against `good`
+        pipeline.submit(good.clone(), bad);
+        let outcome = pipeline.collect().unwrap();
+        assert!(outcome.result.is_err());
+        assert_eq!(outcome.kernel, None, "no kernel ran for the bad row");
+        // The pool still works after the failure.
+        pipeline.submit(good.clone(), good.clone());
+        let ok = pipeline.collect().unwrap();
+        assert!(ok.result.unwrap().0.is_empty());
+    }
+
+    #[test]
+    fn empty_image_batch() {
+        let a = RleImage::new(32, 0);
+        let mut pipeline = DiffExecutorConfig::new(2).build();
+        let (d, stats) = pipeline.diff_images(&a, &a.clone()).unwrap();
+        assert_eq!(d.height(), 0);
+        assert_eq!(stats.rows, 0);
+        assert_eq!(stats.chunks, 0);
+        assert_eq!(stats.effective_workers, 0);
+    }
+
+    #[test]
+    fn dimension_mismatch_rejected() {
+        let mut pipeline = DiffExecutorConfig::new(2).build();
+        let a = RleImage::new(8, 2);
+        assert!(pipeline.diff_images(&a, &RleImage::new(9, 2)).is_err());
+        assert!(pipeline.diff_images(&a, &RleImage::new(8, 3)).is_err());
+        // Failed dimension checks leave nothing in flight.
+        assert_eq!(pipeline.in_flight(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn zero_workers_panics() {
+        let _ = DiffExecutorConfig::new(0).build();
+    }
+
+    #[test]
+    fn config_defaults_and_builders() {
+        let config = DiffExecutorConfig::default();
+        assert!(config.threads >= 1);
+        assert_eq!(config.retry_limit, 2);
+        assert!(config.row_deadline.is_none());
+        assert_eq!(config.kernel, Kernel::Auto);
+        assert_eq!(config.simd, None, "SIMD level is auto-detected");
+        assert_eq!(config.chunk_target, None);
+        assert_eq!(config.observe, None, "observability is opt-in");
+        let config = DiffExecutorConfig::new(2)
+            .retry_limit(5)
+            .row_deadline(Duration::from_millis(250))
+            .shutdown_grace(Duration::from_millis(100))
+            .kernel(Kernel::Packed)
+            .simd(SimdLevel::Scalar)
+            .chunk_target(64);
+        assert_eq!(config.threads, 2);
+        assert_eq!(config.retry_limit, 5);
+        assert_eq!(config.row_deadline, Some(Duration::from_millis(250)));
+        assert_eq!(config.shutdown_grace, Duration::from_millis(100));
+        assert_eq!(config.kernel, Kernel::Packed);
+        assert_eq!(config.simd, Some(SimdLevel::Scalar));
+        assert_eq!(config.chunk_target, Some(64));
+        let pipeline = config.build();
+        assert_eq!(pipeline.workers(), 2);
+        assert_eq!(pipeline.simd_level(), SimdLevel::Scalar);
+        assert_eq!(pipeline.abandoned(), 0);
+    }
+
+    #[test]
+    fn observed_pipeline_records_a_consistent_snapshot() {
+        let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
+        let unobserved = DiffExecutorConfig::new(2).build();
+        assert!(unobserved.observer().is_none(), "off by default");
+
+        let mut pipeline = DiffExecutorConfig::new(2).observe().build();
+        let obs = pipeline.observer().expect("observer attached");
+        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(got, xor_image(&a, &b).unwrap().0);
+
+        let snapshot = obs.metrics_snapshot();
+        assert_eq!(snapshot.batches, 1);
+        assert_eq!(snapshot.rows_submitted, 4);
+        assert_eq!(snapshot.rows_completed, 4);
+        assert_eq!(snapshot.rows_diffed, 4, "no faults: one diff per row");
+        assert_eq!(snapshot.kernel_rows(), 4);
+        assert_eq!(snapshot.rows_fast_path, stats.rows_fast_path as u64);
+        assert_eq!(snapshot.chunks_dispatched, stats.chunks as u64);
+        assert_eq!(snapshot.chunks_completed, stats.chunks as u64);
+        assert_eq!(snapshot.row_latency_ns.count, 4);
+        assert_eq!(snapshot.row_runs.count, 4);
+        assert_eq!((snapshot.queue_depth, snapshot.in_flight), (0, 0));
+        // Trace carries the full causal story: 4 submits, a checkout and a
+        // chunk-done per chunk, one kernel event per row.
+        let events = obs.trace_snapshot();
+        let count = |pred: fn(&TraceKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
+        assert_eq!(count(|k| matches!(k, TraceKind::Submit { .. })), 4);
+        assert_eq!(count(|k| matches!(k, TraceKind::Kernel { .. })), 4);
+        assert_eq!(
+            count(|k| matches!(k, TraceKind::Checkout { .. })),
+            stats.chunks
+        );
+        assert_eq!(
+            count(|k| matches!(k, TraceKind::ChunkDone { .. })),
+            stats.chunks
+        );
+    }
+
+    #[test]
+    fn collect_timeout_on_healthy_pipeline_returns_rows() {
+        let mut pipeline = DiffExecutorConfig::new(2).build();
+        assert!(matches!(
+            pipeline.collect_timeout(Duration::from_millis(10)),
+            Ok(None),
+        ));
+        let row = RleRow::from_pairs(16, &[(0, 4)]).unwrap();
+        pipeline.submit(row.clone(), row);
+        let got = pipeline
+            .collect_timeout(Duration::from_secs(10))
+            .expect("healthy worker beats a generous deadline")
+            .expect("one row in flight");
+        assert!(got.result.unwrap().0.is_empty());
+    }
+
+    #[test]
+    fn drain_empties_the_pipeline() {
+        let mut pipeline = DiffExecutorConfig::new(2).build();
+        let row = RleRow::from_pairs(16, &[(0, 4)]).unwrap();
+        for _ in 0..5 {
+            pipeline.submit(row.clone(), row.clone());
+        }
+        let outcomes = pipeline.drain();
+        assert_eq!(outcomes.len(), 5);
+        assert_eq!(pipeline.in_flight(), 0);
+        assert!(pipeline.drain().is_empty());
+    }
+
+    #[test]
+    fn batch_deadline_passes_when_workers_are_healthy() {
+        let a = img("####....\n..##..##\n#.#.#.#.\n");
+        let b = img("###.....\n..##..#.\n.#.#.#.#\n");
+        let mut pipeline = DiffExecutorConfig::new(2)
+            .row_deadline(Duration::from_secs(10))
+            .build();
+        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(got, xor_image(&a, &b).unwrap().0);
+        assert_eq!(stats.timeouts, 0);
+    }
+
+    #[test]
+    fn per_call_budget_matches_reference_and_maps_tickets() {
+        let a = Arc::new(img("####....\n..##..##\n#.#.#.#.\n"));
+        let b = Arc::new(img("###.....\n..##..#.\n.#.#.#.#\n"));
+        let pipeline = DiffExecutorConfig::new(2).build();
+        assert_eq!(pipeline.next_ticket(), 0);
+        let lo = pipeline.next_ticket();
+        let got = pipeline
+            .diff_pair(&a, &b, Some(Duration::from_secs(10)))
+            .unwrap()
+            .image;
+        let hi = pipeline.next_ticket();
+        assert_eq!(got, xor_image(&a, &b).unwrap().0);
+        // One ticket per row, allocated contiguously for the batch.
+        assert_eq!(hi - lo, a.height() as u64);
+        // Different budgets per call on the same pool, no rebuild.
+        let again = pipeline
+            .diff_pair(&a, &b, Some(Duration::from_secs(1)))
+            .unwrap()
+            .image;
+        assert_eq!(again, got);
+        assert_eq!(pipeline.next_ticket(), hi + a.height() as u64);
+    }
+
+    #[test]
+    fn signature_prefilter_skips_matching_rows() {
+        // Rows 0 and 2 are identical between the images; rows 1 and 3
+        // differ. With the prefilter on, the identical rows resolve
+        // host-side and the rest still go through kernels — bit-identical
+        // either way.
+        let a = img("####....\n..##..##\n.#.#.#.#\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n.#.#.#.#\n.#.#.#.#\n");
+        let (seq, _) = xor_image(&a, &b).unwrap();
+        // Threshold 0.0 pins the prefilter active: this test exercises the
+        // skip mechanics across both batch front-ends, not the adaptive
+        // bypass (see `adaptive_prefilter_bypasses_and_rearms`), and a 0.5
+        // skip rate would otherwise trip the default threshold.
+        let mut pipeline = DiffExecutorConfig::new(2)
+            .signature_prefilter()
+            .sig_prefilter_min_skip_rate(0.0)
+            .build();
+        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(got, seq);
+        assert_eq!(stats.rows, 4);
+        assert_eq!(stats.rows_sig_skipped, 2);
+        assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
+        assert_eq!(stats.sig_collisions, 0);
+        let kernel_rows = stats.rows_fast_path
+            + stats.rows_rle_kernel
+            + stats.rows_packed_kernel
+            + stats.rows_systolic_kernel;
+        assert_eq!(kernel_rows, 2, "only the changed rows reach a kernel");
+        // Skipped rows still contribute their input sizes to the totals.
+        assert_eq!(stats.totals.k1, a.total_runs());
+        assert_eq!(stats.totals.k2, b.total_runs());
+
+        // The shared front-end agrees.
+        let (a, b) = (Arc::new(a), Arc::new(b));
+        let (shared, shared_stats) = pipeline.diff_images_shared(&a, &b).unwrap();
+        assert_eq!(shared, seq);
+        assert_eq!(shared_stats.rows_sig_skipped, 2);
+    }
+
+    #[test]
+    fn adaptive_prefilter_bypasses_and_rearms() {
+        // Two image pairs: `hot` churns every row (skip rate 0), `cold`
+        // changes nothing (skip rate 1). Under the default threshold the
+        // prefilter must run the first batch, stand aside after observing
+        // the churn, keep measuring while bypassed, and re-arm one batch
+        // after the sequence calms down — bit-identical output throughout.
+        let base = img("####....\n..##..##\n.#.#.#.#\n#.#.#.#.\n");
+        let hot = img("...####.\n##..##..\n#.#.#.#.\n.#.#.#.#\n");
+        let mut pipeline = DiffExecutorConfig::new(2).signature_prefilter().build();
+
+        // Batch 1: no history yet, so the prefilter runs (and finds
+        // nothing to skip — every row differs).
+        let (hot_seq, _) = xor_image(&base, &hot).unwrap();
+        let (got, stats) = pipeline.diff_images(&base, &hot).unwrap();
+        assert_eq!(got, hot_seq);
+        assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
+        assert_eq!(stats.rows_sig_skipped, 0);
+
+        // Batch 2: the observed rate (0.0) is below the threshold, so the
+        // prefilter bypasses — even though this batch is all-identical and
+        // would have skipped every row. Output must still be exact.
+        let (got, stats) = pipeline.diff_images(&base, &base).unwrap();
+        assert!(got.rows().iter().all(RleRow::is_empty));
+        assert_eq!(stats.sig_prefilter, SigPrefilterMode::Bypassed);
+        assert_eq!(stats.rows_sig_skipped, 0, "bypassed batches skip nothing");
+        let kernel_rows = stats.rows_fast_path
+            + stats.rows_rle_kernel
+            + stats.rows_packed_kernel
+            + stats.rows_systolic_kernel;
+        assert_eq!(
+            kernel_rows, 4,
+            "every row reaches the kernels while bypassed"
+        );
+
+        // Batch 3: the bypassed batch still measured (rate 1.0), so the
+        // prefilter re-arms and resolves every matching row host-side.
+        let (got, stats) = pipeline.diff_images(&base, &base).unwrap();
+        assert!(got.rows().iter().all(RleRow::is_empty));
+        assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
+        assert_eq!(stats.rows_sig_skipped, 4);
+
+        // And back: a hot batch under an active prefilter records its own
+        // low rate, dropping the *next* batch into bypass again.
+        let (got, stats) = pipeline.diff_images(&base, &hot).unwrap();
+        assert_eq!(got, hot_seq);
+        assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
+        let (_, stats) = pipeline.diff_images(&base, &hot).unwrap();
+        assert_eq!(stats.sig_prefilter, SigPrefilterMode::Bypassed);
+    }
+
+    #[test]
+    fn adaptive_prefilter_threshold_zero_never_bypasses() {
+        let base = img("####....\n..##..##\n.#.#.#.#\n#.#.#.#.\n");
+        let hot = img("...####.\n##..##..\n#.#.#.#.\n.#.#.#.#\n");
+        let mut pipeline = DiffExecutorConfig::new(2)
+            .signature_prefilter()
+            .sig_prefilter_min_skip_rate(0.0)
+            .build();
+        for _ in 0..3 {
+            let (_, stats) = pipeline.diff_images(&base, &hot).unwrap();
+            assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
+        }
+    }
+
+    #[test]
+    fn small_residuals_are_diffed_inline_without_dispatch() {
+        // 40 rows, 3 changed: far under INLINE_RESIDUAL_ROWS, so the batch
+        // plans zero chunks, diffs the leftovers host-side, and the inline
+        // ledger (not the worker ledger) carries them.
+        let width = 256u32;
+        let rows: Vec<RleRow> = (0..40)
+            .map(|y: u32| RleRow::from_pairs(width, &[(y % 32, 5)]).unwrap())
+            .collect();
+        let a = RleImage::from_rows(width, rows.clone()).unwrap();
+        let mut rows_b = rows;
+        for y in [3usize, 17, 38] {
+            rows_b[y] = RleRow::from_pairs(width, &[(y as u32 % 32 + 64, 5)]).unwrap();
+        }
+        let b = RleImage::from_rows(width, rows_b).unwrap();
+        let (seq, _) = xor_image(&a, &b).unwrap();
+        let mut pipeline = DiffExecutorConfig::new(2)
+            .signature_prefilter()
+            .observe()
+            .build();
+        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(got, seq);
+        assert_eq!(stats.rows, 40);
+        assert_eq!(stats.rows_sig_skipped, 37);
+        assert_eq!(stats.chunks, 0, "small residuals must not dispatch");
+        let kernel_rows = stats.rows_fast_path
+            + stats.rows_rle_kernel
+            + stats.rows_packed_kernel
+            + stats.rows_systolic_kernel;
+        assert_eq!(kernel_rows, 3, "inline rows keep their kernel accounting");
+        let s = pipeline.observer().unwrap().metrics_snapshot();
+        assert_eq!(s.rows_inline_diffed, 3);
+        assert_eq!(s.rows_submitted, 0, "nothing entered the pool");
+        assert_eq!(s.rows_diffed, 0, "no worker ran");
+        assert_eq!(s.row_latency_ns.count, 3);
+        assert_eq!(s.row_runs.count, 3);
+        assert_eq!(s.kernel_rows(), 3);
+
+        // A residual above the cap still goes through the pool.
+        let mut rows_c = a.rows().to_vec();
+        for (y, row) in rows_c.iter_mut().enumerate().take(INLINE_RESIDUAL_ROWS + 4) {
+            *row = RleRow::from_pairs(width, &[(y as u32 + 100, 7)]).unwrap();
+        }
+        let c = RleImage::from_rows(width, rows_c).unwrap();
+        let (seq_ac, _) = xor_image(&a, &c).unwrap();
+        let (got_ac, stats_ac) = pipeline.diff_images(&a, &c).unwrap();
+        assert_eq!(got_ac, seq_ac);
+        assert!(stats_ac.chunks > 0, "large residuals still dispatch");
+        let s2 = pipeline.observer().unwrap().metrics_snapshot();
+        assert_eq!(s2.rows_inline_diffed, 3, "inline count unchanged");
+        assert_eq!(
+            s2.rows_diffed,
+            (INLINE_RESIDUAL_ROWS + 4) as u64,
+            "the second batch's residual ran on workers"
+        );
+    }
+
+    #[test]
+    fn signature_prefilter_handles_fully_identical_images() {
+        let a = Arc::new(img("####....\n..##..##\n.#.#.#.#\n"));
+        let b = Arc::new((*a).clone());
+        let mut pipeline = DiffExecutorConfig::new(2)
+            .signature_prefilter()
+            .observe()
+            .build();
+        let (diff, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
+        assert!(diff.rows().iter().all(RleRow::is_empty));
+        assert_eq!(diff.height(), 3);
+        assert_eq!(stats.rows, 3);
+        assert_eq!(stats.rows_sig_skipped, 3);
+        assert_eq!(stats.chunks, 0, "nothing left to plan");
+        // Skipped rows never enter the submit/complete ledgers; the metric
+        // and trace event carry them instead.
+        let snapshot = pipeline.observer().unwrap().metrics_snapshot();
+        assert_eq!(snapshot.rows_submitted, 0);
+        assert_eq!(snapshot.rows_completed, 0);
+        assert_eq!(snapshot.rows_sig_skipped, 3);
+        let events = pipeline.observer().unwrap().trace_snapshot();
+        let skips = events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::SigSkip { .. }))
+            .count();
+        assert_eq!(skips, 3);
+        // The pipeline is idle and immediately reusable.
+        assert_eq!(pipeline.in_flight(), 0);
+        let (again, _) = pipeline.diff_images_shared(&a, &b).unwrap();
+        assert_eq!(again, diff);
+    }
+
+    #[test]
+    fn signature_prefilter_respects_non_canonical_encodings() {
+        // The same bitstring encoded canonically on one side and as split
+        // adjacent runs on the other: signatures match (canonical-view
+        // hashing), so the row is skipped — and that is *correct*, because
+        // the XOR of equal content is empty however it is encoded.
+        let wide = 64u32;
+        let canonical = RleRow::from_pairs(wide, &[(3, 6)]).unwrap();
+        let split = RleRow::from_pairs(wide, &[(3, 4), (7, 2)]).unwrap();
+        let changed_a = RleRow::from_pairs(wide, &[(0, 2)]).unwrap();
+        let changed_b = RleRow::from_pairs(wide, &[(1, 2)]).unwrap();
+        let a = RleImage::from_rows(wide, vec![canonical, changed_a]).unwrap();
+        let b = RleImage::from_rows(wide, vec![split, changed_b]).unwrap();
+        let (seq, _) = xor_image(&a, &b).unwrap();
+        let mut pipeline = DiffExecutorConfig::new(2).signature_prefilter().build();
+        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(got, seq);
+        assert_eq!(stats.rows_sig_skipped, 1);
+    }
+
+    #[test]
+    fn verify_signatures_confirms_clean_skips() {
+        let a = img("####....\n..##..##\n.#.#.#.#\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n.#.#.#.#\n.#.#.#.#\n");
+        let mut pipeline = DiffExecutorConfig::new(2)
+            .signature_prefilter()
+            .verify_signatures()
+            .build();
+        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(got, xor_image(&a, &b).unwrap().0);
+        assert_eq!(stats.rows_sig_skipped, 2);
+        assert_eq!(stats.sig_verified, 1, "first skip of the batch sampled");
+        assert_eq!(stats.sig_collisions, 0);
+    }
+
+    #[test]
+    fn systolic_kernel_bypasses_the_prefilter() {
+        // Kernel::Systolic promises cycle-exact per-row statistics against
+        // the reference machine; the prefilter must stand aside.
+        let a = img("####....\n..##..##\n");
+        let b = img("####....\n..##..#.\n");
+        let (seq, seq_stats) = xor_image(&a, &b).unwrap();
+        let mut pipeline = DiffExecutorConfig::new(2)
+            .kernel(Kernel::Systolic)
+            .signature_prefilter()
+            .build();
+        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        assert_eq!(got, seq);
+        assert_eq!(stats.rows_sig_skipped, 0);
+        assert_eq!(stats.rows_systolic_kernel, 2);
+        assert_eq!(stats.totals.iterations, seq_stats.totals.iterations);
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn injected_collision_is_caught_by_paranoid_mode() {
+        // Force the prefilter to believe row 0's signatures match even
+        // though the rows differ — a synthetic 64-bit collision. Without
+        // verification the diff silently loses row 0's differences; with
+        // it, the sampled cross-check substitutes the reference diff.
+        let a = img("####....\n..##..##\n");
+        let b = img("...####.\n..##..##\n");
+        let (seq, _) = xor_image(&a, &b).unwrap();
+
+        let mut unchecked = DiffExecutorConfig::new(2)
+            .signature_prefilter()
+            .fault_sig_collisions(vec![0])
+            .build();
+        let (wrong, stats) = unchecked.diff_images(&a, &b).unwrap();
+        assert_ne!(wrong, seq, "the forced false skip drops row 0's diff");
+        assert!(wrong.rows()[0].is_empty());
+        assert_eq!(stats.rows_sig_skipped, 2);
+
+        let mut paranoid = DiffExecutorConfig::new(2)
+            .signature_prefilter()
+            .verify_signatures()
+            .fault_sig_collisions(vec![0])
+            .build();
+        let (got, stats) = paranoid.diff_images(&a, &b).unwrap();
+        assert_eq!(got, seq, "verification restores exactness");
+        assert_eq!(stats.sig_collisions, 1);
+        assert_eq!(stats.rows_sig_skipped, 1, "row 1's genuine skip remains");
     }
 }

@@ -2,7 +2,7 @@
 //! supervisor (compiled only with the `fault-injection` feature).
 //!
 //! A [`FaultPlan`] maps **ticket ids** (the submission sequence numbers
-//! carried by [`crate::engine::pipeline::Ticket`]; for a fresh pipeline's
+//! carried by [`crate::engine::executor::Ticket`]; for a fresh executor's
 //! first `diff_images` call, ticket `n` is row `n`) to faults a worker
 //! triggers the moment it picks that row up. Faults are keyed by the
 //! ticket, not the worker, so a plan reproduces the same failure

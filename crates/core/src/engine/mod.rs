@@ -10,21 +10,18 @@
 //!   array into contiguous chunks, one worker thread per chunk, with three
 //!   barriers per iteration (compute / shift / reset). Results are
 //!   bit-identical to the sequential engine, which the test-suite asserts;
-//! * the **multi-image executor** ([`executor::DiffExecutor`]) moves the
-//!   parallelism up a level: a persistent worker pool schedules whole
-//!   images as independent *jobs* — many image pairs in flight at once,
-//!   chunks from different jobs interleaved round-robin on the same
-//!   work-stealing shards — each worker diffing rows through an adaptive
-//!   [`kernel`] (RLE merge vs. packed words vs. the systolic simulation)
-//!   on reusable scratch buffers;
-//! * the **image pipeline** ([`pipeline::DiffPipeline`]) is the
-//!   single-submitter facade over a private executor: one batch (or
-//!   streaming session) at a time, with the signature prefilter and
-//!   inline-residual shortcuts on the host side.
+//! * the **executor** ([`executor::DiffExecutor`]) moves the parallelism
+//!   up a level: a persistent worker pool schedules whole images as
+//!   independent *jobs* — many image pairs in flight at once, chunks from
+//!   different jobs interleaved round-robin on the same work-stealing
+//!   shards — each worker diffing rows through an adaptive [`kernel`] (RLE
+//!   merge vs. packed words vs. the systolic simulation) on reusable
+//!   scratch buffers. Its single-owner batch API adds the signature
+//!   prefilter and inline-residual shortcuts on the host side.
 //!
 //! Real systolic hardware updates every cell simultaneously; the parallel
 //! engine is therefore the more faithful *execution* model, while the
-//! sequential engine is the faithful *semantic* reference. The pipeline
+//! sequential engine is the faithful *semantic* reference. The executor
 //! models a rack of independent chips fed from one queue.
 
 pub mod executor;
@@ -32,7 +29,6 @@ pub mod executor;
 pub mod fault;
 pub mod kernel;
 pub mod parallel;
-pub mod pipeline;
 pub mod simd;
 
 use crate::array::SystolicArray;

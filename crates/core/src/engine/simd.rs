@@ -12,7 +12,7 @@
 //! Dispatch is decided once per scratch (not per row): `core::arch`
 //! runtime detection picks the widest level the CPU supports, the
 //! `SYSTOLIC_SIMD` environment variable or
-//! `DiffPipelineConfig::simd` can force a *narrower* level (for testing
+//! `DiffExecutorConfig::simd` can force a *narrower* level (for testing
 //! the fallbacks), and non-x86 targets always resolve to
 //! [`SimdLevel::Scalar`]. No crates.io dependency: everything is
 //! `core::arch` + `is_x86_feature_detected!`.

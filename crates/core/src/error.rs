@@ -52,13 +52,12 @@ pub enum SystolicError {
         /// Human-readable description of the violated invariant.
         what: String,
     },
-    /// A pipeline row crashed its worker on every attempt the supervisor was
-    /// willing to grant (see
-    /// [`DiffPipelineConfig::retry_limit`]). Raised instead of propagating
-    /// the worker's panic to the caller.
+    /// An executor row crashed its worker on every attempt the supervisor
+    /// was willing to grant (see [`DiffExecutorConfig::retry_limit`]).
+    /// Raised instead of propagating the worker's panic to the caller.
     ///
-    /// [`DiffPipelineConfig::retry_limit`]:
-    ///     crate::engine::pipeline::DiffPipelineConfig::retry_limit
+    /// [`DiffExecutorConfig::retry_limit`]:
+    ///     crate::engine::executor::DiffExecutorConfig::retry_limit
     RowFailed {
         /// Ticket id of the failed row.
         row: u64,
@@ -67,14 +66,17 @@ pub enum SystolicError {
         /// The panic message of the last attempt.
         cause: String,
     },
-    /// A deadline given to [`DiffPipeline::collect_timeout`] (or configured
-    /// via [`DiffPipelineConfig::row_deadline`]) expired with rows still in
-    /// flight — typically a stalled worker.
+    /// A collect deadline — [`DiffExecutor::collect_timeout`]'s timeout,
+    /// [`DiffExecutor::diff_pair`]'s budget or
+    /// [`DiffExecutorConfig::row_deadline`] — expired with rows still in
+    /// flight, typically behind a stalled worker.
     ///
-    /// [`DiffPipeline::collect_timeout`]:
-    ///     crate::engine::pipeline::DiffPipeline::collect_timeout
-    /// [`DiffPipelineConfig::row_deadline`]:
-    ///     crate::engine::pipeline::DiffPipelineConfig::row_deadline
+    /// [`DiffExecutor::collect_timeout`]:
+    ///     crate::engine::executor::DiffExecutor::collect_timeout
+    /// [`DiffExecutor::diff_pair`]:
+    ///     crate::engine::executor::DiffExecutor::diff_pair
+    /// [`DiffExecutorConfig::row_deadline`]:
+    ///     crate::engine::executor::DiffExecutorConfig::row_deadline
     DeadlineExceeded {
         /// How long the collector waited before giving up.
         waited: std::time::Duration,

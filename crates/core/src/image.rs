@@ -2,15 +2,12 @@
 //!
 //! The hardware diffs one row pair at a time (Figure 1: "Row of Image 1" vs
 //! "Row of Image 2"); an image is processed by streaming its rows through
-//! the array. This module provides that loop, sequentially or with rows
-//! distributed across host threads (each worker simulating its own array —
-//! the natural parallelism of an inspection pipeline where several systolic
-//! chips scan different board regions).
-//!
-//! [`xor_image_parallel`] spawns a fresh thread scope per call; for
-//! long-lived services diffing many images, prefer the persistent pool in
-//! [`crate::engine::pipeline::DiffPipeline`], which keeps its workers (and
-//! their register buffers) alive across calls.
+//! the array. This module provides that loop on a single simulated array —
+//! the reference every parallel path is tested against. To spread rows
+//! across host threads (each worker simulating its own array, like several
+//! systolic chips scanning different board regions), use the persistent
+//! pool in [`crate::engine::executor::DiffExecutor`] with
+//! [`crate::Kernel::Systolic`].
 
 use crate::array::SystolicArray;
 use crate::error::SystolicError;
@@ -53,12 +50,6 @@ pub(crate) fn check_dims(a: &RleImage, b: &RleImage) -> Result<(), SystolicError
         });
     }
     Ok(())
-}
-
-fn diff_row(a: &RleRow, b: &RleRow) -> Result<(RleRow, ArrayStats), SystolicError> {
-    let mut array = SystolicArray::load(a, b)?;
-    array.run()?;
-    Ok((array.extract()?, *array.stats()))
 }
 
 /// A reusable row-differencing pipeline: one simulated array through which
@@ -107,65 +98,15 @@ pub fn xor_image(a: &RleImage, b: &RleImage) -> Result<(RleImage, ImageDiffStats
     Ok((image, pipeline.totals))
 }
 
-/// Diffs two images with row pairs distributed across `threads` workers.
-/// The result is identical to [`xor_image`]; only host wall-clock changes.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn xor_image_parallel(
-    a: &RleImage,
-    b: &RleImage,
-    threads: usize,
-) -> Result<(RleImage, ImageDiffStats), SystolicError> {
-    assert!(threads > 0, "need at least one thread");
-    check_dims(a, b)?;
-    let height = a.height();
-    let workers = threads.min(height.max(1));
-    if workers <= 1 {
-        return xor_image(a, b);
-    }
-
-    let chunk = height.div_ceil(workers);
-    let results = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                // Both bounds clamp: with an uneven height the last chunks
-                // may be short or empty (e.g. 5 rows on 4 workers chunks as
-                // 2+2+1+0), and `t * chunk` alone can pass the end.
-                let lo = (t * chunk).min(height);
-                let hi = ((t + 1) * chunk).min(height);
-                let (ra, rb) = (&a.rows()[lo..hi], &b.rows()[lo..hi]);
-                scope.spawn(move |_| {
-                    ra.iter()
-                        .zip(rb)
-                        .map(|(x, y)| diff_row(x, y))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("image diff worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("image diff scope panicked");
-
-    let mut stats = ImageDiffStats::default();
-    let mut rows = Vec::with_capacity(height);
-    for chunk_result in results {
-        for (row, row_stats) in chunk_result? {
-            stats.absorb_row(&row_stats);
-            rows.push(row);
-        }
-    }
-    let image = RleImage::from_rows(a.width(), rows).expect("row widths preserved");
-    Ok((image, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn diff_row(a: &RleRow, b: &RleRow) -> Result<(RleRow, ArrayStats), SystolicError> {
+        let mut array = SystolicArray::load(a, b)?;
+        array.run()?;
+        Ok((array.extract()?, *array.stats()))
+    }
 
     fn img(art: &str) -> RleImage {
         RleImage::from_ascii(art)
@@ -190,52 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        // Build a taller image so several chunks actually form.
-        let mut art = String::new();
-        for y in 0..64 {
-            for x in 0..64 {
-                art.push(if (x * 7 + y * 13) % 5 < 2 { '#' } else { '.' });
-            }
-            art.push('\n');
-        }
-        let a = img(&art);
-        let mut art_b = String::new();
-        for y in 0..64 {
-            for x in 0..64usize {
-                art_b.push(if (x * 11 + y * 3) % 7 < 2 { '#' } else { '.' });
-            }
-            art_b.push('\n');
-        }
-        let b = img(&art_b);
-        let (seq, seq_stats) = xor_image(&a, &b).unwrap();
-        for threads in [1, 2, 3, 8, 100] {
-            let (par, par_stats) = xor_image_parallel(&a, &b, threads).unwrap();
-            assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(par_stats, seq_stats, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_handles_uneven_heights() {
-        // Regression: 5 rows on 4 workers chunks as ceil(5/4)=2 → worker 3
-        // used to slice rows[6..5] and panic.
-        let a = img("##......\n..##....\n....##..\n......##\n########\n");
-        let b = img("##..##..\n..##..##\n##..##..\n..##..##\n........\n");
-        let (seq, seq_stats) = xor_image(&a, &b).unwrap();
-        for threads in [2, 3, 4, 5, 7] {
-            let (par, par_stats) = xor_image_parallel(&a, &b, threads).unwrap();
-            assert_eq!(par, seq, "threads={threads}");
-            assert_eq!(par_stats, seq_stats, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn dimension_mismatches_rejected() {
         let a = RleImage::new(8, 2);
         assert!(xor_image(&a, &RleImage::new(9, 2)).is_err());
         assert!(xor_image(&a, &RleImage::new(8, 3)).is_err());
-        assert!(xor_image_parallel(&a, &RleImage::new(8, 3), 2).is_err());
     }
 
     #[test]
@@ -268,13 +167,5 @@ mod tests {
         assert_eq!(pipeline.diff(&empty, &wide).unwrap(), wide);
         assert!(pipeline.diff(&wide, &wide.clone()).unwrap().is_empty());
         assert_eq!(pipeline.totals.rows, 4);
-    }
-
-    #[test]
-    fn empty_image() {
-        let a = RleImage::new(16, 0);
-        let (d, stats) = xor_image_parallel(&a, &a.clone(), 4).unwrap();
-        assert_eq!(d.height(), 0);
-        assert_eq!(stats.rows, 0);
     }
 }

@@ -30,9 +30,10 @@
 //! * [`engine::parallel`] — a barrier-synchronised multi-threaded engine
 //!   that executes the very same machine (bit-identical results, asserted in
 //!   tests) for large arrays.
-//! * [`engine::pipeline`] — a persistent worker pool diffing whole images
-//!   row by row (the service-shaped front-end).
-//! * [`image`] — whole-image differencing, optionally parallel across rows.
+//! * [`engine::executor`] — a persistent worker pool diffing whole images
+//!   row by row, many image pairs at once (the service-shaped front-end).
+//! * [`image`] — sequential whole-image differencing, the reference the
+//!   executor is tested against.
 //! * [`bus`] — the broadcast-bus extension the paper sketches as future
 //!   work, quantifying how many shift iterations a bus would save.
 //! * [`coalesce`] — the §6 run-coalescing pass (pure systolic vs.
@@ -74,12 +75,17 @@ pub mod stripes;
 pub mod trace;
 
 pub use array::{systolic_xor, SystolicArray};
-pub use engine::executor::{DiffExecutor, DiffExecutorConfig, JobHandle, JobOutcome};
+pub use engine::executor::{
+    DiffExecutor, DiffExecutorConfig, JobHandle, JobOutcome, SupervisionCounters,
+};
 #[cfg(feature = "fault-injection")]
 pub use engine::fault::{Fault, FaultPlan};
 pub use engine::kernel::{Kernel, KernelChoice};
-pub use engine::pipeline::{DiffPipeline, DiffPipelineConfig, PipelineLoad, SupervisionCounters};
 pub use engine::simd::SimdLevel;
 pub use error::SystolicError;
 pub use obs::{MetricsSnapshot, ObsConfig, Observer, TraceEvent, TraceKind};
 pub use stats::{ArrayStats, PipelineStats, SigPrefilterMode};
+
+/// The executor's configuration under its earlier name, kept so callers
+/// written against it still build.
+pub type DiffPipelineConfig = DiffExecutorConfig;

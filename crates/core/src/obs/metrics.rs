@@ -218,7 +218,7 @@ pub struct MetricsRegistry {
     /// Rows written off when a batch was aborted on a deadline: queued
     /// rows dropped before any worker ran them, plus rows still checked
     /// out behind the ticket watermark. The monotonic mirror of
-    /// [`crate::DiffPipeline::abandoned`] (a level that drains back to 0
+    /// [`crate::DiffExecutor::abandoned`] (a level that drains back to 0
     /// as stale results arrive; this counter never decreases).
     pub rows_abandoned: Counter,
     /// Rows resolved host-side by the signature prefilter: matching row

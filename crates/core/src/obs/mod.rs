@@ -1,14 +1,14 @@
-//! Observability for the diff pipeline: a lock-light [`MetricsRegistry`]
+//! Observability for the diff executor: a lock-light [`MetricsRegistry`]
 //! and a ring-buffered structured trace, owned together by an
 //! [`Observer`].
 //!
 //! The paper's evaluation (§5, Figure 5 / Table 1) is about *measured*
 //! iteration behaviour; this module is the substrate that turns such
-//! measurements — and every supervision claim the pipeline makes — into
+//! measurements — and every supervision claim the executor makes — into
 //! machine-checkable artefacts. Design constraints, in order:
 //!
-//! 1. **Off by default, free when off.** A pipeline without
-//!    `DiffPipelineConfig::observe` carries one `Option` that is `None`;
+//! 1. **Off by default, free when off.** An executor without
+//!    [`crate::DiffExecutorConfig::observe`] carries one `Option` that is `None`;
 //!    every recording site is behind an `if let Some`, so the hot path
 //!    gains a single predictable branch and takes no timestamps.
 //! 2. **Cheap when on.** Counters and histograms are relaxed atomics;
@@ -35,7 +35,7 @@ use std::time::Instant;
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// Tuning for an [`Observer`] (see
-/// `DiffPipelineConfig::observe_with`).
+/// [`crate::DiffExecutorConfig::observe_with`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Trace ring capacity in events ([`DEFAULT_TRACE_CAPACITY`] by
@@ -51,7 +51,7 @@ impl Default for ObsConfig {
     }
 }
 
-/// The pipeline's observability state: one metrics registry plus one trace
+/// The executor's observability state: one metrics registry plus one trace
 /// ring, sharing an epoch so trace timestamps and latency histograms agree
 /// on a clock.
 #[derive(Debug)]

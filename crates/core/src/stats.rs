@@ -83,8 +83,8 @@ impl ArrayStats {
 }
 
 /// How the signature prefilter engaged for one batch (see
-/// `DiffPipelineConfig::sig_prefilter_min_skip_rate` for the adaptive
-/// bypass).
+/// [`crate::DiffExecutorConfig::sig_prefilter_min_skip_rate`] for the
+/// adaptive bypass).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SigPrefilterMode {
     /// The prefilter did not run: disabled in the configuration, or the
@@ -101,9 +101,9 @@ pub enum SigPrefilterMode {
     Bypassed,
 }
 
-/// Aggregate statistics for one [`crate::engine::pipeline::DiffPipeline`]
-/// batch: what the pool did to an image, and how the work spread over the
-/// workers.
+/// Aggregate statistics for one [`crate::DiffExecutor`] job (a
+/// `diff_pair` call or a batch): what the pool did to an image, and how
+/// the work spread over the workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Row pairs processed.
@@ -131,14 +131,14 @@ pub struct PipelineStats {
     /// observed during this batch.
     pub timeouts: u64,
     /// Contiguous row chunks the scheduler dispatched (the checkout and
-    /// retry granularity; see `DiffPipelineConfig::chunk_target`).
+    /// retry granularity; see [`crate::DiffExecutorConfig::chunk_target`]).
     pub chunks: usize,
     /// Chunks a worker stole from another worker's shard during this batch
     /// (tail rebalancing on the sharded scheduler; 0 when every shard
     /// drained its own queue in time).
     pub chunks_stolen: u64,
     /// Rows resolved host-side by the signature prefilter
-    /// (`DiffPipelineConfig::signature_prefilter`): matching row signatures
+    /// ([`crate::DiffExecutorConfig::signature_prefilter`]): matching row signatures
     /// short-circuited them to an empty diff before any chunk was planned —
     /// no submit, no checkout round-trip, no kernel. Disjoint from the
     /// per-kernel counters below; `rows` partitions into
@@ -147,10 +147,10 @@ pub struct PipelineStats {
     pub rows_sig_skipped: usize,
     /// How the prefilter engaged for this batch: off, actively skipping,
     /// or adaptively bypassed because the previous batch's skip rate fell
-    /// below `DiffPipelineConfig::sig_prefilter_min_skip_rate`.
+    /// below [`crate::DiffExecutorConfig::sig_prefilter_min_skip_rate`].
     pub sig_prefilter: SigPrefilterMode,
     /// Signature skips cross-checked against the reference XOR in paranoid
-    /// mode (`DiffPipelineConfig::verify_signatures`); counts checks that
+    /// mode ([`crate::DiffExecutorConfig::verify_signatures`]); counts checks that
     /// confirmed the skip. A check that instead caught a collision moves
     /// the row to `sig_collisions`.
     pub sig_verified: usize,
@@ -170,10 +170,6 @@ pub struct PipelineStats {
     /// Chunk result buffers taken from the recycling pool instead of
     /// freshly allocated during this batch.
     pub buffers_reused: u64,
-    /// Per-row input clones the zero-copy scheduler skipped, relative to
-    /// the previous clone-per-submit + clone-per-checkout design (2 per row
-    /// for the borrowing batch API, 4 per row for the `Arc`-shared one).
-    pub row_clones_avoided: u64,
 }
 
 impl PipelineStats {

@@ -5,7 +5,7 @@
 //! crate puts that pipeline behind a TCP socket **without decompressing at
 //! the boundary**: clients send `rle::serialize` images inside
 //! length-prefixed frames, the server diffs them on one shared
-//! [`systolic_core::DiffPipeline`], and the difference comes back in the
+//! [`systolic_core::DiffExecutor`], and the difference comes back in the
 //! same compressed encoding.
 //!
 //! The design is failure-first — see [`server`] for the admission-control,

@@ -95,7 +95,7 @@ fn main() {
                 } else {
                     fig5::Fig5Config::default()
                 };
-                // The sweep runs through an observed DiffPipeline (stats are
+                // The sweep runs through an observed DiffExecutor (stats are
                 // bit-identical to the bare array) so the iteration figure
                 // ships with a machine-readable metrics snapshot.
                 let (result, metrics) = fig5::run_observed(&config);

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rle::metrics::row_similarity;
 use rle::{Pixel, RleRow};
-use systolic_core::{ArrayStats, DiffPipelineConfig, Kernel, MetricsSnapshot};
+use systolic_core::{ArrayStats, DiffExecutorConfig, Kernel, MetricsSnapshot};
 use workload::{GenParams, RowGenerator};
 
 /// Sweep configuration.
@@ -80,7 +80,7 @@ pub fn run(config: &Fig5Config) -> Fig5Result {
     })
 }
 
-/// Runs the sweep through an *observed* [`systolic_core::DiffPipeline`]
+/// Runs the sweep through an *observed* [`systolic_core::DiffExecutor`]
 /// (forced systolic kernel, so the per-row statistics are bit-identical to
 /// [`run`]'s) and returns the figure data together with the pipeline's
 /// [`MetricsSnapshot`], so the iteration sweep emits machine-readable
@@ -88,7 +88,7 @@ pub fn run(config: &Fig5Config) -> Fig5Result {
 /// `k1 + k2` distribution of the whole sweep.
 #[must_use]
 pub fn run_observed(config: &Fig5Config) -> (Fig5Result, MetricsSnapshot) {
-    let mut pipeline = DiffPipelineConfig::new(2)
+    let mut pipeline = DiffExecutorConfig::new(2)
         .kernel(Kernel::Systolic)
         .observe()
         .build();

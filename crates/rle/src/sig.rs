@@ -27,9 +27,9 @@
 //! "not yet computed" sentinel in [`crate::RleRow`]'s lazy cache.
 //!
 //! Equal signatures do not *prove* equal rows — collisions exist at the
-//! 2⁻⁶⁴ level. The pipeline's signature prefilter treats a match as "equal"
+//! 2⁻⁶⁴ level. The executor's signature prefilter treats a match as "equal"
 //! by default and offers a paranoid mode that cross-checks a sample of
-//! skips against the real kernel; see `DiffPipelineConfig::verify_signatures`
+//! skips against the real kernel; see `DiffExecutorConfig::verify_signatures`
 //! in the core crate and the density-sweep guard in the root test suite.
 
 use crate::image::RleImage;

@@ -4,14 +4,14 @@
 //! against the CAD artwork; the image difference marks candidate defects.
 //! This example builds a synthetic board layer, injects manufacturing
 //! defects into a "scan", runs the difference in compressed form on the
-//! systolic machine (rows in parallel across host threads), and reports the
-//! defect regions it found.
+//! systolic machine (rows in parallel across the executor's worker pool),
+//! and reports the defect regions it found.
 //!
 //! ```text
 //! cargo run --example pcb_inspection
 //! ```
 
-use rle_systolic::systolic_core::image::xor_image_parallel;
+use rle_systolic::systolic_core::{DiffExecutorConfig, Kernel};
 use rle_systolic::workload::pcb::{inspection_pair, typical_defects, PcbParams};
 
 fn main() {
@@ -37,9 +37,13 @@ fn main() {
     );
 
     // Compressed-domain difference on the systolic machine, one simulated
-    // array per worker thread.
+    // array per executor worker.
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let (diff, stats) = xor_image_parallel(&reference, &scan, threads).unwrap();
+    let (diff, stats) = DiffExecutorConfig::new(threads)
+        .kernel(Kernel::Systolic)
+        .build()
+        .diff_images(&reference, &scan)
+        .unwrap();
 
     println!(
         "\nsystolic inspection: {} rows, {} total iterations, slowest row {} iterations",

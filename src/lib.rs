@@ -52,8 +52,10 @@ pub mod prelude {
     pub use rle::{RleImage, RleRow, Run};
     pub use rle_analysis::{label_components, Connectivity};
     pub use systolic_core::bus::{systolic_xor_bus, systolic_xor_mesh, BusArray, BusMode};
-    pub use systolic_core::image::{xor_image, xor_image_parallel, RowPipeline};
-    pub use systolic_core::{systolic_xor, ArrayStats, SystolicArray, SystolicError};
+    pub use systolic_core::image::{xor_image, RowPipeline};
+    pub use systolic_core::{
+        systolic_xor, ArrayStats, DiffExecutorConfig, Kernel, SystolicArray, SystolicError,
+    };
     pub use workload::{ErrorModel, GenParams, RowGenerator};
 }
 

@@ -38,8 +38,7 @@ use rle_systolic::rle::RleImage;
 use rle_systolic::systolic_core::image::xor_image;
 use rle_systolic::systolic_core::obs::ObsConfig;
 use rle_systolic::systolic_core::{
-    DiffExecutor, DiffExecutorConfig, DiffPipelineConfig, Kernel, MetricsSnapshot, PipelineStats,
-    TraceEvent, TraceKind,
+    DiffExecutor, DiffExecutorConfig, Kernel, MetricsSnapshot, PipelineStats, TraceEvent, TraceKind,
 };
 use rle_systolic::workload::{errors, ErrorModel, GenParams, RowGenerator};
 use std::sync::{Arc, Mutex};
@@ -113,7 +112,7 @@ fn clean_batches_reconcile_across_kernels() {
     let (a, b) = image_pair(768, 24, 0x0B5E);
     let expected = xor_image(&a, &b).unwrap().0;
     for kernel in [Kernel::Auto, Kernel::Rle, Kernel::Packed, Kernel::Systolic] {
-        let mut pipeline = DiffPipelineConfig::new(3).kernel(kernel).observe().build();
+        let mut pipeline = DiffExecutorConfig::new(3).kernel(kernel).observe().build();
         let obs = pipeline.observer().expect("observer attached");
         let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(got, expected, "{kernel:?}");
@@ -150,7 +149,7 @@ fn metrics_accumulate_across_batches_and_streaming() {
     let (a, b) = image_pair(512, 10, 0xACC0);
     let a_arc = Arc::new(a.clone());
     let b_arc = Arc::new(b.clone());
-    let mut pipeline = DiffPipelineConfig::new(2).observe().build();
+    let mut pipeline = DiffExecutorConfig::new(2).observe().build();
     let obs = pipeline.observer().unwrap();
 
     pipeline.diff_images(&a, &b).unwrap();
@@ -185,7 +184,7 @@ fn metrics_accumulate_across_batches_and_streaming() {
 #[test]
 fn trace_is_causally_ordered_per_row() {
     let (a, b) = image_pair(640, 16, 0xCA5A);
-    let mut pipeline = DiffPipelineConfig::new(4).observe().build();
+    let mut pipeline = DiffExecutorConfig::new(4).observe().build();
     let obs = pipeline.observer().unwrap();
     pipeline.diff_images(&a, &b).unwrap();
     let events = obs.trace_snapshot();
@@ -243,7 +242,7 @@ fn trace_is_causally_ordered_per_row() {
 #[test]
 fn trace_ring_wraps_without_corrupting_accounting() {
     let (a, b) = image_pair(512, 32, 0x0F10);
-    let mut pipeline = DiffPipelineConfig::new(2)
+    let mut pipeline = DiffExecutorConfig::new(2)
         .observe_with(ObsConfig { trace_capacity: 16 })
         .build();
     let obs = pipeline.observer().unwrap();
@@ -272,7 +271,7 @@ fn trace_ring_wraps_without_corrupting_accounting() {
 
 #[test]
 fn row_errors_are_ledgered_not_lost() {
-    let mut pipeline = DiffPipelineConfig::new(2).observe().build();
+    let mut pipeline = DiffExecutorConfig::new(2).observe().build();
     let obs = pipeline.observer().unwrap();
     let good = rle_systolic::rle::RleRow::from_pairs(64, &[(0, 9)]).unwrap();
     let bad = rle_systolic::rle::RleRow::new(32); // width mismatch
@@ -305,7 +304,7 @@ fn gauges_never_go_negative_under_concurrent_sampling() {
     // reads both gauges as fast as it can.
     let (a, b) = image_pair(512, 32, 0x6A06);
     let expected = xor_image(&a, &b).unwrap().0;
-    let mut pipeline = DiffPipelineConfig::new(4).chunk_target(1).observe().build();
+    let mut pipeline = DiffExecutorConfig::new(4).chunk_target(1).observe().build();
     let obs = pipeline.observer().unwrap();
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -353,7 +352,7 @@ proptest! {
     /// rates.)
     #[test]
     fn observation_k3_plus_one_via_pipeline((a, b) in canonical_pair(800, 48)) {
-        let mut pipeline = DiffPipelineConfig::new(1)
+        let mut pipeline = DiffExecutorConfig::new(1)
             .kernel(Kernel::Systolic)
             .build();
         pipeline.submit(a.clone(), b.clone());
@@ -377,7 +376,7 @@ fn observation_tally_on_generated_workloads() {
     let mut violations = 0u64;
     let mut at_bound = 0u64;
     let total = 1_000u64;
-    let mut pipeline = DiffPipelineConfig::new(2).kernel(Kernel::Systolic).build();
+    let mut pipeline = DiffExecutorConfig::new(2).kernel(Kernel::Systolic).build();
     for seed in 0..total {
         let mut gen = RowGenerator::new(params, 0x0B5E + seed);
         let a = gen.next_image(1);
@@ -419,7 +418,7 @@ proptest! {
     ) {
         let kernel = [Kernel::Auto, Kernel::Rle, Kernel::Packed, Kernel::Systolic][kernel_ix];
         let (a, b) = image_pair(320, height, seed);
-        let mut pipeline = DiffPipelineConfig::new(threads)
+        let mut pipeline = DiffExecutorConfig::new(threads)
             .kernel(kernel)
             .observe()
             .build();
@@ -449,7 +448,7 @@ proptest! {
 
 #[test]
 fn shared_pipeline_stress_from_four_submitters() {
-    let pipeline = Arc::new(Mutex::new(DiffPipelineConfig::new(3).observe().build()));
+    let pipeline = Arc::new(Mutex::new(DiffExecutorConfig::new(3).observe().build()));
     let obs = pipeline.lock().unwrap().observer().unwrap();
     let mut expected_rows = 0u64;
 
@@ -651,7 +650,7 @@ fn executor_job_ledger_closes_per_job_and_in_aggregate() {
 #[cfg(feature = "fault-injection")]
 mod faults {
     use super::*;
-    use rle_systolic::systolic_core::FaultPlan;
+    use rle_systolic::systolic_core::{FaultPlan, SigPrefilterMode};
     use std::time::Duration;
 
     /// Silence the default panic hook for injected panics (same helper as
@@ -680,7 +679,7 @@ mod faults {
     fn panicked_chunk_ledger_closes_and_retry_is_traced() {
         quiet_injected_panics();
         let (a, b) = image_pair(512, 16, 0xFA11);
-        let mut pipeline = DiffPipelineConfig::new(3)
+        let mut pipeline = DiffExecutorConfig::new(3)
             .fault_plan(FaultPlan::new().panic_on_row(5))
             .observe()
             .build();
@@ -691,7 +690,7 @@ mod faults {
 
         let s = obs.metrics_snapshot();
         assert_ledger_closed(&s);
-        let counters = pipeline.supervision_counters();
+        let counters = pipeline.counters();
         assert_eq!(s.retries, counters.retries);
         assert_eq!(s.respawns, counters.respawns);
         assert_eq!(s.timeouts, counters.timeouts);
@@ -716,7 +715,7 @@ mod faults {
     fn dead_worker_ledger_closes_and_respawn_is_traced() {
         quiet_injected_panics();
         let (a, b) = image_pair(512, 12, 0xDEAD);
-        let mut pipeline = DiffPipelineConfig::new(2)
+        let mut pipeline = DiffExecutorConfig::new(2)
             .fault_plan(FaultPlan::new().die_on_row(3))
             .observe()
             .build();
@@ -727,7 +726,7 @@ mod faults {
 
         let s = obs.metrics_snapshot();
         assert_ledger_closed(&s);
-        let counters = pipeline.supervision_counters();
+        let counters = pipeline.counters();
         assert_eq!(
             (s.retries, s.respawns),
             (counters.retries, counters.respawns)
@@ -747,7 +746,7 @@ mod faults {
     fn exhausted_retries_trace_the_failed_row() {
         quiet_injected_panics();
         let (a, b) = image_pair(512, 8, 0xFA12);
-        let mut pipeline = DiffPipelineConfig::new(2)
+        let mut pipeline = DiffExecutorConfig::new(2)
             .retry_limit(1)
             .fault_plan(FaultPlan::new().panic_on_row_times(4, 10))
             .observe()
@@ -778,7 +777,7 @@ mod faults {
         assert_eq!(failed, vec![2], "initial attempt + one retry");
         assert_eq!(
             count(&events, |k| matches!(k, TraceKind::Retry { .. })),
-            pipeline.supervision_counters().retries
+            pipeline.counters().retries
         );
     }
 
@@ -786,7 +785,7 @@ mod faults {
     fn stall_timeout_is_counted_and_traced_consistently() {
         quiet_injected_panics();
         let (a, b) = image_pair(512, 1, 0x57A1);
-        let mut pipeline = DiffPipelineConfig::new(1)
+        let mut pipeline = DiffExecutorConfig::new(1)
             .fault_plan(FaultPlan::new().stall_on_row(0, Duration::from_millis(300)))
             .observe()
             .build();
@@ -805,7 +804,7 @@ mod faults {
 
         let s = obs.metrics_snapshot();
         assert_ledger_closed(&s);
-        let counters = pipeline.supervision_counters();
+        let counters = pipeline.counters();
         assert_eq!(counters.timeouts, 1);
         assert_eq!(s.timeouts, counters.timeouts);
         let events = obs.trace_snapshot();
@@ -824,7 +823,7 @@ mod faults {
         quiet_injected_panics();
         let (a, b) = image_pair(512, 6, 0xABA0);
         let stall = Duration::from_millis(400);
-        let mut pipeline = DiffPipelineConfig::new(2)
+        let mut pipeline = DiffExecutorConfig::new(2)
             .row_deadline(Duration::from_millis(40))
             .fault_plan(FaultPlan::new().stall_on_row(0, stall))
             .observe()
@@ -882,7 +881,7 @@ mod faults {
             .die_on_row(9)
             .poison_on_row(14)
             .panic_on_row(21);
-        let mut pipeline = DiffPipelineConfig::new(4)
+        let mut pipeline = DiffExecutorConfig::new(4)
             .kernel(Kernel::Systolic)
             .fault_plan(plan)
             .observe()
@@ -893,7 +892,7 @@ mod faults {
 
         let s = obs.metrics_snapshot();
         assert_ledger_closed(&s);
-        let counters = pipeline.supervision_counters();
+        let counters = pipeline.counters();
         assert_eq!(s.retries, counters.retries);
         assert_eq!(s.respawns, counters.respawns);
         assert_eq!(s.rows_completed, 24);
@@ -913,6 +912,93 @@ mod faults {
         );
         // Only the systolic kernel ran.
         assert_eq!(s.rows_systolic_kernel, s.rows_diffed);
+    }
+
+    /// Faults on a prefiltered batch, whose tickets cover only the
+    /// residual rows the signatures could not resolve (so the ticket → row
+    /// map is sparse): a panic and a worker death on residual tickets
+    /// recover bit-identically with the skips untouched, and a stalled
+    /// residual row trips `row_deadline` without disturbing the next
+    /// prefiltered batch.
+    #[test]
+    fn prefiltered_batch_survives_faults_on_residual_tickets() {
+        quiet_injected_panics();
+        let height = 100;
+        let (a, changed) = image_pair(512, height, 0x5165);
+        // Every fifth row changes: a residual too large to diff inline,
+        // and a skip rate that keeps the adaptive prefilter active.
+        let rows = (0..height)
+            .map(|i| {
+                if i % 5 == 0 {
+                    changed.rows()[i].clone()
+                } else {
+                    a.rows()[i].clone()
+                }
+            })
+            .collect();
+        let b = RleImage::from_rows(a.width(), rows).unwrap();
+        let residual = (0..height)
+            .filter(|&i| a.rows()[i].signature() != b.rows()[i].signature())
+            .count();
+        assert!(residual > 16, "residual must dispatch: {residual}");
+        assert!(residual * 4 <= height, "skip rate must stay above 0.75");
+        let expected = xor_image(&a, &b).unwrap().0;
+        let (a, b) = (Arc::new(a), Arc::new(b));
+
+        // A fresh executor tickets only residual rows: the first batch
+        // takes tickets 0..residual, the second residual..2 * residual.
+        let stall = Duration::from_millis(1_000);
+        let plan = FaultPlan::new()
+            .panic_on_row(3)
+            .die_on_row(12)
+            .stall_on_row(residual as u64 + 7, stall);
+        let mut executor = DiffExecutorConfig::new(2)
+            .signature_prefilter()
+            .row_deadline(Duration::from_millis(250))
+            .fault_plan(plan)
+            .observe()
+            .build();
+        let obs = executor.observer().unwrap();
+
+        let (got, stats) = executor.diff_images_shared(&a, &b).unwrap();
+        assert_eq!(got, expected, "recovered residual rows are exact");
+        assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
+        assert_eq!(stats.rows, height);
+        assert_eq!(stats.rows_sig_skipped, height - residual, "{stats:?}");
+        assert!(stats.chunks > 0, "the residual went to the workers");
+        assert_eq!(stats.retries, 2, "one panic + one orphaned chunk");
+        assert_eq!(stats.respawns, 1, "the dead worker was replaced");
+        let s = obs.metrics_snapshot();
+        assert_ledger_closed(&s);
+        assert_eq!(s.rows_submitted, residual as u64);
+        assert_eq!(s.rows_sig_skipped, (height - residual) as u64);
+
+        let err = executor.diff_images_shared(&a, &b).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                rle_systolic::systolic_core::SystolicError::DeadlineExceeded { .. }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(executor.in_flight(), 0, "abandon leaves the pool idle");
+
+        let (again, stats) = executor.diff_images_shared(&a, &b).unwrap();
+        assert_eq!(again, expected, "the batch after the stall is exact");
+        assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
+        assert_eq!(stats.rows_sig_skipped, height - residual);
+
+        let healed_by = std::time::Instant::now() + stall * 10;
+        while executor.abandoned() > 0 && std::time::Instant::now() < healed_by {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(executor.abandoned(), 0, "healed pool drains the level");
+        let s = obs.metrics_snapshot();
+        assert_ledger_closed(&s);
+        assert_eq!(
+            (s.jobs_submitted, s.jobs_completed, s.jobs_abandoned),
+            (3, 2, 1)
+        );
     }
 
     /// Two jobs on one shared executor, a panic planned inside the second

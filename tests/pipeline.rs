@@ -4,7 +4,8 @@
 
 use rle_systolic::bitimg::{convert, ops as dops, pbm};
 use rle_systolic::harness::experiments::{fig1, fig3};
-use rle_systolic::systolic_core::image::{xor_image, xor_image_parallel};
+use rle_systolic::systolic_core::image::xor_image;
+use rle_systolic::systolic_core::{DiffExecutorConfig, Kernel};
 use rle_systolic::workload::motion::{Scene, SceneParams};
 use rle_systolic::workload::pcb::{inspection_pair, typical_defects, PcbParams};
 use rle_systolic::workload::{glyphs, ErrorModel, GenParams, RowGenerator};
@@ -41,8 +42,13 @@ fn pcb_inspection_end_to_end() {
         diff.density()
     );
 
-    // Parallel row processing changes nothing.
-    let (par_diff, par_stats) = xor_image_parallel(&reference, &received_rle, 4).unwrap();
+    // Parallel row processing on the executor's systolic kernel changes
+    // nothing.
+    let (par_diff, par_stats) = DiffExecutorConfig::new(4)
+        .kernel(Kernel::Systolic)
+        .build()
+        .diff_images(&reference, &received_rle)
+        .unwrap();
     assert_eq!(par_diff, diff);
     assert_eq!(par_stats.totals.iterations, stats.totals.iterations);
 }

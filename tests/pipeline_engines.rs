@@ -1,15 +1,17 @@
 //! Cross-engine equivalence at image granularity: the sequential streamer
-//! ([`xor_image`]), the per-row thread-scope engine ([`xor_image_parallel`])
-//! and the persistent worker-pool pipeline ([`DiffPipeline`]) must produce
-//! bit-identical images and consistent statistics on random workloads.
+//! ([`xor_image`]) and the persistent worker pool ([`DiffExecutor`]) —
+//! through both its multi-submitter `diff_pair` and its batch
+//! `diff_images` — must produce bit-identical images and consistent
+//! statistics on random workloads.
 
 mod common;
 
 use common::rle_row;
 use proptest::prelude::*;
 use rle_systolic::rle::{RleImage, RleRow};
-use rle_systolic::systolic_core::image::{xor_image, xor_image_parallel};
-use rle_systolic::systolic_core::{DiffPipeline, DiffPipelineConfig, Kernel};
+use rle_systolic::systolic_core::image::xor_image;
+use rle_systolic::systolic_core::{DiffExecutor, DiffExecutorConfig, Kernel};
+use std::sync::Arc;
 
 const WIDTH: u32 = 512;
 
@@ -31,12 +33,15 @@ proptest! {
     #[test]
     fn three_engines_are_bit_identical((a, b) in image_pair(), threads in 1usize..5) {
         let (seq, seq_stats) = xor_image(&a, &b).unwrap();
-        let (par, par_stats) = xor_image_parallel(&a, &b, threads).unwrap();
         // The systolic-kernel pool runs the same cycle-accurate machine as
-        // the reference engines, so its stats must agree exactly.
-        let mut pool = DiffPipelineConfig::new(threads)
+        // the reference engine, so its stats must agree exactly.
+        let mut pool = DiffExecutorConfig::new(threads)
             .kernel(Kernel::Systolic)
             .build();
+        let job = pool
+            .diff_pair(&Arc::new(a.clone()), &Arc::new(b.clone()), None)
+            .unwrap();
+        let (par, par_stats) = (job.image, job.stats);
         let (pipe, pipe_stats) = pool.diff_images(&a, &b).unwrap();
 
         // Bit-identical output rows across all three engines.
@@ -65,7 +70,7 @@ proptest! {
         // bit-identical to the reference; only scheduling and per-row
         // algorithm differ.
         for kernel in [Kernel::Auto, Kernel::Rle, Kernel::Packed] {
-            let mut pool = DiffPipelineConfig::new(threads).kernel(kernel).build();
+            let mut pool = DiffExecutorConfig::new(threads).kernel(kernel).build();
             let (img, stats) = pool.diff_images(&a, &b).unwrap();
             prop_assert_eq!(&img, &seq, "kernel {:?}", kernel);
             prop_assert_eq!(stats.rows, a.height());
@@ -85,7 +90,7 @@ fn pipeline_is_reusable_and_stable_across_batches() {
     // One pool serving many images — the deployment shape the pipeline
     // exists for. Results must not depend on what the pool processed
     // before (register buffers are reloaded, not leaked).
-    let mut pool = DiffPipeline::new(3);
+    let mut pool = DiffExecutor::new(DiffExecutorConfig::new(3));
     let mut gen = rle_systolic::workload::RowGenerator::new(
         rle_systolic::workload::GenParams::for_density(WIDTH, 0.3),
         42,

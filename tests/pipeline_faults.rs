@@ -17,8 +17,7 @@
 use rle_systolic::rle::{RleImage, RleRow};
 use rle_systolic::systolic_core::image::xor_image;
 use rle_systolic::systolic_core::{
-    DiffExecutorConfig, DiffPipelineConfig, FaultPlan, JobHandle, Kernel, SupervisionCounters,
-    SystolicError,
+    DiffExecutorConfig, FaultPlan, JobHandle, Kernel, SupervisionCounters, SystolicError,
 };
 use rle_systolic::workload::{errors, ErrorModel, GenParams, RowGenerator};
 use std::sync::Arc;
@@ -61,7 +60,7 @@ fn panicked_row_is_retried_and_result_is_bit_identical() {
     let (a, b) = image_pair(16);
     let (expected, _) = xor_image(&a, &b).unwrap();
     // Fresh pipeline: ticket n == row n. Row 5's first attempt panics.
-    let mut pipeline = DiffPipelineConfig::new(3)
+    let mut pipeline = DiffExecutorConfig::new(3)
         .fault_plan(FaultPlan::new().panic_on_row(5))
         .build();
     let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
@@ -71,7 +70,7 @@ fn panicked_row_is_retried_and_result_is_bit_identical() {
     assert_eq!(stats.respawns, 0, "caught panics must not kill the worker");
     assert_eq!(stats.timeouts, 0);
     assert_eq!(
-        pipeline.supervision_counters(),
+        pipeline.counters(),
         SupervisionCounters {
             retries: 1,
             ..Default::default()
@@ -88,7 +87,7 @@ fn dead_worker_is_respawned_and_its_row_recovered() {
     quiet_injected_panics();
     let (a, b) = image_pair(12);
     let (expected, _) = xor_image(&a, &b).unwrap();
-    let mut pipeline = DiffPipelineConfig::new(2)
+    let mut pipeline = DiffExecutorConfig::new(2)
         .fault_plan(FaultPlan::new().die_on_row(3))
         .build();
     let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
@@ -105,7 +104,7 @@ fn dead_sole_worker_still_recovers() {
     let (expected, _) = xor_image(&a, &b).unwrap();
     // threads = 1: the only worker dies; nothing can make progress until
     // the supervisor respawns it.
-    let mut pipeline = DiffPipelineConfig::new(1)
+    let mut pipeline = DiffExecutorConfig::new(1)
         .fault_plan(FaultPlan::new().die_on_row(2))
         .build();
     let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
@@ -117,7 +116,7 @@ fn dead_sole_worker_still_recovers() {
 fn row_that_keeps_crashing_surfaces_as_row_failed() {
     quiet_injected_panics();
     let (a, b) = image_pair(8);
-    let mut pipeline = DiffPipelineConfig::new(2)
+    let mut pipeline = DiffExecutorConfig::new(2)
         .retry_limit(1)
         .fault_plan(FaultPlan::new().panic_on_row_times(4, 10))
         .build();
@@ -144,7 +143,7 @@ fn row_that_keeps_crashing_surfaces_as_row_failed() {
 fn stalled_worker_trips_the_batch_deadline_instead_of_hanging() {
     quiet_injected_panics();
     let (a, b) = image_pair(8);
-    let mut pipeline = DiffPipelineConfig::new(2)
+    let mut pipeline = DiffExecutorConfig::new(2)
         .row_deadline(Duration::from_millis(100))
         .shutdown_grace(Duration::from_millis(50))
         .fault_plan(FaultPlan::new().stall_on_row(1, Duration::from_secs(30)))
@@ -159,7 +158,7 @@ fn stalled_worker_trips_the_batch_deadline_instead_of_hanging() {
         start.elapsed() < Duration::from_secs(5),
         "deadline must fire long before the 30 s stall ends"
     );
-    assert_eq!(pipeline.supervision_counters().timeouts, 1);
+    assert_eq!(pipeline.counters().timeouts, 1);
     // The aborted batch abandons its remaining rows behind the ticket
     // watermark: the pipeline is immediately idle again, and the wedged
     // worker's outstanding rows are reported honestly as abandoned.
@@ -179,7 +178,7 @@ fn abandoned_batch_heals_and_stale_deliveries_are_discarded() {
     let (expected, _) = xor_image(&a, &b).unwrap();
     // Worker 0 wedges for ~600 ms on the first batch; the 100 ms deadline
     // abandons that batch long before the stall ends.
-    let mut pipeline = DiffPipelineConfig::new(2)
+    let mut pipeline = DiffExecutorConfig::new(2)
         .row_deadline(Duration::from_millis(100))
         .observe()
         .fault_plan(FaultPlan::new().stall_on_row(1, Duration::from_millis(600)))
@@ -227,7 +226,7 @@ fn abandoned_batch_heals_and_stale_deliveries_are_discarded() {
 fn streaming_collect_timeout_trips_on_a_stall_then_recovers() {
     quiet_injected_panics();
     let (a, b) = image_pair(1);
-    let mut pipeline = DiffPipelineConfig::new(1)
+    let mut pipeline = DiffExecutorConfig::new(1)
         .fault_plan(FaultPlan::new().stall_on_row(0, Duration::from_millis(400)))
         .build();
     let ticket = pipeline.submit(a.rows()[0].clone(), b.rows()[0].clone());
@@ -255,7 +254,7 @@ fn poisoned_lock_is_tolerated() {
     quiet_injected_panics();
     let (a, b) = image_pair(10);
     let (expected, _) = xor_image(&a, &b).unwrap();
-    let mut pipeline = DiffPipelineConfig::new(2)
+    let mut pipeline = DiffExecutorConfig::new(2)
         .fault_plan(FaultPlan::new().poison_on_row(2))
         .build();
     let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
@@ -281,7 +280,7 @@ fn combined_faults_in_one_batch_all_recover() {
         .panic_on_row(21);
     // Force the systolic kernel so machine-work totals are comparable
     // against the sequential reference below.
-    let mut pipeline = DiffPipelineConfig::new(4)
+    let mut pipeline = DiffExecutorConfig::new(4)
         .kernel(Kernel::Systolic)
         .fault_plan(plan)
         .build();

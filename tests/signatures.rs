@@ -15,7 +15,7 @@ mod common;
 use common::rle_row;
 use proptest::prelude::*;
 use rle_systolic::rle::{ops, sig, RleImage, RleRow};
-use rle_systolic::systolic_core::DiffPipelineConfig;
+use rle_systolic::systolic_core::DiffExecutorConfig;
 use rle_systolic::workload::{FrameSequence, GenParams, SequenceParams};
 use std::sync::Arc;
 
@@ -60,7 +60,7 @@ fn no_skip_disagrees_with_the_reference_across_densities() {
         };
         let mut seq = FrameSequence::new(params, 0xD5 + i as u64);
         let frames: Vec<Arc<RleImage>> = seq.take_frames(4).into_iter().map(Arc::new).collect();
-        let mut pipeline = DiffPipelineConfig::new(2)
+        let mut pipeline = DiffExecutorConfig::new(2)
             .signature_prefilter()
             .verify_signatures()
             .build();
@@ -157,7 +157,7 @@ fn injected_collision_is_caught_only_by_paranoid_mode() {
 
     // Unchecked: the forced collision on row 0 silently yields an empty
     // diff row — this is exactly the failure paranoid mode exists for.
-    let mut unchecked = DiffPipelineConfig::new(1)
+    let mut unchecked = DiffExecutorConfig::new(1)
         .signature_prefilter()
         .fault_sig_collisions(vec![0])
         .build();
@@ -169,7 +169,7 @@ fn injected_collision_is_caught_only_by_paranoid_mode() {
     assert_ne!(wrong, reference);
 
     // Paranoid: same forced collision, exact output, accounted collision.
-    let mut paranoid = DiffPipelineConfig::new(1)
+    let mut paranoid = DiffExecutorConfig::new(1)
         .signature_prefilter()
         .verify_signatures()
         .fault_sig_collisions(vec![0])
