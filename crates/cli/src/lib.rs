@@ -91,11 +91,10 @@ pub enum Command {
         /// [`systolic_core::DiffExecutorConfig::simd`].
         simd: Option<systolic_core::SimdLevel>,
         /// Write a metrics snapshot here after the batch (`.json` gets the
-        /// JSON exposition, anything else Prometheus text). Enables
-        /// observation.
+        /// JSON exposition, anything else Prometheus text).
         metrics_out: Option<PathBuf>,
-        /// Write the structured trace here as JSON lines. Enables
-        /// observation.
+        /// Write the structured trace here as JSON lines. Attaches the
+        /// executor's trace ring.
         trace_out: Option<PathBuf>,
         /// Skip rows whose cached 64-bit signatures match; wired to
         /// [`systolic_core::DiffExecutorConfig::signature_prefilter`].
@@ -916,7 +915,7 @@ pub fn run_command(cmd: &Command) -> Result<String, CliError> {
             if *verify_sigs {
                 config = config.verify_signatures();
             }
-            if metrics_out.is_some() || trace_out.is_some() {
+            if trace_out.is_some() {
                 config = config.observe();
             }
             // Deterministic wedge for black-box deadline drills: with the
@@ -1001,35 +1000,34 @@ pub fn run_command(cmd: &Command) -> Result<String, CliError> {
             if let Some(rps) = stats.rows_per_second() {
                 let _ = writeln!(s, "  throughput : {rps:.0} rows/s");
             }
-            if let Some(obs) = pipeline.observer() {
-                let snapshot = obs.metrics_snapshot();
-                if let Some(path) = metrics_out {
-                    let json = path
-                        .extension()
-                        .is_some_and(|e| e.eq_ignore_ascii_case("json"));
-                    let body = if json {
-                        snapshot.to_json()
-                    } else {
-                        snapshot.to_prometheus()
-                    };
-                    fs::write(path, body)?;
-                    let _ = writeln!(s, "wrote {} (metrics)", path.display());
+            let obs = pipeline.observer();
+            let snapshot = obs.metrics_snapshot();
+            if let Some(path) = metrics_out {
+                let json = path
+                    .extension()
+                    .is_some_and(|e| e.eq_ignore_ascii_case("json"));
+                let body = if json {
+                    snapshot.to_json()
+                } else {
+                    snapshot.to_prometheus()
+                };
+                fs::write(path, body)?;
+                let _ = writeln!(s, "wrote {} (metrics)", path.display());
+            }
+            if let Some(path) = trace_out {
+                let mut body = String::new();
+                for event in obs.trace_snapshot() {
+                    body.push_str(&event.to_json_line());
+                    body.push('\n');
                 }
-                if let Some(path) = trace_out {
-                    let mut body = String::new();
-                    for event in obs.trace_snapshot() {
-                        body.push_str(&event.to_json_line());
-                        body.push('\n');
-                    }
-                    fs::write(path, body)?;
-                    let _ = writeln!(
-                        s,
-                        "wrote {} (trace, {} events, {} dropped)",
-                        path.display(),
-                        snapshot.trace_recorded - snapshot.trace_dropped,
-                        snapshot.trace_dropped
-                    );
-                }
+                fs::write(path, body)?;
+                let _ = writeln!(
+                    s,
+                    "wrote {} (trace, {} events, {} dropped)",
+                    path.display(),
+                    snapshot.trace_recorded - snapshot.trace_dropped,
+                    snapshot.trace_dropped
+                );
             }
             if let Some(out) = out {
                 save_image(&diff, out)?;

@@ -49,9 +49,10 @@
 //!   waits on its own job's condvar; concurrent submitters never contend
 //!   except on the shard queues themselves.
 //! * **Job-granular attribution.** Retries, respawns, timeouts, steals and
-//!   buffer hits are counted twice: globally ([`SupervisionCounters`] and
-//!   the metrics) and on the owning job, which makes per-job
-//!   [`PipelineStats`] exact under interleaving.
+//!   buffer hits are counted on the owning job, which makes per-job
+//!   [`PipelineStats`] exact under interleaving. Executor-wide totals live
+//!   only in the always-on metrics registry ([`DiffExecutor::observer`]);
+//!   [`DiffExecutor::counters`] and [`DiffExecutor::in_flight`] read it.
 //!
 //! The ticket space is global and monotonic, so a fresh executor numbers
 //! rows `0, 1, 2, …` in submission order and the deterministic fault
@@ -271,7 +272,7 @@ struct JobState {
     /// are single-row chunks ticketed individually).
     chunks: usize,
     /// Whether this job participates in the batch/job ledgers
-    /// (`batches`, `jobs_submitted`, …); the stream job does not.
+    /// (`jobs_submitted`, …); the stream job does not.
     ledger: bool,
     created: Instant,
     /// Nanoseconds from job creation to the first chunk checkout, plus one
@@ -394,12 +395,6 @@ struct Shard {
 
 struct Shared {
     shards: Vec<Shard>,
-    /// Chunks sitting in shard queues (fast-path emptiness check for
-    /// workers; mutated inside the owning shard's queue lock).
-    queued: AtomicUsize,
-    /// Rows submitted but not yet collected or written off, across all
-    /// jobs.
-    in_flight: AtomicUsize,
     /// Rows written off by abandoned jobs whose stale results are still
     /// outstanding; drains back to 0 as they arrive or are recovered.
     abandoned_rows: AtomicUsize,
@@ -409,24 +404,16 @@ struct Shared {
     submit_cursor: AtomicUsize,
     shutdown: AtomicBool,
     /// Doorbell for workers: producers notify while holding the bell, and
-    /// sleepers re-check `queued` under it, so a push can never slip
-    /// between a worker's check and its wait.
+    /// sleepers re-check the `queue_depth` gauge under it, so a push can
+    /// never slip between a worker's check and its wait.
     work_bell: Mutex<()>,
     work_ready: Condvar,
     /// The supervisor's private bell, so a streaming submit's `notify_one`
     /// can never be swallowed by the supervisor instead of a worker.
     sup_bell: Mutex<()>,
     sup_ready: Condvar,
-    retries: AtomicU64,
-    respawns: AtomicU64,
-    timeouts: AtomicU64,
-    /// Chunks popped from a sibling shard's queue (tail rebalancing).
-    steals: AtomicU64,
     /// Chunk-result vectors recycled back to workers.
     spare: Mutex<Vec<Vec<RowResult>>>,
-    /// How many times a worker got a recycled vector instead of
-    /// allocating.
-    buffer_hits: AtomicU64,
     kernel: Kernel,
     /// Resolved SIMD level every worker's kernel scratch is built with.
     simd: SimdLevel,
@@ -436,34 +423,28 @@ struct Shared {
     /// Worker thread handles, shared between the supervisor (respawns)
     /// and `Drop` (joins). Indexed by worker slot.
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Observability sink, shared by workers, supervisor and collectors.
-    /// `None` keeps every recording site to a single predictable branch.
-    obs: Option<Arc<Observer>>,
+    /// The executor's one counter store (always on) and its optional trace
+    /// ring, shared by workers, supervisor and collectors.
+    obs: Arc<Observer>,
     #[cfg(feature = "fault-injection")]
     faults: Option<FaultPlan>,
 }
 
 impl Shared {
-    /// Enqueues a chunk onto `shard`'s queues. The queue count and depth
-    /// gauge move inside the same critical section as the push, so
-    /// neither can drift from the queues' true contents.
+    /// Enqueues a chunk onto `shard`'s queues. The depth gauge moves
+    /// inside the same critical section as the push, so it can never
+    /// undercount the queues' true contents.
     fn push_chunk(&self, shard: usize, chunk: Chunk) {
         let mut queue = lock(&self.shards[shard].queue);
         queue.push(chunk);
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.metrics.queue_depth.add(1);
-        }
+        self.obs.metrics.queue_depth.add(1);
     }
 
     fn pop_shard(&self, shard: usize, own: bool) -> Option<Chunk> {
         let mut queue = lock(&self.shards[shard].queue);
         let chunk = queue.pop(own);
         if chunk.is_some() {
-            self.queued.fetch_sub(1, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.metrics.queue_depth.sub(1);
-            }
+            self.obs.metrics.queue_depth.sub(1);
         }
         chunk
     }
@@ -472,7 +453,7 @@ impl Shared {
     /// first, then each sibling in ring order (a steal, attributed to the
     /// stolen chunk's job).
     fn try_pop(&self, worker: usize) -> Option<Chunk> {
-        if self.queued.load(Ordering::Relaxed) == 0 {
+        if self.obs.metrics.queue_depth.get() <= 0 {
             return None;
         }
         if let Some(chunk) = self.pop_shard(worker, true) {
@@ -481,11 +462,8 @@ impl Shared {
         let n = self.shards.len();
         for d in 1..n {
             if let Some(chunk) = self.pop_shard((worker + d) % n, false) {
-                self.steals.fetch_add(1, Ordering::Relaxed);
                 chunk.job.steals.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &self.obs {
-                    obs.metrics.chunks_stolen.inc();
-                }
+                self.obs.metrics.chunks_stolen.inc();
                 return Some(chunk);
             }
         }
@@ -504,7 +482,7 @@ impl Shared {
                 return None;
             }
             let bell = lock(&self.work_bell);
-            if self.queued.load(Ordering::Relaxed) > 0 {
+            if self.obs.metrics.queue_depth.get() > 0 {
                 continue; // work arrived between the pop and the bell
             }
             if self.shutdown.load(Ordering::Relaxed) {
@@ -517,6 +495,19 @@ impl Shared {
         }
     }
 
+    /// Books a retry of `chunk` (on its job and in the registry) and puts
+    /// it back on `worker`'s shard; the caller rings the doorbell.
+    fn requeue(&self, worker: usize, chunk: Chunk) {
+        chunk.job.retries.fetch_add(1, Ordering::Relaxed);
+        self.obs.metrics.retries.inc();
+        self.obs.record(TraceKind::Retry {
+            chunk: chunk.base,
+            rows: chunk.len() as u32,
+            attempt: chunk.attempts,
+        });
+        self.push_chunk(worker, chunk);
+    }
+
     fn notify_work_all(&self) {
         let _bell = lock(&self.work_bell);
         self.work_ready.notify_all();
@@ -527,19 +518,10 @@ impl Shared {
         self.work_ready.notify_one();
     }
 
-    fn counters(&self) -> SupervisionCounters {
-        SupervisionCounters {
-            retries: self.retries.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-        }
-    }
-
     fn take_spare(&self, job: &JobState) -> Vec<RowResult> {
         let recycled = lock(&self.spare).pop();
         match recycled {
             Some(vec) => {
-                self.buffer_hits.fetch_add(1, Ordering::Relaxed);
                 job.buffer_hits.fetch_add(1, Ordering::Relaxed);
                 vec
             }
@@ -555,12 +537,6 @@ impl Shared {
         let mut pool = lock(&self.spare);
         if pool.len() < SPARE_POOL_CAP {
             pool.push(vec);
-        }
-    }
-
-    fn gauge_in_flight(&self, delta: i64) {
-        if let Some(obs) = &self.obs {
-            obs.metrics.in_flight.add(delta);
         }
     }
 
@@ -580,23 +556,18 @@ impl Shared {
                     // the `rows_diffed == rows_completed + rows_discarded`
                     // ledger.
                     if row.result.is_ok() {
-                        if let Some(obs) = &self.obs {
-                            obs.metrics.rows_discarded.inc();
-                        }
+                        self.obs.metrics.rows_discarded.inc();
                     }
                 }
             } else {
                 let n = results.len();
-                let mut any_ok = false;
+                let ok = results.iter().filter(|row| row.result.is_ok()).count();
+                self.obs.metrics.rows_completed.add(ok as u64);
+                self.obs.metrics.rows_errored.add((n - ok) as u64);
+                if ok > 0 {
+                    inner.seen[worker] = true;
+                }
                 for row in results.drain(..) {
-                    if let Some(obs) = &self.obs {
-                        if row.result.is_ok() {
-                            obs.metrics.rows_completed.inc();
-                        } else {
-                            obs.metrics.rows_errored.inc();
-                        }
-                    }
-                    any_ok |= row.result.is_ok();
                     inner.pending.push_back(RowOutcome {
                         ticket: Ticket(row.ticket),
                         worker,
@@ -604,19 +575,14 @@ impl Shared {
                         result: row.result,
                     });
                 }
-                if any_ok {
-                    inner.seen[worker] = true;
-                }
                 inner.undelivered -= n;
                 if inner.undelivered == 0 && job.ledger && !inner.completed {
                     inner.completed = true;
-                    if let Some(obs) = &self.obs {
-                        obs.metrics.jobs_completed.inc();
-                        obs.record(TraceKind::JobDone {
-                            job: job.id,
-                            rows: job.rows(),
-                        });
-                    }
+                    self.obs.metrics.jobs_completed.inc();
+                    self.obs.record(TraceKind::JobDone {
+                        job: job.id,
+                        rows: job.rows(),
+                    });
                 }
                 job.bell.notify_all();
             }
@@ -665,10 +631,9 @@ pub struct DiffExecutorConfig {
     /// and the derived plan is further split until it has at least one
     /// chunk per worker (an explicit target is honoured exactly).
     pub chunk_target: Option<usize>,
-    /// Observability: `Some` attaches an [`Observer`] (metrics registry +
-    /// trace ring) to the executor. `None` (the default) compiles every
-    /// recording site down to one predictable `if let` branch — no
-    /// timestamps are taken and nothing is recorded.
+    /// Tracing: `Some` attaches a trace ring to the executor's
+    /// [`Observer`]. `None` (the default) records no trace events; the
+    /// metrics registry is always on either way.
     pub observe: Option<ObsConfig>,
     /// Signature prefilter for the batch API (default off): before planning
     /// chunks, compare the two images' cached per-row signatures
@@ -821,7 +786,7 @@ impl DiffExecutorConfig {
         self
     }
 
-    /// Enables observability with the default settings (see
+    /// Attaches a trace ring with the default settings (see
     /// [`Self::observe`]).
     #[must_use]
     pub fn observe(mut self) -> Self {
@@ -829,7 +794,7 @@ impl DiffExecutorConfig {
         self
     }
 
-    /// Enables observability with explicit settings (see [`Self::observe`]).
+    /// Attaches a trace ring with explicit settings (see [`Self::observe`]).
     #[must_use]
     pub fn observe_with(mut self, obs: ObsConfig) -> Self {
         self.observe = Some(obs);
@@ -910,7 +875,7 @@ impl std::fmt::Debug for DiffExecutor {
             .field("workers", &self.workers())
             .field("in_flight", &self.in_flight())
             .field("abandoned", &self.abandoned())
-            .field("counters", &self.shared.counters())
+            .field("counters", &self.counters())
             .finish()
     }
 }
@@ -924,14 +889,11 @@ impl DiffExecutor {
     #[must_use]
     pub fn new(config: DiffExecutorConfig) -> Self {
         assert!(config.threads > 0, "need at least one thread");
-        let obs = config.observe.map(|cfg| Arc::new(Observer::new(cfg)));
         let simd = config.simd.map_or_else(SimdLevel::default_level, |level| {
             SimdLevel::resolve(Some(level))
         });
         let shared = Arc::new(Shared {
             shards: (0..config.threads).map(|_| Shard::default()).collect(),
-            queued: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
             abandoned_rows: AtomicUsize::new(0),
             next_ticket: AtomicU64::new(0),
             next_job_id: AtomicU64::new(0),
@@ -941,18 +903,13 @@ impl DiffExecutor {
             work_ready: Condvar::new(),
             sup_bell: Mutex::new(()),
             sup_ready: Condvar::new(),
-            retries: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             spare: Mutex::new(Vec::new()),
-            buffer_hits: AtomicU64::new(0),
             kernel: config.kernel,
             simd,
             chunk_target: config.chunk_target,
             retry_limit: config.retry_limit,
             handles: Mutex::new(Vec::new()),
-            obs,
+            obs: Arc::new(Observer::new(config.observe)),
             #[cfg(feature = "fault-injection")]
             faults: config.fault_plan,
         });
@@ -992,25 +949,32 @@ impl DiffExecutor {
         self.shared.simd
     }
 
-    /// The executor's [`Observer`], if observability was enabled. The
-    /// `Arc` stays valid after the executor is dropped, so snapshots can
-    /// outlive the pool.
+    /// The executor's [`Observer`]: its metrics registry (always on) and
+    /// trace (empty unless [`DiffExecutorConfig::observe`] attached a
+    /// ring). The `Arc` stays valid after the executor is dropped, so
+    /// snapshots can outlive the pool.
     #[must_use]
-    pub fn observer(&self) -> Option<Arc<Observer>> {
-        self.shared.obs.clone()
+    pub fn observer(&self) -> Arc<Observer> {
+        Arc::clone(&self.shared.obs)
     }
 
-    /// Lifetime supervision totals across every job.
+    /// Lifetime supervision totals across every job, read from the
+    /// metrics registry.
     #[must_use]
     pub fn counters(&self) -> SupervisionCounters {
-        self.shared.counters()
+        let metrics = &self.shared.obs.metrics;
+        SupervisionCounters {
+            retries: metrics.retries.get(),
+            respawns: metrics.respawns.get(),
+            timeouts: metrics.timeouts.get(),
+        }
     }
 
     /// Rows submitted but not yet collected or written off, across all
-    /// jobs.
+    /// jobs (the registry's `in_flight` gauge, clamped at 0).
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::Relaxed)
+        usize::try_from(self.shared.obs.metrics.in_flight.get()).unwrap_or(0)
     }
 
     /// Rows written off by abandoned jobs whose stale results are still
@@ -1056,7 +1020,30 @@ impl DiffExecutor {
             true,
             self.workers(),
         ));
-        let mut chunks = Vec::with_capacity(ranges.len());
+        let obs = &self.shared.obs;
+        obs.metrics.jobs_submitted.inc();
+        obs.metrics.rows_submitted.add(rows as u64);
+        obs.metrics.chunks_dispatched.add(ranges.len() as u64);
+        obs.metrics.in_flight.add(rows as i64);
+        obs.record(TraceKind::JobSubmit {
+            job: id,
+            rows: rows as u64,
+        });
+        // Submit events precede the enqueue so every row's causal chain
+        // starts before any worker can check its chunk out. The job's rows
+        // hold its tickets in order, so the loop walks the ticket range.
+        if obs.tracing() {
+            for ticket in job.lo..job.hi {
+                obs.record(TraceKind::Submit { ticket });
+            }
+        }
+        if rows == 0 {
+            // Nothing will ever be delivered; complete the job here.
+            lock(&job.inner).completed = true;
+            obs.metrics.jobs_completed.inc();
+            obs.record(TraceKind::JobDone { job: id, rows: 0 });
+        }
+        let shards = self.shared.shards.len();
         let mut base = lo;
         for (lo, hi) in ranges {
             let chunk = Chunk {
@@ -1071,40 +1058,6 @@ impl DiffExecutor {
                 job: Arc::clone(&job),
             };
             base += chunk.len() as u64;
-            chunks.push(chunk);
-        }
-        if let Some(obs) = &self.shared.obs {
-            obs.metrics.batches.inc();
-            obs.metrics.jobs_submitted.inc();
-            obs.metrics.rows_submitted.add(rows as u64);
-            obs.metrics.chunks_dispatched.add(chunks.len() as u64);
-            obs.record(TraceKind::JobSubmit {
-                job: id,
-                rows: rows as u64,
-            });
-            // Submit events precede the enqueue so every row's causal
-            // chain starts before any worker can check its chunk out.
-            for chunk in &chunks {
-                for i in chunk.lo..chunk.hi {
-                    obs.record(TraceKind::Submit {
-                        ticket: chunk.ticket_of(i),
-                    });
-                }
-            }
-        }
-        self.shared.in_flight.fetch_add(rows, Ordering::Relaxed);
-        self.shared.gauge_in_flight(rows as i64);
-        if rows == 0 {
-            // Nothing will ever be delivered; complete the job here.
-            let mut inner = lock(&job.inner);
-            inner.completed = true;
-            if let Some(obs) = &self.shared.obs {
-                obs.metrics.jobs_completed.inc();
-                obs.record(TraceKind::JobDone { job: id, rows: 0 });
-            }
-        }
-        let shards = self.shared.shards.len();
-        for chunk in chunks {
             let shard = self.shared.submit_cursor.fetch_add(1, Ordering::Relaxed) % shards;
             self.shared.push_chunk(shard, chunk);
         }
@@ -1228,11 +1181,9 @@ impl DiffExecutor {
         while let Some(done) = self.collect() {
             out.push(done);
         }
-        if let Some(obs) = &self.shared.obs {
-            obs.record(TraceKind::Drain {
-                collected: out.len() as u64,
-            });
-        }
+        self.shared.obs.record(TraceKind::Drain {
+            collected: out.len() as u64,
+        });
         out
     }
 
@@ -1319,18 +1270,16 @@ impl DiffExecutor {
             stats.totals.absorb(&row_stats);
             stats.rows_sig_skipped += 1;
             rows[i] = Some(RleRow::new(a.width()));
-            if let Some(obs) = &self.shared.obs {
-                obs.record(TraceKind::SigSkip { row: i as u64 });
-            }
+            self.shared.obs.record(TraceKind::SigSkip { row: i as u64 });
         }
         if height > 0 {
             self.sig_skip_rate = Some(matched as f64 / height as f64);
         }
-        if let Some(obs) = &self.shared.obs {
-            obs.metrics
-                .rows_sig_skipped
-                .add(stats.rows_sig_skipped as u64);
-        }
+        self.shared
+            .obs
+            .metrics
+            .rows_sig_skipped
+            .add(stats.rows_sig_skipped as u64);
         (stats, rows.filter(|_| matched > 0))
     }
 
@@ -1357,7 +1306,7 @@ impl DiffExecutor {
             if slot.is_some() {
                 continue;
             }
-            let row_start = self.shared.obs.as_ref().map(|_| Instant::now());
+            let row_start = Instant::now();
             let (row, row_stats, choice) = kernel::diff_row(
                 self.shared.kernel,
                 &mut self.host_scratch,
@@ -1369,20 +1318,13 @@ impl DiffExecutor {
             // `rows_diffed`, keeping both documented ledger identities
             // closed: these rows were never submitted, so they must not
             // appear on the worker/collector side.
-            if let Some(obs) = &self.shared.obs {
-                let latency_ns = row_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                obs.metrics.rows_inline_diffed.inc();
-                match choice {
-                    KernelChoice::FastPath => obs.metrics.rows_fast_path.inc(),
-                    KernelChoice::Rle => obs.metrics.rows_rle_kernel.inc(),
-                    KernelChoice::Packed => obs.metrics.rows_packed_kernel.inc(),
-                    KernelChoice::Systolic => obs.metrics.rows_systolic_kernel.inc(),
-                }
-                obs.metrics.row_latency_ns.record(latency_ns);
-                obs.metrics
-                    .row_runs
-                    .record((row_stats.k1 + row_stats.k2) as u64);
-            }
+            let metrics = &self.shared.obs.metrics;
+            metrics.rows_inline_diffed.inc();
+            metrics.record_diff(
+                choice,
+                row_start.elapsed().as_nanos() as u64,
+                (row_stats.k1 + row_stats.k2) as u64,
+            );
             absorb_row(stats, &row_stats, Some(choice));
             *slot = Some(row);
         }
@@ -1587,13 +1529,11 @@ impl JobHandle {
             let mut inner = lock(&self.job.inner);
             inner.undelivered += 1;
         }
-        if let Some(obs) = &self.shared.obs {
-            obs.metrics.rows_submitted.inc();
-            obs.metrics.chunks_dispatched.inc();
-            obs.record(TraceKind::Submit { ticket });
-        }
-        self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.shared.gauge_in_flight(1);
+        let obs = &self.shared.obs;
+        obs.metrics.rows_submitted.inc();
+        obs.metrics.chunks_dispatched.inc();
+        obs.metrics.in_flight.add(1);
+        obs.record(TraceKind::Submit { ticket });
         let chunk = Chunk {
             base: ticket,
             lo: 0,
@@ -1624,8 +1564,7 @@ impl JobHandle {
         loop {
             if let Some(outcome) = inner.pending.pop_front() {
                 drop(inner);
-                decrement(&self.shared.in_flight);
-                self.shared.gauge_in_flight(-1);
+                self.shared.obs.metrics.in_flight.sub(1);
                 return Ok(Some(outcome));
             }
             if inner.undelivered == 0 {
@@ -1636,14 +1575,11 @@ impl JobHandle {
                 if now >= d {
                     let in_flight = inner.undelivered;
                     drop(inner);
-                    self.shared.timeouts.fetch_add(1, Ordering::Relaxed);
                     self.job.timeouts.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &self.shared.obs {
-                        obs.metrics.timeouts.inc();
-                        obs.record(TraceKind::Timeout {
-                            in_flight: in_flight as u64,
-                        });
-                    }
+                    self.shared.obs.metrics.timeouts.inc();
+                    self.shared.obs.record(TraceKind::Timeout {
+                        in_flight: in_flight as u64,
+                    });
                     return Err(SystolicError::DeadlineExceeded {
                         waited: start.elapsed(),
                         in_flight,
@@ -1676,14 +1612,8 @@ impl JobHandle {
             dropped_chunks += chunks;
             dropped_rows += rows;
         }
-        if dropped_chunks > 0 {
-            self.shared
-                .queued
-                .fetch_sub(dropped_chunks, Ordering::Relaxed);
-            if let Some(obs) = &self.shared.obs {
-                obs.metrics.queue_depth.sub(dropped_chunks as i64);
-            }
-        }
+        let metrics = &self.shared.obs.metrics;
+        metrics.queue_depth.sub(dropped_chunks as i64);
         let mut inner = lock(&self.job.inner);
         if inner.abandoned {
             return;
@@ -1700,11 +1630,7 @@ impl JobHandle {
             inner.stale += wedged;
         }
         drop(inner);
-        self.shared
-            .in_flight
-            .fetch_sub(pending_rows + undelivered, Ordering::Relaxed);
-        self.shared
-            .gauge_in_flight(-((pending_rows + undelivered) as i64));
+        metrics.in_flight.sub((pending_rows + undelivered) as i64);
         if undelivered == 0 {
             // All rows were delivered (and counted completed/errored);
             // dropping the uncollected remainder writes off nothing.
@@ -1717,13 +1643,9 @@ impl JobHandle {
         // discarded on arrival, so neither can ever reach
         // `rows_completed` / `rows_errored`; booking them here closes
         // `rows_submitted == rows_completed + rows_errored + rows_abandoned`.
-        if let Some(obs) = &self.shared.obs {
-            obs.metrics
-                .rows_abandoned
-                .add((dropped_rows + wedged) as u64);
-            if self.job.ledger {
-                obs.metrics.jobs_abandoned.inc();
-            }
+        metrics.rows_abandoned.add((dropped_rows + wedged) as u64);
+        if self.job.ledger {
+            metrics.jobs_abandoned.inc();
         }
     }
 }
@@ -1837,13 +1759,10 @@ fn supervise(shared: &Arc<Shared>) {
         let replacement = spawn_worker(shared, worker);
         let dead = std::mem::replace(&mut handles[worker], replacement);
         let _ = dead.join();
-        shared.respawns.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &shared.obs {
-            obs.metrics.respawns.inc();
-            obs.record(TraceKind::Respawn {
-                worker: worker as u32,
-            });
-        }
+        shared.obs.metrics.respawns.inc();
+        shared.obs.record(TraceKind::Respawn {
+            worker: worker as u32,
+        });
         let Some(chunk) = orphan else {
             continue;
         };
@@ -1871,13 +1790,11 @@ fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
     }
     chunk.attempts += 1;
     if chunk.attempts > shared.retry_limit {
-        if let Some(obs) = &shared.obs {
-            for i in chunk.lo..chunk.hi {
-                obs.record(TraceKind::RowFailed {
-                    ticket: chunk.ticket_of(i),
-                    attempts: chunk.attempts,
-                });
-            }
+        for i in chunk.lo..chunk.hi {
+            shared.obs.record(TraceKind::RowFailed {
+                ticket: chunk.ticket_of(i),
+                attempts: chunk.attempts,
+            });
         }
         let results = (chunk.lo..chunk.hi)
             .map(|i| RowResult {
@@ -1892,17 +1809,7 @@ fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
             .collect();
         shared.deliver(worker, &job, results);
     } else {
-        shared.retries.fetch_add(1, Ordering::Relaxed);
-        job.retries.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &shared.obs {
-            obs.metrics.retries.inc();
-            obs.record(TraceKind::Retry {
-                chunk: chunk.base,
-                rows: chunk.len() as u32,
-                attempt: chunk.attempts,
-            });
-        }
-        shared.push_chunk(worker, chunk);
+        shared.requeue(worker, chunk);
         shared.notify_work_all();
     }
 }
@@ -1918,20 +1825,17 @@ fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
 /// retry, not the worker).
 fn worker_loop(shared: &Arc<Shared>, worker: usize) {
     let mut scratch = KernelScratch::with_simd(shared.simd);
+    let obs = &shared.obs;
     while let Some(chunk) = shared.next_chunk(worker) {
         *lock(&shared.shards[worker].running) = Some(chunk.clone());
         chunk.job.stamp_checkout();
-        // Timestamps exist only under observation; the unobserved hot
-        // path takes no clock readings at all.
-        let chunk_start = shared.obs.as_ref().map(|obs| {
-            obs.record(TraceKind::Checkout {
-                chunk: chunk.base,
-                rows: chunk.len() as u32,
-                worker: worker as u32,
-                attempt: chunk.attempts,
-            });
-            Instant::now()
+        obs.record(TraceKind::Checkout {
+            chunk: chunk.base,
+            rows: chunk.len() as u32,
+            worker: worker as u32,
+            attempt: chunk.attempts,
         });
+        let chunk_start = Instant::now();
 
         let mut out = shared.take_spare(&chunk.job);
         out.reserve(chunk.len());
@@ -1956,9 +1860,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     // can be booked as discarded (a real crash can't do
                     // this; `rows_discarded` is a lower bound there).
                     Fault::Die => {
-                        if let Some(obs) = &shared.obs {
-                            obs.metrics.rows_discarded.add(out.len() as u64);
-                        }
+                        obs.metrics.rows_discarded.add(out.len() as u64);
                         return;
                     }
                     Fault::PoisonLock => {
@@ -1972,7 +1874,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             }
 
             let (ra, rb) = chunk.row(i);
-            let row_start = shared.obs.as_ref().map(|_| Instant::now());
+            let row_start = Instant::now();
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-injection")]
                 if injected_panic {
@@ -1984,35 +1886,23 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                 // Kernel errors (e.g. a width mismatch) are per-row
                 // outcomes; the rest of the chunk proceeds.
                 Ok(result) => {
-                    if let Some(obs) = &shared.obs {
-                        match &result {
-                            Ok((_, stats, choice)) => {
-                                let latency_ns =
-                                    row_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                                let runs = (stats.k1 + stats.k2) as u64;
-                                obs.metrics.rows_diffed.inc();
-                                match choice {
-                                    KernelChoice::FastPath => obs.metrics.rows_fast_path.inc(),
-                                    KernelChoice::Rle => obs.metrics.rows_rle_kernel.inc(),
-                                    KernelChoice::Packed => obs.metrics.rows_packed_kernel.inc(),
-                                    KernelChoice::Systolic => {
-                                        obs.metrics.rows_systolic_kernel.inc();
-                                    }
-                                }
-                                obs.metrics.row_latency_ns.record(latency_ns);
-                                obs.metrics.row_runs.record(runs);
-                                obs.record(TraceKind::Kernel {
-                                    ticket,
-                                    worker: worker as u32,
-                                    choice: *choice,
-                                    runs,
-                                    latency_ns,
-                                });
-                            }
-                            Err(_) => {
-                                obs.metrics.rows_kernel_errors.inc();
-                                obs.record(TraceKind::RowError { ticket });
-                            }
+                    match &result {
+                        Ok((_, stats, choice)) => {
+                            let latency_ns = row_start.elapsed().as_nanos() as u64;
+                            let runs = (stats.k1 + stats.k2) as u64;
+                            obs.metrics.rows_diffed.inc();
+                            obs.metrics.record_diff(*choice, latency_ns, runs);
+                            obs.record(TraceKind::Kernel {
+                                ticket,
+                                worker: worker as u32,
+                                choice: *choice,
+                                runs,
+                                latency_ns,
+                            });
+                        }
+                        Err(_) => {
+                            obs.metrics.rows_kernel_errors.inc();
+                            obs.record(TraceKind::RowError { ticket });
                         }
                     }
                     out.push(RowResult {
@@ -2032,26 +1922,22 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         match crashed {
             None => {
                 *lock(&shared.shards[worker].running) = None;
-                if let Some(obs) = &shared.obs {
-                    let latency_ns = chunk_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    obs.metrics.chunks_completed.inc();
-                    obs.metrics.chunk_latency_ns.record(latency_ns);
-                    obs.record(TraceKind::ChunkDone {
-                        chunk: chunk.base,
-                        rows: out.len() as u32,
-                        worker: worker as u32,
-                        latency_ns,
-                    });
-                }
+                let latency_ns = chunk_start.elapsed().as_nanos() as u64;
+                obs.metrics.chunks_completed.inc();
+                obs.metrics.chunk_latency_ns.record(latency_ns);
+                obs.record(TraceKind::ChunkDone {
+                    chunk: chunk.base,
+                    rows: out.len() as u32,
+                    worker: worker as u32,
+                    latency_ns,
+                });
                 shared.deliver(worker, &chunk.job, out);
             }
             Some((culprit, cause)) => {
                 // The partial results are all-or-nothing casualties:
                 // their rows were diffed (and counted) but will be
                 // diffed again.
-                if let Some(obs) = &shared.obs {
-                    obs.metrics.rows_discarded.add(out.len() as u64);
-                }
+                obs.metrics.rows_discarded.add(out.len() as u64);
                 shared.return_spare(out);
                 *lock(&shared.shards[worker].running) = None;
                 let mut chunk = chunk;
@@ -2060,12 +1946,10 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     // Only the culprit row fails; its siblings go back to
                     // the queue as sub-chunks that keep the attempt count.
                     let ticket = chunk.ticket_of(culprit);
-                    if let Some(obs) = &shared.obs {
-                        obs.record(TraceKind::RowFailed {
-                            ticket,
-                            attempts: chunk.attempts,
-                        });
-                    }
+                    obs.record(TraceKind::RowFailed {
+                        ticket,
+                        attempts: chunk.attempts,
+                    });
                     let job = Arc::clone(&chunk.job);
                     shared.deliver(
                         worker,
@@ -2088,17 +1972,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     }
                     shared.notify_work_all();
                 } else {
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
-                    chunk.job.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &shared.obs {
-                        obs.metrics.retries.inc();
-                        obs.record(TraceKind::Retry {
-                            chunk: chunk.base,
-                            rows: chunk.len() as u32,
-                            attempt: chunk.attempts,
-                        });
-                    }
-                    shared.push_chunk(worker, chunk);
+                    shared.requeue(worker, chunk);
                     shared.notify_work_one();
                 }
             }
@@ -2505,11 +2379,16 @@ mod tests {
     fn observed_pipeline_records_a_consistent_snapshot() {
         let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
         let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
-        let unobserved = DiffExecutorConfig::new(2).build();
-        assert!(unobserved.observer().is_none(), "off by default");
+        let mut unobserved = DiffExecutorConfig::new(2).build();
+        unobserved.diff_images(&a, &b).unwrap();
+        let off = unobserved.observer();
+        assert!(
+            off.trace_snapshot().is_empty() && off.metrics_snapshot().rows_completed == 4,
+            "trace empty, registry counted"
+        );
 
         let mut pipeline = DiffExecutorConfig::new(2).observe().build();
-        let obs = pipeline.observer().expect("observer attached");
+        let obs = pipeline.observer();
         let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
 
@@ -2726,10 +2605,7 @@ mod tests {
         }
         let b = RleImage::from_rows(width, rows_b).unwrap();
         let (seq, _) = xor_image(&a, &b).unwrap();
-        let mut pipeline = DiffExecutorConfig::new(2)
-            .signature_prefilter()
-            .observe()
-            .build();
+        let mut pipeline = DiffExecutorConfig::new(2).signature_prefilter().build();
         let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(got, seq);
         assert_eq!(stats.rows, 40);
@@ -2740,7 +2616,7 @@ mod tests {
             + stats.rows_packed_kernel
             + stats.rows_systolic_kernel;
         assert_eq!(kernel_rows, 3, "inline rows keep their kernel accounting");
-        let s = pipeline.observer().unwrap().metrics_snapshot();
+        let s = pipeline.observer().metrics_snapshot();
         assert_eq!(s.rows_inline_diffed, 3);
         assert_eq!(s.rows_submitted, 0, "nothing entered the pool");
         assert_eq!(s.rows_diffed, 0, "no worker ran");
@@ -2758,7 +2634,7 @@ mod tests {
         let (got_ac, stats_ac) = pipeline.diff_images(&a, &c).unwrap();
         assert_eq!(got_ac, seq_ac);
         assert!(stats_ac.chunks > 0, "large residuals still dispatch");
-        let s2 = pipeline.observer().unwrap().metrics_snapshot();
+        let s2 = pipeline.observer().metrics_snapshot();
         assert_eq!(s2.rows_inline_diffed, 3, "inline count unchanged");
         assert_eq!(
             s2.rows_diffed,
@@ -2783,11 +2659,11 @@ mod tests {
         assert_eq!(stats.chunks, 0, "nothing left to plan");
         // Skipped rows never enter the submit/complete ledgers; the metric
         // and trace event carry them instead.
-        let snapshot = pipeline.observer().unwrap().metrics_snapshot();
+        let snapshot = pipeline.observer().metrics_snapshot();
         assert_eq!(snapshot.rows_submitted, 0);
         assert_eq!(snapshot.rows_completed, 0);
         assert_eq!(snapshot.rows_sig_skipped, 3);
-        let events = pipeline.observer().unwrap().trace_snapshot();
+        let events = pipeline.observer().trace_snapshot();
         let skips = events
             .iter()
             .filter(|e| matches!(e.kind, TraceKind::SigSkip { .. }))

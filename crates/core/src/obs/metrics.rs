@@ -9,6 +9,7 @@
 //! snapshots a *quiescent* pipeline (drained, no rows in flight), where
 //! the accounting identities must hold exactly.
 
+use crate::engine::kernel::KernelChoice;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing `u64` counter.
@@ -169,7 +170,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// Every metric the diff pipeline maintains when observation is enabled.
+/// Every metric the diff executor maintains: its one counter store,
+/// always on.
 ///
 /// The counters form a closed ledger over row outcomes, which is what
 /// makes the layer *testable* rather than merely emitted:
@@ -199,8 +201,9 @@ impl HistogramSnapshot {
 ///   (every accepted row is either delivered, delivered-as-error, or
 ///   written off by a deadline abort — no row is silently lost)
 /// * `chunk_latency_ns.count == chunks_completed`
-/// * `retries`/`respawns`/`timeouts` equal both the matching trace-event
-///   counts and the pipeline's `SupervisionCounters`.
+/// * `retries`/`respawns`/`timeouts` equal the matching trace-event counts
+///   when a trace ring is attached (`SupervisionCounters` is read from
+///   these counters, so it agrees by construction).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     /// Row pairs accepted by `submit` or a batch front-end.
@@ -248,27 +251,25 @@ pub struct MetricsRegistry {
     /// Chunks a worker popped from another worker's shard (work-stealing
     /// on the sharded scheduler; a measure of tail imbalance).
     pub chunks_stolen: Counter,
-    /// Chunk re-enqueues after a panic or worker death (mirrors
-    /// `SupervisionCounters::retries`).
+    /// Chunk re-enqueues after a panic or worker death (read back by
+    /// `DiffExecutor::counters`).
     pub retries: Counter,
-    /// Worker threads replaced by the supervisor (mirrors
-    /// `SupervisionCounters::respawns`).
+    /// Worker threads replaced by the supervisor.
     pub respawns: Counter,
-    /// Deadline expiries observed by collectors (mirrors
-    /// `SupervisionCounters::timeouts`).
+    /// Deadline expiries observed by collectors.
     pub timeouts: Counter,
-    /// Batch front-end calls (`diff_images` / `diff_images_shared`).
-    pub batches: Counter,
-    /// Ledgered jobs accepted by the executor (`submit_job` /
-    /// `submit_pair`; the streaming job is not ledgered). Quiescent
-    /// identity: `jobs_submitted == jobs_completed + jobs_abandoned`.
+    /// Ledgered jobs accepted by the executor: one per `diff_pair`,
+    /// `submit_pair` or batch call (the streaming job is not ledgered;
+    /// exposed a second time as `batches`). Quiescent identity:
+    /// `jobs_submitted == jobs_completed + jobs_abandoned`.
     pub jobs_submitted: Counter,
     /// Ledgered jobs whose every row was delivered.
     pub jobs_completed: Counter,
     /// Ledgered jobs written off by `JobHandle::abandon` before all rows
     /// were delivered.
     pub jobs_abandoned: Counter,
-    /// Jobs currently sitting in the scheduler queue.
+    /// Chunks currently sitting in the scheduler queues (the workers'
+    /// emptiness check reads it).
     pub queue_depth: Gauge,
     /// Rows submitted but not yet handed back to the caller.
     pub in_flight: Gauge,
@@ -281,11 +282,26 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
+    /// Books one successful row diff: the kernel that ran it, its latency
+    /// and its `k1 + k2` input runs.
+    #[inline]
+    pub(crate) fn record_diff(&self, choice: KernelChoice, latency_ns: u64, runs: u64) {
+        match choice {
+            KernelChoice::FastPath => self.rows_fast_path.inc(),
+            KernelChoice::Rle => self.rows_rle_kernel.inc(),
+            KernelChoice::Packed => self.rows_packed_kernel.inc(),
+            KernelChoice::Systolic => self.rows_systolic_kernel.inc(),
+        }
+        self.row_latency_ns.record(latency_ns);
+        self.row_runs.record(runs);
+    }
+
     /// Copies every metric out. `trace_recorded`/`trace_dropped` are owned
     /// by the trace ring; [`crate::obs::Observer::metrics_snapshot`] fills
     /// them in.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let jobs_submitted = self.jobs_submitted.get();
         MetricsSnapshot {
             rows_submitted: self.rows_submitted.get(),
             rows_completed: self.rows_completed.get(),
@@ -306,8 +322,8 @@ impl MetricsRegistry {
             retries: self.retries.get(),
             respawns: self.respawns.get(),
             timeouts: self.timeouts.get(),
-            batches: self.batches.get(),
-            jobs_submitted: self.jobs_submitted.get(),
+            batches: jobs_submitted,
+            jobs_submitted,
             jobs_completed: self.jobs_completed.get(),
             jobs_abandoned: self.jobs_abandoned.get(),
             queue_depth: self.queue_depth.get(),
@@ -346,6 +362,8 @@ pub struct MetricsSnapshot {
     pub retries: u64,
     pub respawns: u64,
     pub timeouts: u64,
+    /// Always equal to `jobs_submitted` (the registry keeps no separate
+    /// count); exposed under its own name for existing dashboards.
     pub batches: u64,
     pub jobs_submitted: u64,
     pub jobs_completed: u64,
@@ -372,135 +390,155 @@ impl MetricsSnapshot {
             + self.rows_systolic_kernel
     }
 
-    fn counters(&self) -> [(&'static str, u64); 23] {
-        [
-            ("rows_submitted", self.rows_submitted),
-            ("rows_completed", self.rows_completed),
-            ("rows_errored", self.rows_errored),
-            ("rows_diffed", self.rows_diffed),
-            ("rows_kernel_errors", self.rows_kernel_errors),
-            ("rows_discarded", self.rows_discarded),
-            ("rows_abandoned", self.rows_abandoned),
-            ("rows_sig_skipped", self.rows_sig_skipped),
-            ("rows_inline_diffed", self.rows_inline_diffed),
-            ("rows_fast_path", self.rows_fast_path),
-            ("rows_rle_kernel", self.rows_rle_kernel),
-            ("rows_packed_kernel", self.rows_packed_kernel),
-            ("rows_systolic_kernel", self.rows_systolic_kernel),
-            ("chunks_dispatched", self.chunks_dispatched),
-            ("chunks_completed", self.chunks_completed),
-            ("chunks_stolen", self.chunks_stolen),
-            ("retries", self.retries),
-            ("respawns", self.respawns),
-            ("timeouts", self.timeouts),
-            ("batches", self.batches),
-            ("jobs_submitted", self.jobs_submitted),
-            ("jobs_completed", self.jobs_completed),
-            ("jobs_abandoned", self.jobs_abandoned),
-        ]
-    }
-
-    fn gauges(&self) -> [(&'static str, i64); 2] {
-        [
-            ("queue_depth", self.queue_depth),
-            ("in_flight", self.in_flight),
-        ]
-    }
-
-    fn histograms(&self) -> [(&'static str, &HistogramSnapshot); 3] {
-        [
-            ("row_latency_ns", &self.row_latency_ns),
-            ("chunk_latency_ns", &self.chunk_latency_ns),
-            ("row_runs", &self.row_runs),
-        ]
-    }
-
-    /// Prometheus text exposition (metric prefix `diffpipeline_`,
-    /// counters suffixed `_total`, histograms in the standard
-    /// `_bucket`/`_sum`/`_count` shape with cumulative `le` labels).
+    /// Prometheus text exposition (prefix `diffpipeline_`; see
+    /// [`render`]).
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "# TYPE diffpipeline_{name} counter");
-            let _ = writeln!(out, "diffpipeline_{name}_total {v}");
-        }
-        let _ = writeln!(out, "# TYPE diffpipeline_trace_events counter");
-        let _ = writeln!(
-            out,
-            "diffpipeline_trace_events_total {}",
-            self.trace_recorded
-        );
-        let _ = writeln!(out, "# TYPE diffpipeline_trace_events_dropped counter");
-        let _ = writeln!(
-            out,
-            "diffpipeline_trace_events_dropped_total {}",
-            self.trace_dropped
-        );
-        for (name, v) in self.gauges() {
-            let _ = writeln!(out, "# TYPE diffpipeline_{name} gauge");
-            let _ = writeln!(out, "diffpipeline_{name} {v}");
-        }
-        for (name, h) in self.histograms() {
-            let _ = writeln!(out, "# TYPE diffpipeline_{name} histogram");
-            let mut cumulative = 0u64;
-            for (i, n) in h.buckets.iter().enumerate() {
-                cumulative += n;
-                // Empty tail buckets are elided; the +Inf bucket carries
-                // the full count regardless.
-                if *n > 0 {
-                    let _ = writeln!(
-                        out,
-                        "diffpipeline_{name}_bucket{{le=\"{}\"}} {cumulative}",
-                        HistogramSnapshot::bucket_edge(i)
-                    );
-                }
-            }
-            let _ = writeln!(out, "diffpipeline_{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "diffpipeline_{name}_sum {}", h.sum);
-            let _ = writeln!(out, "diffpipeline_{name}_count {}", h.count);
-        }
-        out
+        self.expose(Format::Prometheus)
     }
 
-    /// JSON object exposition (hand-rolled — the workspace carries no
-    /// serde; the format is flat `name: number` pairs plus one object per
-    /// histogram, stable for CI parsers).
+    /// JSON object exposition (see [`render`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "  \"{name}\": {v},");
-        }
-        for (name, v) in self.gauges() {
-            let _ = writeln!(out, "  \"{name}\": {v},");
-        }
-        let _ = writeln!(out, "  \"trace_recorded\": {},", self.trace_recorded);
-        let _ = writeln!(out, "  \"trace_dropped\": {},", self.trace_dropped);
-        let histograms = self.histograms();
-        for (hi, (name, h)) in histograms.iter().enumerate() {
-            let _ = write!(
-                out,
-                "  \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                h.count, h.sum
-            );
-            // Trailing zero buckets are trimmed so the arrays stay short;
-            // absent entries are zero by construction.
-            let last = h.buckets.iter().rposition(|n| *n > 0).map_or(0, |i| i + 1);
-            for (i, n) in h.buckets[..last].iter().enumerate() {
-                let _ = write!(out, "{}{n}", if i == 0 { "" } else { ", " });
-            }
-            let _ = writeln!(
-                out,
-                "]}}{}",
-                if hi + 1 == histograms.len() { "" } else { "," }
-            );
-        }
-        out.push_str("}\n");
-        out
+        self.expose(Format::Json)
     }
+
+    fn expose(&self, format: Format) -> String {
+        use Metric::{Counter as C, Gauge as G, Histogram as H};
+        // The trace ring's totals carry different names in the two formats.
+        let (recorded, dropped) = match format {
+            Format::Prometheus => ("trace_events", "trace_events_dropped"),
+            Format::Json => ("trace_recorded", "trace_dropped"),
+        };
+        render(
+            format,
+            "diffpipeline_",
+            &[
+                C("rows_submitted", self.rows_submitted),
+                C("rows_completed", self.rows_completed),
+                C("rows_errored", self.rows_errored),
+                C("rows_diffed", self.rows_diffed),
+                C("rows_kernel_errors", self.rows_kernel_errors),
+                C("rows_discarded", self.rows_discarded),
+                C("rows_abandoned", self.rows_abandoned),
+                C("rows_sig_skipped", self.rows_sig_skipped),
+                C("rows_inline_diffed", self.rows_inline_diffed),
+                C("rows_fast_path", self.rows_fast_path),
+                C("rows_rle_kernel", self.rows_rle_kernel),
+                C("rows_packed_kernel", self.rows_packed_kernel),
+                C("rows_systolic_kernel", self.rows_systolic_kernel),
+                C("chunks_dispatched", self.chunks_dispatched),
+                C("chunks_completed", self.chunks_completed),
+                C("chunks_stolen", self.chunks_stolen),
+                C("retries", self.retries),
+                C("respawns", self.respawns),
+                C("timeouts", self.timeouts),
+                C("batches", self.batches),
+                C("jobs_submitted", self.jobs_submitted),
+                C("jobs_completed", self.jobs_completed),
+                C("jobs_abandoned", self.jobs_abandoned),
+                C(recorded, self.trace_recorded),
+                C(dropped, self.trace_dropped),
+                G("queue_depth", self.queue_depth),
+                G("in_flight", self.in_flight),
+                H("row_latency_ns", &self.row_latency_ns),
+                H("chunk_latency_ns", &self.chunk_latency_ns),
+                H("row_runs", &self.row_runs),
+            ],
+        )
+    }
+}
+
+/// One metric handed to [`render`]: its unprefixed name and its value.
+#[derive(Clone, Copy, Debug)]
+pub enum Metric<'a> {
+    /// A monotonic count.
+    Counter(&'a str, u64),
+    /// An instantaneous level.
+    Gauge(&'a str, i64),
+    /// A [`Log2Histogram`] snapshot.
+    Histogram(&'a str, &'a HistogramSnapshot),
+}
+
+/// The two text formats [`render`] writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Format {
+    /// Prometheus text exposition.
+    Prometheus,
+    /// One flat JSON object.
+    Json,
+}
+
+/// The one exposition writer: renders `metrics` in order, for the
+/// executor's registry and diffd's server counters alike, so both
+/// concatenate into one `/metrics` body.
+///
+/// * [`Format::Prometheus`]: every name gets `prefix`, counters are
+///   suffixed `_total`, and histograms take the standard
+///   `_bucket`/`_sum`/`_count` shape with cumulative `le` labels. Empty
+///   buckets are elided; the `+Inf` bucket carries the full count
+///   regardless.
+/// * [`Format::Json`]: unprefixed `"name": number` pairs plus one
+///   `{"count", "sum", "buckets"}` object per histogram, hand-rolled (the
+///   workspace carries no serde) and stable for CI parsers. Trailing zero
+///   buckets are trimmed; absent entries are zero by construction.
+#[must_use]
+pub fn render(format: Format, prefix: &str, metrics: &[Metric<'_>]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    if format == Format::Json {
+        out.push_str("{\n");
+    }
+    for (i, metric) in metrics.iter().enumerate() {
+        let sep = if i + 1 == metrics.len() { "" } else { "," };
+        let _ = match (format, *metric) {
+            (Format::Prometheus, Metric::Counter(name, v)) => {
+                writeln!(
+                    out,
+                    "# TYPE {prefix}{name} counter\n{prefix}{name}_total {v}"
+                )
+            }
+            (Format::Prometheus, Metric::Gauge(name, v)) => {
+                writeln!(out, "# TYPE {prefix}{name} gauge\n{prefix}{name} {v}")
+            }
+            (Format::Prometheus, Metric::Histogram(name, h)) => {
+                let _ = writeln!(out, "# TYPE {prefix}{name} histogram");
+                let mut cumulative = 0u64;
+                for (b, n) in h.buckets.iter().enumerate() {
+                    cumulative += n;
+                    if *n > 0 {
+                        let edge = HistogramSnapshot::bucket_edge(b);
+                        let _ =
+                            writeln!(out, "{prefix}{name}_bucket{{le=\"{edge}\"}} {cumulative}");
+                    }
+                }
+                writeln!(
+                    out,
+                    "{prefix}{name}_bucket{{le=\"+Inf\"}} {count}\n{prefix}{name}_sum {}\n\
+                     {prefix}{name}_count {count}",
+                    h.sum,
+                    count = h.count
+                )
+            }
+            (Format::Json, Metric::Counter(name, v)) => writeln!(out, "  \"{name}\": {v}{sep}"),
+            (Format::Json, Metric::Gauge(name, v)) => writeln!(out, "  \"{name}\": {v}{sep}"),
+            (Format::Json, Metric::Histogram(name, h)) => {
+                let last = h.buckets.iter().rposition(|n| *n > 0).map_or(0, |b| b + 1);
+                let buckets: Vec<String> = h.buckets[..last].iter().map(u64::to_string).collect();
+                writeln!(
+                    out,
+                    "  \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}{sep}",
+                    h.count,
+                    h.sum,
+                    buckets.join(", ")
+                )
+            }
+        };
+    }
+    if format == Format::Json {
+        out.push_str("}\n");
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Observability for the diff executor: a lock-light [`MetricsRegistry`]
-//! and a ring-buffered structured trace, owned together by an
+//! and an optional ring-buffered structured trace, owned together by an
 //! [`Observer`].
 //!
 //! The paper's evaluation (§5, Figure 5 / Table 1) is about *measured*
@@ -7,14 +7,15 @@
 //! measurements — and every supervision claim the executor makes — into
 //! machine-checkable artefacts. Design constraints, in order:
 //!
-//! 1. **Off by default, free when off.** An executor without
-//!    [`crate::DiffExecutorConfig::observe`] carries one `Option` that is `None`;
-//!    every recording site is behind an `if let Some`, so the hot path
-//!    gains a single predictable branch and takes no timestamps.
-//! 2. **Cheap when on.** Counters and histograms are relaxed atomics;
-//!    trace recording is one `fetch_add` plus an uncontended per-slot
-//!    mutex write of a `Copy` value. Nothing on the hot path allocates or
-//!    blocks on a shared lock.
+//! 1. **One ledger, always on; the trace is opt-in.** Every executor owns
+//!    an [`Observer`] whose registry is the executor's only counter store,
+//!    so counts never depend on configuration. The trace ring exists only
+//!    under [`crate::DiffExecutorConfig::observe`]; without it,
+//!    [`Observer::record`] returns before reading the clock.
+//! 2. **Cheap enough to leave on.** Counters and histograms are relaxed
+//!    atomics; trace recording is one `fetch_add` plus an uncontended
+//!    per-slot mutex write of a `Copy` value. Nothing on the hot path
+//!    allocates or blocks on a shared lock.
 //! 3. **Audited, not just emitted.** The registry's counters form a closed
 //!    ledger over row outcomes (see [`MetricsRegistry`]) and the trace's
 //!    per-row event chain is causally ordered; `tests/observability.rs`
@@ -51,27 +52,35 @@ impl Default for ObsConfig {
     }
 }
 
-/// The executor's observability state: one metrics registry plus one trace
-/// ring, sharing an epoch so trace timestamps and latency histograms agree
-/// on a clock.
+/// The executor's observability state: one metrics registry plus an
+/// optional trace ring, sharing an epoch so trace timestamps and latency
+/// histograms agree on a clock.
 #[derive(Debug)]
 pub struct Observer {
     epoch: Instant,
     /// The metrics registry (public so recording sites and tests can reach
     /// individual counters directly).
     pub metrics: MetricsRegistry,
-    trace: TraceRing,
+    trace: Option<TraceRing>,
 }
 
 impl Observer {
-    /// A fresh observer; the epoch is now.
+    /// A fresh observer with a trace ring if `trace` is `Some`; the epoch
+    /// is now.
     #[must_use]
-    pub fn new(config: ObsConfig) -> Self {
+    pub fn new(trace: Option<ObsConfig>) -> Self {
         Self {
             epoch: Instant::now(),
             metrics: MetricsRegistry::default(),
-            trace: TraceRing::new(config.trace_capacity),
+            trace: trace.map(|config| TraceRing::new(config.trace_capacity)),
         }
+    }
+
+    /// Whether a trace ring is attached (callers skip building events in
+    /// bulk when it is not).
+    #[must_use]
+    pub(crate) fn tracing(&self) -> bool {
+        self.trace.is_some()
     }
 
     /// Nanoseconds since this observer was created (saturating at
@@ -81,24 +90,31 @@ impl Observer {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Records one trace event stamped with the current time.
+    /// Records one trace event stamped with the current time; without a
+    /// ring, returns before reading the clock.
+    #[inline]
     pub fn record(&self, kind: TraceKind) {
-        self.trace.record(self.now_ns(), kind);
+        if let Some(trace) = &self.trace {
+            trace.record(self.now_ns(), kind);
+        }
     }
 
-    /// The retained trace, oldest first (see [`TraceRing::events`]).
+    /// The retained trace, oldest first (see [`TraceRing::events`]); empty
+    /// without a ring.
     #[must_use]
     pub fn trace_snapshot(&self) -> Vec<TraceEvent> {
-        self.trace.events()
+        self.trace.as_ref().map_or_else(Vec::new, TraceRing::events)
     }
 
     /// A point-in-time copy of every metric, including the trace ring's
-    /// recorded/dropped totals.
+    /// recorded/dropped totals (0 without a ring).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = self.metrics.snapshot();
-        snapshot.trace_recorded = self.trace.recorded();
-        snapshot.trace_dropped = self.trace.dropped();
+        if let Some(trace) = &self.trace {
+            snapshot.trace_recorded = trace.recorded();
+            snapshot.trace_dropped = trace.dropped();
+        }
         snapshot
     }
 }
@@ -109,7 +125,7 @@ mod tests {
 
     #[test]
     fn observer_round_trip() {
-        let obs = Observer::new(ObsConfig { trace_capacity: 8 });
+        let obs = Observer::new(Some(ObsConfig { trace_capacity: 8 }));
         obs.metrics.rows_submitted.add(3);
         obs.record(TraceKind::Submit { ticket: 0 });
         obs.record(TraceKind::Drain { collected: 1 });

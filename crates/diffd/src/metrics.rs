@@ -1,11 +1,11 @@
 //! Server-side counters (`diffd_*`), kept separate from the pipeline's
 //! `diffpipeline_*` registry: the pipeline counts rows and chunks, the
 //! server counts connections, requests and the ways they fail. Built on
-//! the same lock-light atomics (`core::obs::metrics`), exposed through
-//! the same hand-rolled Prometheus/JSON text so `/metrics` is one
-//! concatenation.
+//! the same lock-light atomics (`core::obs::metrics`), rendered by the
+//! same exposition writer ([`systolic_core::obs::metrics::render`]) so
+//! `/metrics` is one concatenation.
 
-use systolic_core::obs::metrics::{Counter, Gauge, HistogramSnapshot, Log2Histogram};
+use systolic_core::obs::metrics::{render, Counter, Format, Gauge, Log2Histogram, Metric};
 
 /// Every metric the server maintains. All counters are monotonic; the one
 /// gauge (`connections_open`) is inc/dec'd symmetrically around each
@@ -71,106 +71,46 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    fn counters(&self) -> [(&'static str, u64); 14] {
-        [
-            ("connections_accepted", self.connections_accepted.get()),
-            ("connections_closed", self.connections_closed.get()),
-            ("requests", self.requests.get()),
-            ("responses_ok", self.responses_ok.get()),
-            ("sheds", self.sheds.get()),
-            ("deadline_hits", self.deadline_hits.get()),
-            ("mismatches", self.mismatches.get()),
-            ("row_failures", self.row_failures.get()),
-            ("internal_errors", self.internal_errors.get()),
-            ("shutdown_rejects", self.shutdown_rejects.get()),
-            ("protocol_errors", self.protocol_errors.get()),
-            ("idle_timeouts", self.idle_timeouts.get()),
-            ("bytes_read", self.bytes_read.get()),
-            ("bytes_written", self.bytes_written.get()),
-        ]
-    }
-
-    fn histograms(&self) -> [(&'static str, HistogramSnapshot); 2] {
-        [
-            ("queue_wait_ns", self.queue_wait_ns.snapshot()),
-            ("compute_ns", self.compute_ns.snapshot()),
-        ]
-    }
-
-    /// Prometheus text exposition (prefix `diffd_`, counters suffixed
-    /// `_total`, histograms in the standard `_bucket`/`_sum`/`_count`
-    /// shape), shaped like the pipeline's so both concatenate into one
-    /// `/metrics` body.
+    /// Prometheus text exposition (prefix `diffd_`), written by the
+    /// pipeline's own writer so both concatenate into one `/metrics` body.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "# TYPE diffd_{name} counter");
-            let _ = writeln!(out, "diffd_{name}_total {v}");
-        }
-        let _ = writeln!(out, "# TYPE diffd_connections_open gauge");
-        let _ = writeln!(
-            out,
-            "diffd_connections_open {}",
-            self.connections_open.get()
-        );
-        for (name, h) in self.histograms() {
-            let _ = writeln!(out, "# TYPE diffd_{name} histogram");
-            let mut cumulative = 0u64;
-            for (i, n) in h.buckets.iter().enumerate() {
-                cumulative += n;
-                // Empty buckets are elided; +Inf carries the full count.
-                if *n > 0 {
-                    let _ = writeln!(
-                        out,
-                        "diffd_{name}_bucket{{le=\"{}\"}} {cumulative}",
-                        HistogramSnapshot::bucket_edge(i)
-                    );
-                }
-            }
-            let _ = writeln!(out, "diffd_{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "diffd_{name}_sum {}", h.sum);
-            let _ = writeln!(out, "diffd_{name}_count {}", h.count);
-        }
-        out
+        self.expose(Format::Prometheus)
     }
 
-    /// Flat JSON exposition (`name: number` pairs plus one object per
-    /// histogram, no serde).
+    /// Flat JSON exposition, in the pipeline's JSON shape.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "  \"{name}\": {v},");
-        }
-        let _ = writeln!(
-            out,
-            "  \"connections_open\": {},",
-            self.connections_open.get()
-        );
-        let histograms = self.histograms();
-        for (hi, (name, h)) in histograms.iter().enumerate() {
-            let _ = write!(
-                out,
-                "  \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                h.count, h.sum
-            );
-            // Trailing zero buckets are trimmed, matching the pipeline's
-            // JSON exposition.
-            let last = h.buckets.iter().rposition(|n| *n > 0).map_or(0, |i| i + 1);
-            for (i, n) in h.buckets[..last].iter().enumerate() {
-                let _ = write!(out, "{}{n}", if i == 0 { "" } else { ", " });
-            }
-            let _ = writeln!(
-                out,
-                "]}}{}",
-                if hi + 1 == histograms.len() { "" } else { "," }
-            );
-        }
-        out.push_str("}\n");
-        out
+        self.expose(Format::Json)
+    }
+
+    fn expose(&self, format: Format) -> String {
+        use Metric::{Counter as C, Gauge as G, Histogram as H};
+        let queue_wait = self.queue_wait_ns.snapshot();
+        let compute = self.compute_ns.snapshot();
+        render(
+            format,
+            "diffd_",
+            &[
+                C("connections_accepted", self.connections_accepted.get()),
+                C("connections_closed", self.connections_closed.get()),
+                C("requests", self.requests.get()),
+                C("responses_ok", self.responses_ok.get()),
+                C("sheds", self.sheds.get()),
+                C("deadline_hits", self.deadline_hits.get()),
+                C("mismatches", self.mismatches.get()),
+                C("row_failures", self.row_failures.get()),
+                C("internal_errors", self.internal_errors.get()),
+                C("shutdown_rejects", self.shutdown_rejects.get()),
+                C("protocol_errors", self.protocol_errors.get()),
+                C("idle_timeouts", self.idle_timeouts.get()),
+                C("bytes_read", self.bytes_read.get()),
+                C("bytes_written", self.bytes_written.get()),
+                G("connections_open", self.connections_open.get()),
+                H("queue_wait_ns", &queue_wait),
+                H("compute_ns", &compute),
+            ],
+        )
     }
 
     /// The request ledger's right-hand side: every typed response class.

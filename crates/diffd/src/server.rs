@@ -157,8 +157,8 @@ pub struct ServerHandle {
 
 impl DiffServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and spins up the shared
-    /// executor. The executor always runs observed — admission control
-    /// reads its gauges and `/metrics` serves its exposition.
+    /// executor, with its trace ring attached. Admission control reads the
+    /// executor's registry gauges and `/metrics` serves its exposition.
     pub fn bind(addr: impl ToSocketAddrs, cfg: DiffServerConfig) -> std::io::Result<Self> {
         assert!(cfg.threads > 0, "need at least one executor worker");
         let listener = TcpListener::bind(addr)?;
@@ -173,7 +173,7 @@ impl DiffServer {
             ..DiffExecutorConfig::default()
         }
         .build();
-        let observer = executor.observer().expect("executor built observed");
+        let observer = executor.observer();
         Ok(Self {
             listener,
             shared: Arc::new(ServerShared {

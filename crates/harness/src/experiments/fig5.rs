@@ -80,19 +80,16 @@ pub fn run(config: &Fig5Config) -> Fig5Result {
     })
 }
 
-/// Runs the sweep through an *observed* [`systolic_core::DiffExecutor`]
-/// (forced systolic kernel, so the per-row statistics are bit-identical to
-/// [`run`]'s) and returns the figure data together with the pipeline's
+/// Runs the sweep through a [`systolic_core::DiffExecutor`] (forced
+/// systolic kernel, so the per-row statistics are bit-identical to
+/// [`run`]'s) and returns the figure data together with the executor's
 /// [`MetricsSnapshot`], so the iteration sweep emits machine-readable
 /// metrics alongside its CSV. The snapshot's `row_runs` histogram is the
 /// `k1 + k2` distribution of the whole sweep.
 #[must_use]
 pub fn run_observed(config: &Fig5Config) -> (Fig5Result, MetricsSnapshot) {
-    let mut pipeline = DiffExecutorConfig::new(2)
-        .kernel(Kernel::Systolic)
-        .observe()
-        .build();
-    let obs = pipeline.observer().expect("observer enabled above");
+    let mut pipeline = DiffExecutorConfig::new(2).kernel(Kernel::Systolic).build();
+    let obs = pipeline.observer();
     let result = sweep(config, &mut |a, b| {
         pipeline.submit(a.clone(), b.clone());
         let outcome = pipeline.collect().expect("one row in flight");

@@ -142,7 +142,6 @@ fn skewed_chunk_load_is_rebalanced_by_stealing() {
     let executor = DiffExecutorConfig {
         threads: 4,
         chunk_target: Some(1),
-        observe: Some(rle_systolic::systolic_core::obs::ObsConfig::default()),
         ..DiffExecutorConfig::default()
     }
     .build();
@@ -162,7 +161,7 @@ fn skewed_chunk_load_is_rebalanced_by_stealing() {
          idle workers are not rebalancing the shards"
     );
     // The per-job attribution never exceeds the executor-wide counter.
-    let snap = executor.observer().unwrap().metrics_snapshot();
+    let snap = executor.observer().metrics_snapshot();
     assert!(snap.chunks_stolen >= stolen, "{snap:?}");
 }
 
@@ -186,9 +185,7 @@ fn results_route_only_to_the_owning_job_under_churn() {
                     if round % 3 == 2 {
                         // Churn: walk away mid-job. Its rows must be
                         // discarded, never delivered to anyone else.
-                        let _ = handle
-                            .collect_next(Some(Instant::now()))
-                            .map(drop);
+                        let _ = handle.collect_next(Some(Instant::now())).map(drop);
                         handle.abandon();
                         continue;
                     }

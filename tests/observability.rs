@@ -112,8 +112,8 @@ fn clean_batches_reconcile_across_kernels() {
     let (a, b) = image_pair(768, 24, 0x0B5E);
     let expected = xor_image(&a, &b).unwrap().0;
     for kernel in [Kernel::Auto, Kernel::Rle, Kernel::Packed, Kernel::Systolic] {
-        let mut pipeline = DiffExecutorConfig::new(3).kernel(kernel).observe().build();
-        let obs = pipeline.observer().expect("observer attached");
+        let mut pipeline = DiffExecutorConfig::new(3).kernel(kernel).build();
+        let obs = pipeline.observer();
         let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(got, expected, "{kernel:?}");
 
@@ -144,13 +144,76 @@ fn clean_batches_reconcile_across_kernels() {
     }
 }
 
+/// The registry needs no `observe()`: executors built without it count
+/// every path — a worker batch, `diff_pair`, and the prefilter's inline
+/// residual — while recording no trace at all.
+#[test]
+fn registry_is_on_by_default() {
+    let (a, b) = image_pair(512, 12, 0xDEF0);
+    let expected = xor_image(&a, &b).unwrap().0;
+    let (a, b) = (Arc::new(a), Arc::new(b));
+
+    let mut executor = DiffExecutorConfig::new(3).build();
+    let (got, batch) = executor.diff_images_shared(&a, &b).unwrap();
+    assert_eq!(got, expected);
+    let job = executor.diff_pair(&a, &b, None).unwrap();
+    assert_eq!(job.image, expected);
+    let s = executor.observer().metrics_snapshot();
+    assert_eq!(
+        (s.jobs_submitted, s.rows_submitted, s.rows_completed),
+        (2, 24, 24)
+    );
+    assert_eq!(
+        s.chunks_dispatched,
+        (batch.chunks + job.stats.chunks) as u64
+    );
+
+    // The prefilter is a config switch of its own; the registry still
+    // needs no `observe()`. Only the first three rows may differ, so the
+    // residual is diffed inline on the host.
+    let rows = (0..a.height())
+        .map(|i| {
+            if i < 3 {
+                b.rows()[i].clone()
+            } else {
+                a.rows()[i].clone()
+            }
+        })
+        .collect();
+    let c = Arc::new(RleImage::from_rows(a.width(), rows).unwrap());
+    let residual = (0..a.height())
+        .filter(|&i| a.rows()[i].signature() != c.rows()[i].signature())
+        .count();
+    assert!(residual > 0, "some row must differ");
+    let mut prefiltered = DiffExecutorConfig::new(3).signature_prefilter().build();
+    let (got, stats) = prefiltered.diff_images_shared(&a, &c).unwrap();
+    assert_eq!(got, xor_image(&a, &c).unwrap().0);
+    assert_eq!(stats.chunks, 0, "the residual ran inline");
+    let s = prefiltered.observer().metrics_snapshot();
+    assert_eq!(s.rows_inline_diffed, residual as u64);
+    assert_eq!(s.rows_sig_skipped, (a.height() - residual) as u64);
+
+    for executor in [&executor, &prefiltered] {
+        let obs = executor.observer();
+        let s = obs.metrics_snapshot();
+        assert_ledger_closed(&s);
+        assert_eq!(s.trace_recorded, 0, "no ring, no events");
+        assert!(obs.trace_snapshot().is_empty());
+        let c = executor.counters();
+        assert_eq!(
+            (s.retries, s.respawns, s.timeouts),
+            (c.retries, c.respawns, c.timeouts)
+        );
+    }
+}
+
 #[test]
 fn metrics_accumulate_across_batches_and_streaming() {
     let (a, b) = image_pair(512, 10, 0xACC0);
     let a_arc = Arc::new(a.clone());
     let b_arc = Arc::new(b.clone());
     let mut pipeline = DiffExecutorConfig::new(2).observe().build();
-    let obs = pipeline.observer().unwrap();
+    let obs = pipeline.observer();
 
     pipeline.diff_images(&a, &b).unwrap();
     pipeline.diff_images_shared(&a_arc, &b_arc).unwrap();
@@ -185,7 +248,7 @@ fn metrics_accumulate_across_batches_and_streaming() {
 fn trace_is_causally_ordered_per_row() {
     let (a, b) = image_pair(640, 16, 0xCA5A);
     let mut pipeline = DiffExecutorConfig::new(4).observe().build();
-    let obs = pipeline.observer().unwrap();
+    let obs = pipeline.observer();
     pipeline.diff_images(&a, &b).unwrap();
     let events = obs.trace_snapshot();
 
@@ -245,7 +308,7 @@ fn trace_ring_wraps_without_corrupting_accounting() {
     let mut pipeline = DiffExecutorConfig::new(2)
         .observe_with(ObsConfig { trace_capacity: 16 })
         .build();
-    let obs = pipeline.observer().unwrap();
+    let obs = pipeline.observer();
     pipeline.diff_images(&a, &b).unwrap();
 
     let s = obs.metrics_snapshot();
@@ -272,7 +335,7 @@ fn trace_ring_wraps_without_corrupting_accounting() {
 #[test]
 fn row_errors_are_ledgered_not_lost() {
     let mut pipeline = DiffExecutorConfig::new(2).observe().build();
-    let obs = pipeline.observer().unwrap();
+    let obs = pipeline.observer();
     let good = rle_systolic::rle::RleRow::from_pairs(64, &[(0, 9)]).unwrap();
     let bad = rle_systolic::rle::RleRow::new(32); // width mismatch
     pipeline.submit(good.clone(), bad);
@@ -304,8 +367,8 @@ fn gauges_never_go_negative_under_concurrent_sampling() {
     // reads both gauges as fast as it can.
     let (a, b) = image_pair(512, 32, 0x6A06);
     let expected = xor_image(&a, &b).unwrap().0;
-    let mut pipeline = DiffExecutorConfig::new(4).chunk_target(1).observe().build();
-    let obs = pipeline.observer().unwrap();
+    let mut pipeline = DiffExecutorConfig::new(4).chunk_target(1).build();
+    let obs = pipeline.observer();
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let sampler = {
@@ -418,11 +481,8 @@ proptest! {
     ) {
         let kernel = [Kernel::Auto, Kernel::Rle, Kernel::Packed, Kernel::Systolic][kernel_ix];
         let (a, b) = image_pair(320, height, seed);
-        let mut pipeline = DiffExecutorConfig::new(threads)
-            .kernel(kernel)
-            .observe()
-            .build();
-        let obs = pipeline.observer().unwrap();
+        let mut pipeline = DiffExecutorConfig::new(threads).kernel(kernel).build();
+        let obs = pipeline.observer();
         let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
         prop_assert_eq!(&got, &xor_image(&a, &b).unwrap().0);
         prop_assert_eq!(stats.rows, height);
@@ -448,8 +508,8 @@ proptest! {
 
 #[test]
 fn shared_pipeline_stress_from_four_submitters() {
-    let pipeline = Arc::new(Mutex::new(DiffExecutorConfig::new(3).observe().build()));
-    let obs = pipeline.lock().unwrap().observer().unwrap();
+    let pipeline = Arc::new(Mutex::new(DiffExecutorConfig::new(3).build()));
+    let obs = pipeline.lock().unwrap().observer();
     let mut expected_rows = 0u64;
 
     std::thread::scope(|scope| {
@@ -530,7 +590,7 @@ fn executor_job_ledger_closes_per_job_and_in_aggregate() {
         }
         .build(),
     );
-    let obs = executor.observer().expect("executor built observed");
+    let obs = executor.observer();
 
     // 4 submitters × 3 jobs each, uneven heights so the chunk plans and
     // interleavings differ between jobs sharing the shards.
@@ -683,7 +743,7 @@ mod faults {
             .fault_plan(FaultPlan::new().panic_on_row(5))
             .observe()
             .build();
-        let obs = pipeline.observer().unwrap();
+        let obs = pipeline.observer();
         let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         assert_eq!(stats.retries, 1);
@@ -719,7 +779,7 @@ mod faults {
             .fault_plan(FaultPlan::new().die_on_row(3))
             .observe()
             .build();
-        let obs = pipeline.observer().unwrap();
+        let obs = pipeline.observer();
         let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         assert_eq!(stats.respawns, 1);
@@ -742,6 +802,33 @@ mod faults {
         );
     }
 
+    /// Supervision lands in the registry of an executor built without
+    /// `observe()`: a panic and a worker death each book their retry, the
+    /// death its respawn, and the trace stays empty.
+    #[test]
+    fn default_registry_counts_a_panic_and_a_worker_death() {
+        quiet_injected_panics();
+        let (a, b) = image_pair(512, 12, 0xDEF1);
+        let mut executor = DiffExecutorConfig::new(3)
+            .fault_plan(FaultPlan::new().panic_on_row(2).die_on_row(9))
+            .build();
+        let (got, stats) = executor.diff_images(&a, &b).unwrap();
+        assert_eq!(got, xor_image(&a, &b).unwrap().0);
+        assert_eq!((stats.retries, stats.respawns), (2, 1));
+
+        let obs = executor.observer();
+        let s = obs.metrics_snapshot();
+        assert_ledger_closed(&s);
+        assert_eq!((s.retries, s.respawns, s.timeouts), (2, 1, 0));
+        let c = executor.counters();
+        assert_eq!(
+            (s.retries, s.respawns, s.timeouts),
+            (c.retries, c.respawns, c.timeouts)
+        );
+        assert_eq!(s.trace_recorded, 0);
+        assert!(obs.trace_snapshot().is_empty());
+    }
+
     #[test]
     fn exhausted_retries_trace_the_failed_row() {
         quiet_injected_panics();
@@ -751,7 +838,7 @@ mod faults {
             .fault_plan(FaultPlan::new().panic_on_row_times(4, 10))
             .observe()
             .build();
-        let obs = pipeline.observer().unwrap();
+        let obs = pipeline.observer();
         let err = pipeline.diff_images(&a, &b).unwrap_err();
         assert!(matches!(
             err,
@@ -789,7 +876,7 @@ mod faults {
             .fault_plan(FaultPlan::new().stall_on_row(0, Duration::from_millis(300)))
             .observe()
             .build();
-        let obs = pipeline.observer().unwrap();
+        let obs = pipeline.observer();
         pipeline.submit(a.rows()[0].clone(), b.rows()[0].clone());
         let err = pipeline
             .collect_timeout(Duration::from_millis(40))
@@ -826,9 +913,8 @@ mod faults {
         let mut pipeline = DiffExecutorConfig::new(2)
             .row_deadline(Duration::from_millis(40))
             .fault_plan(FaultPlan::new().stall_on_row(0, stall))
-            .observe()
             .build();
-        let obs = pipeline.observer().unwrap();
+        let obs = pipeline.observer();
         let err = pipeline.diff_images(&a, &b).unwrap_err();
         assert!(matches!(
             err,
@@ -886,7 +972,7 @@ mod faults {
             .fault_plan(plan)
             .observe()
             .build();
-        let obs = pipeline.observer().unwrap();
+        let obs = pipeline.observer();
         let (got, _) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
 
@@ -956,9 +1042,8 @@ mod faults {
             .signature_prefilter()
             .row_deadline(Duration::from_millis(250))
             .fault_plan(plan)
-            .observe()
             .build();
-        let obs = executor.observer().unwrap();
+        let obs = executor.observer();
 
         let (got, stats) = executor.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, expected, "recovered residual rows are exact");
@@ -1013,11 +1098,10 @@ mod faults {
             // Job 1 takes tickets 0..8, job 2 takes 8..16; row 11 is
             // inside job 2.
             fault_plan: Some(FaultPlan::new().panic_on_row(11)),
-            observe: Some(ObsConfig::default()),
             ..DiffExecutorConfig::default()
         }
         .build();
-        let obs = executor.observer().unwrap();
+        let obs = executor.observer();
 
         let (a1, b1) = image_pair(512, 8, 0x0A11);
         let (a2, b2) = image_pair(512, 8, 0x0A22);
@@ -1055,11 +1139,10 @@ mod faults {
         let executor = DiffExecutorConfig {
             threads: 2,
             fault_plan: Some(FaultPlan::new().stall_on_row(0, stall)),
-            observe: Some(ObsConfig::default()),
             ..DiffExecutorConfig::default()
         }
         .build();
-        let obs = executor.observer().unwrap();
+        let obs = executor.observer();
 
         let (a1, b1) = image_pair(512, 6, 0xABA1);
         let err = executor

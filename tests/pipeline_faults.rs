@@ -180,7 +180,6 @@ fn abandoned_batch_heals_and_stale_deliveries_are_discarded() {
     // abandons that batch long before the stall ends.
     let mut pipeline = DiffExecutorConfig::new(2)
         .row_deadline(Duration::from_millis(100))
-        .observe()
         .fault_plan(FaultPlan::new().stall_on_row(1, Duration::from_millis(600)))
         .build();
     let err = pipeline.diff_images(&a, &b).unwrap_err();
@@ -212,7 +211,7 @@ fn abandoned_batch_heals_and_stale_deliveries_are_discarded() {
 
     // The metrics ledger reconciles across abandon + discard: every diffed
     // row was either handed to a caller or booked as discarded.
-    let obs = pipeline.observer().expect("observability enabled");
+    let obs = pipeline.observer();
     let snap = obs.metrics_snapshot();
     assert_eq!(
         snap.rows_diffed,
