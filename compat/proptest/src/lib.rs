@@ -205,7 +205,7 @@ pub mod prop {
             }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: SizeRange,

@@ -1,14 +1,14 @@
-//! The on-disk journal (`RDA2`): crash-consistent, append-only delta
-//! archive storage.
+//! The on-disk journal (`RDA2`): the crate's one archive store,
+//! crash-consistent and append-only.
 //!
-//! PR 8's [`DeltaArchive`] is an in-memory structure; persisting it means
-//! rewriting the whole file, so a crash mid-write loses every committed
-//! frame. [`ArchiveFile`] instead appends each frame as a self-describing,
-//! checksummed journal record followed by an explicit **commit record**;
-//! a frame exists if and only if its commit record is fully on disk. That
-//! makes append O(frame) I/O and turns every crash into a *torn tail*:
-//! open-time recovery scans forward, keeps the longest valid committed
-//! prefix, truncates the rest, and reports what was salvaged.
+//! [`ArchiveFile`] appends each frame as a self-describing, checksummed
+//! journal record followed by an explicit **commit record**; a frame
+//! exists if and only if its commit record is fully on disk. That makes
+//! append O(frame) I/O — earlier frames are never rewritten — and turns
+//! every crash into a *torn tail*: open-time recovery scans forward, keeps
+//! the longest valid committed prefix, truncates the rest, and reports
+//! what was salvaged. Legacy `RDA1` blobs enter only through
+//! [`ArchiveFile::from_rda1`].
 //!
 //! # Wire format
 //!
@@ -53,14 +53,15 @@
 //! commits might not have reached the platter.
 
 use std::io::SeekFrom;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use rle::serialize::{self, get_varint, put_varint};
-use rle::{Pixel, RleImage, RleRow};
+use rle::{Pixel, RleImage};
 
 use crate::crc::crc32;
 use crate::storage::Storage;
-use crate::{AppendOutcome, ArchiveError, ArchiveStats, DeltaArchive};
+use crate::{apply_delta, check_signatures, delta, read_signatures};
+use crate::{AppendOutcome, ArchiveError, ArchiveStats};
 
 /// Magic prefix of a journaled archive.
 pub const JOURNAL_MAGIC: &[u8; 4] = b"RDA2";
@@ -263,8 +264,6 @@ struct Scan {
 #[derive(Debug)]
 pub struct ArchiveFile<S: Storage> {
     storage: S,
-    /// Set for file-backed archives; enables [`ArchiveFile::compact`].
-    path: Option<PathBuf>,
     opts: ArchiveOptions,
     interval: usize,
     width: Pixel,
@@ -337,18 +336,7 @@ fn parse_body(
         return Err(TornReason::Malformed);
     }
     let runs = get_varint(body, &mut pos).map_err(|_| TornReason::Malformed)? as usize;
-    // Plausibility before allocation: the signature index must fit in the
-    // bytes that are actually present.
-    if (body.len() - pos) < height.saturating_mul(8) {
-        return Err(TornReason::Malformed);
-    }
-    let mut sigs = Vec::with_capacity(height);
-    for _ in 0..height {
-        sigs.push(u64::from_le_bytes(
-            body[pos..pos + 8].try_into().expect("8 bytes"),
-        ));
-        pos += 8;
-    }
+    let sigs = read_signatures(body, &mut pos, height).ok_or(TornReason::Malformed)?;
     let payload_len = get_varint(body, &mut pos).map_err(|_| TornReason::Malformed)? as usize;
     if body.len() - pos != payload_len {
         // The payload must account for every remaining byte — trailing
@@ -504,7 +492,6 @@ impl<S: Storage> ArchiveFile<S> {
         let interval = opts.keyframe_interval.max(1);
         let mut archive = Self {
             storage,
-            path: None,
             opts,
             interval,
             width: 0,
@@ -565,7 +552,6 @@ impl<S: Storage> ArchiveFile<S> {
         }
         let mut archive = Self {
             storage,
-            path: None,
             opts,
             interval,
             width: scan.width,
@@ -580,10 +566,38 @@ impl<S: Storage> ArchiveFile<S> {
         if !archive.entries.is_empty() {
             // Reconstruct (and signature-verify) the newest frame so
             // append stays incremental and committed-region corruption in
-            // the live tail fails at open, like `DeltaArchive::from_bytes`.
+            // the live tail fails at open.
             archive.last = Some(archive.extract(archive.entries.len() - 1)?);
         }
         Ok(archive)
+    }
+
+    /// Migrates a legacy `RDA1` blob (see the crate docs) into a fresh
+    /// journal on the **empty** `storage`, keeping the blob's own keyframe
+    /// cadence. The whole blob is parsed before anything is written; then
+    /// each frame is replayed, checked against the blob's signature index
+    /// and appended, so a corrupt frame anywhere fails the migration.
+    pub fn from_rda1(storage: S, blob: &[u8], fsync: FsyncPolicy) -> Result<Self, ArchiveError> {
+        let (keyframe_interval, frames) = crate::parse_rda1(blob)?;
+        let opts = ArchiveOptions {
+            keyframe_interval,
+            fsync,
+        };
+        let mut journal = Self::create_on(storage, opts)?;
+        let mut current: Option<RleImage> = None;
+        for (index, frame) in frames.into_iter().enumerate() {
+            let img = if frame.keyframe {
+                frame.payload
+            } else {
+                let mut img = current.take().expect("frame 0 parsed as a keyframe");
+                apply_delta(&mut img, &frame.payload, index)?;
+                img
+            };
+            check_signatures(&img, &frame.sigs, index)?;
+            journal.append(&img)?;
+            current = Some(img);
+        }
+        Ok(journal)
     }
 
     /// Frames committed.
@@ -670,17 +684,7 @@ impl<S: Storage> ArchiveFile<S> {
                 .last
                 .as_ref()
                 .expect("non-empty journal has a last frame");
-            let mut changed = 0usize;
-            let mut rows = Vec::with_capacity(self.height);
-            for (i, (pr, fr)) in prev.rows().iter().zip(frame.rows()).enumerate() {
-                if pr.signature() == sigs[i] {
-                    rows.push(RleRow::new(self.width));
-                } else {
-                    changed += 1;
-                    rows.push(rle::ops::xor(pr, fr));
-                }
-            }
-            (RleImage::from_rows(self.width, rows)?, changed)
+            delta(prev, frame, &sigs)?
         };
         let runs = payload.total_runs();
 
@@ -802,42 +806,16 @@ impl<S: Storage> ArchiveFile<S> {
             .expect("frame 0 is always a keyframe");
         let mut img = self.read_payload(key)?;
         for j in key + 1..=index {
-            let delta = self.read_payload(j)?;
-            for (i, d) in delta.rows().iter().enumerate() {
-                if !d.is_empty() {
-                    let replayed = rle::ops::xor(&img.rows()[i], d);
-                    img.set_row(i, replayed)?;
-                }
-            }
+            apply_delta(&mut img, &self.read_payload(j)?, j)?;
         }
-        let want = &self.entries[index].sigs;
-        for (i, row) in img.rows().iter().enumerate() {
-            if row.signature() != want[i] {
-                return Err(ArchiveError::SignatureMismatch {
-                    frame: index,
-                    row: i,
-                });
-            }
-        }
+        check_signatures(&img, &self.entries[index].sigs, index)?;
         Ok(img)
-    }
-
-    /// Imports every frame of an in-memory [`DeltaArchive`] (the `RDA1`
-    /// format), re-delta-ing on this journal's cadence. Returns the
-    /// number of frames imported.
-    pub fn import(&mut self, src: &DeltaArchive) -> Result<usize, ArchiveError> {
-        for i in 0..src.len() {
-            let frame = src.extract(i)?;
-            self.append(&frame)?;
-        }
-        Ok(src.len())
     }
 
     /// Rewrites the archive onto `target` with a new keyframe cadence,
     /// replaying and verifying every frame. The new journal is synced
     /// before this returns; `self` is not modified — the caller decides
-    /// when (and whether) the compacted copy replaces the original. This
-    /// is the storage-agnostic core of [`ArchiveFile::compact`].
+    /// when (and whether) the compacted copy replaces the original.
     pub fn compact_into<T: Storage>(
         &mut self,
         target: T,
@@ -902,52 +880,29 @@ impl<S: Storage> ArchiveFile<S> {
         // Deep verify: one forward replay over all frames, checking each
         // reconstruction against its stored signature index.
         let mut current: Option<RleImage> = None;
-        'verify: for (index, entry) in scan.entries.iter().enumerate() {
+        for (index, entry) in scan.entries.iter().enumerate() {
             let mut prefix = [0u8; FRAME_PREFIX_LEN as usize];
             let mut body = vec![0u8; entry.body_len as usize];
             let intact = try_read_exact(storage, entry.offset, &mut prefix)?
                 && try_read_exact(storage, entry.offset + FRAME_PREFIX_LEN, &mut body)?
                 && crc32(&body) == u32_at(&prefix, 5);
-            if !intact {
-                report.first_corrupt = Some(index);
-                break;
-            }
-            let Ok(parsed) = parse_body(&body, index as u32, None) else {
-                report.first_corrupt = Some(index);
-                break;
-            };
-            let Ok(payload) = serialize::decode_image(&body[parsed.payload]) else {
-                report.first_corrupt = Some(index);
-                break;
-            };
-            let frame = if entry.keyframe {
-                payload
-            } else {
-                let Some(mut img) = current.take() else {
-                    report.first_corrupt = Some(index);
-                    break;
+            let replayed = intact.then(|| {
+                let parsed = parse_body(&body, index as u32, None).ok()?;
+                let payload = serialize::decode_image(&body[parsed.payload]).ok()?;
+                let frame = if entry.keyframe {
+                    payload
+                } else {
+                    let mut img = current.take()?;
+                    apply_delta(&mut img, &payload, index).ok()?;
+                    img
                 };
-                if payload.width() != img.width() || payload.height() != img.height() {
-                    report.first_corrupt = Some(index);
-                    break;
-                }
-                for (i, d) in payload.rows().iter().enumerate() {
-                    if !d.is_empty() {
-                        let replayed = rle::ops::xor(&img.rows()[i], d);
-                        if img.set_row(i, replayed).is_err() {
-                            report.first_corrupt = Some(index);
-                            break 'verify;
-                        }
-                    }
-                }
-                img
+                check_signatures(&frame, &entry.sigs, index).ok()?;
+                Some(frame)
+            });
+            let Some(frame) = replayed.flatten() else {
+                report.first_corrupt = Some(index);
+                break;
             };
-            for (i, row) in frame.rows().iter().enumerate() {
-                if row.signature() != entry.sigs[i] {
-                    report.first_corrupt = Some(index);
-                    break 'verify;
-                }
-            }
             report.verified += 1;
             current = Some(frame);
         }
@@ -1025,49 +980,13 @@ impl ArchiveFile<std::fs::File> {
     /// Opens (or creates) a journal at `path`, with recovery as in
     /// [`ArchiveFile::open_on`].
     pub fn open(path: impl AsRef<Path>, opts: ArchiveOptions) -> Result<Self, ArchiveError> {
-        let path = path.as_ref();
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut archive = Self::open_on(file, opts)?;
-        archive.path = Some(path.to_path_buf());
-        Ok(archive)
-    }
-
-    /// Re-keyframes the journal in place, crash-safely: the compacted
-    /// copy is written to a temporary sibling file, synced, and atomically
-    /// renamed over the original — a crash at any point leaves either the
-    /// old journal or the new one, never a mix.
-    pub fn compact(&mut self, keyframe_interval: usize) -> Result<(), ArchiveError> {
-        let path = self
-            .path
-            .clone()
-            .expect("compact is only reachable on path-opened archives");
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".compact");
-        let tmp = PathBuf::from(tmp);
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        let result = self.compact_into(file, keyframe_interval);
-        let compacted = match result {
-            Ok(c) => c,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
-        drop(compacted); // already synced by compact_into
-        std::fs::rename(&tmp, &path)?;
-        let opts = self.opts;
-        *self = Self::open(&path, opts)?;
-        Ok(())
+        Self::open_on(file, opts)
     }
 }
 
@@ -1075,6 +994,7 @@ impl ArchiveFile<std::fs::File> {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
+    use rle::RleRow;
 
     fn sequence(frames: usize, width: Pixel, height: usize) -> Vec<RleImage> {
         (0..frames)
@@ -1271,18 +1191,25 @@ mod tests {
 
     #[test]
     fn import_migrates_an_rda1_archive() {
-        let frames = sequence(9, 24, 5);
-        let mut old = DeltaArchive::new(4);
-        for f in &frames {
-            old.append(f).unwrap();
+        // The legacy blob and the v1 journal fixture hold the same
+        // 12-frame stream (recipe in `tests/delta_archive.rs`).
+        let legacy = include_bytes!("../testdata/legacy.rda1");
+        let v1 = include_bytes!("../testdata/v1.rda2").to_vec();
+        let mut journal =
+            ArchiveFile::from_rda1(MemStorage::new(), legacy, FsyncPolicy::OnClose).unwrap();
+        let mut reference = ArchiveFile::open_on(MemStorage::from_bytes(v1), opts(4)).unwrap();
+        assert_eq!(journal.len(), 12);
+        for i in 0..12 {
+            assert_eq!(
+                journal.extract(i).unwrap(),
+                reference.extract(i).unwrap(),
+                "migrated frame {i}"
+            );
         }
-        let mut journal = ArchiveFile::create_on(MemStorage::new(), opts(3)).unwrap();
-        assert_eq!(journal.import(&old).unwrap(), 9);
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(&journal.extract(i).unwrap(), f, "migrated frame {i}");
-        }
-        // Re-delta'd on the journal's cadence, not the source's.
-        assert_eq!(journal.stat().keyframes, 3);
+        // Keyframes stay on the blob's cadence: every 4th of 12.
+        let stats = journal.stat();
+        assert_eq!(journal.keyframe_interval(), 4);
+        assert_eq!((stats.keyframes, stats.delta_rows), (3, 36));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! motion detection) differ in a handful of rows; storing every frame in
 //! full re-pays the cost of everything that *didn't* change. This crate
 //! persists a sequence as **keyframes plus per-row XOR deltas**, keyed by
-//! the 64-bit row signatures from [`rle::sig`]:
+//! the 64-bit row signatures from [`rle::sig`], in one store: the
+//! crash-safe, append-only `RDA2` journal [`ArchiveFile`] (format and
+//! recovery in [`journal`]).
 //!
 //! * **Append** compares the new frame's row signatures against the
 //!   previous frame's (both cached on the rows, so the compare is O(1) per
@@ -16,16 +18,20 @@
 //!   against the stored signature index — bit-rot anywhere in the replay
 //!   chain surfaces as a typed [`ArchiveError::SignatureMismatch`], not as
 //!   a silently wrong image.
-//! * **Re-keyframing** ([`DeltaArchive::compact`]) bounds replay cost: a
-//!   full keyframe is stored every `keyframe_interval` frames, so no
+//! * **Re-keyframing** ([`ArchiveFile::compact_into`]) bounds replay cost:
+//!   a full keyframe is stored every `keyframe_interval` frames, so no
 //!   extraction replays more than `interval − 1` deltas.
 //!
-//! The wire format (`RDA1`) embeds each payload as a standard `RLI1` blob
-//! from [`rle::serialize`], inheriting its hardening wholesale: varints are
-//! bounds-checked, declared counts are capped by what the remaining input
-//! could plausibly hold *before* any allocation, and malformed input of any
-//! kind produces a typed error, never a panic. The archive's own header
-//! fields follow the same plausibility-cap discipline.
+//! Append, extract, `fsck`'s deep verify and the legacy import share one
+//! private delta codec, so every path computes, replays and checks a delta
+//! the same way.
+//!
+//! Each payload is a standard `RLI1` blob from [`rle::serialize`],
+//! inheriting its hardening wholesale: varints are bounds-checked,
+//! declared counts are capped by what the remaining input could plausibly
+//! hold *before* any allocation, and malformed input of any kind produces
+//! a typed error, never a panic. The archive's own header fields follow
+//! the same plausibility-cap discipline.
 //!
 //! Like the signatures themselves, delta elision is probabilistic at the
 //! 2⁻⁶⁴ level: two different rows whose signatures collide would be stored
@@ -34,7 +40,12 @@
 //! own integrity check catches every *storage or replay* corruption, which
 //! is the failure mode archives actually see.
 //!
-//! # Wire format
+//! # Legacy import format
+//!
+//! Archives written before the journal are whole-file `RDA1` blobs. This
+//! crate reads them but never writes them: [`ArchiveFile::from_rda1`]
+//! parses the whole blob, replays and checks every frame, and migrates it
+//! into a journal with the blob's own keyframe cadence.
 //!
 //! ```text
 //! archive := "RDA1" width:u32le height:varint interval:varint count:varint frame*
@@ -48,7 +59,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rle::serialize::{self, get_varint, put_varint, DecodeError};
+use rle::serialize::{self, get_varint, DecodeError};
 use rle::{Pixel, RleError, RleImage, RleRow};
 
 mod crc;
@@ -62,12 +73,10 @@ pub use journal::{
 pub use storage::{CrashMode, CrashPlan, FaultStorage};
 pub use storage::{MemStorage, Storage};
 
-const MAGIC: &[u8; 4] = b"RDA1";
-
-/// Magic of the legacy whole-blob [`DeltaArchive::to_bytes`] format —
+/// Magic of the legacy whole-blob `RDA1` format (see the crate docs) —
 /// exported so front ends can sniff a file's format and route it to
-/// [`DeltaArchive::from_bytes`] or the [`journal`] accordingly.
-pub const LEGACY_MAGIC: &[u8; 4] = MAGIC;
+/// [`ArchiveFile::from_rda1`] or [`ArchiveFile::open_on`] accordingly.
+pub const LEGACY_MAGIC: &[u8; 4] = b"RDA1";
 
 /// Default re-keyframe cadence: a keyframe every 16 frames bounds any
 /// extraction to at most 15 delta replays while keeping the storage
@@ -78,7 +87,8 @@ pub const DEFAULT_KEYFRAME_INTERVAL: usize = 16;
 /// a typed error; nothing panics.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ArchiveError {
-    /// The archive magic did not match `RDA1`.
+    /// The input starts with neither the journal magic (`RDA2`) nor the
+    /// legacy one (`RDA1`).
     BadMagic,
     /// The byte stream ended mid-value.
     Truncated,
@@ -152,7 +162,10 @@ pub enum ArchiveError {
 impl std::fmt::Display for ArchiveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ArchiveError::BadMagic => write!(f, "bad archive magic (want RDA1)"),
+            ArchiveError::BadMagic => write!(
+                f,
+                "bad archive magic (want an RDA2 journal or a legacy RDA1 blob)"
+            ),
             ArchiveError::Truncated => write!(f, "archive truncated"),
             ArchiveError::ImplausibleCount {
                 declared,
@@ -221,22 +234,7 @@ impl From<RleError> for ArchiveError {
     }
 }
 
-/// One stored frame: either a full keyframe or an XOR delta against the
-/// previous frame, plus the frame's signature index.
-#[derive(Clone, Debug)]
-struct FrameRecord {
-    keyframe: bool,
-    /// Full frame (keyframe) or delta image with empty rows where the
-    /// signature matched the previous frame.
-    payload: RleImage,
-    /// Row signatures of the *reconstructed* frame (the integrity index).
-    sigs: Vec<u64>,
-    /// Rows whose signature differed from the previous frame (== height
-    /// for keyframe 0; informational for [`ArchiveStats`]).
-    changed_rows: usize,
-}
-
-/// Summary of an archive's shape (see [`DeltaArchive::stat`]).
+/// Summary of an archive's shape (see [`ArchiveFile::stat`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArchiveStats {
     /// Frames stored.
@@ -255,7 +253,7 @@ pub struct ArchiveStats {
     /// Total runs stored across all payloads (keyframes + deltas) — the
     /// archive's size driver.
     pub stored_runs: usize,
-    /// Committed journal size in bytes (0 for in-memory archives).
+    /// Committed journal size in bytes.
     pub journal_bytes: u64,
     /// Torn/uncommitted bytes truncated by open-time recovery.
     pub recovered_tail_bytes: u64,
@@ -273,7 +271,7 @@ pub struct ArchiveStats {
     pub syncs: u64,
 }
 
-/// Outcome of one [`DeltaArchive::append`].
+/// Outcome of one [`ArchiveFile::append`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AppendOutcome {
     /// Index the frame was stored at.
@@ -285,338 +283,160 @@ pub struct AppendOutcome {
     pub changed_rows: usize,
 }
 
-/// A versioned sequence of same-sized RLE images stored as keyframes plus
-/// XOR deltas (see the crate docs for the format and guarantees).
-#[derive(Clone, Debug)]
-pub struct DeltaArchive {
-    width: Pixel,
-    height: usize,
-    keyframe_interval: usize,
-    frames: Vec<FrameRecord>,
-    /// Reconstruction of the newest frame, kept so append is incremental.
-    last: Option<RleImage>,
+/// The delta codec's encoder: the delta of `frame` against `prev`. Rows
+/// whose signature matches `sigs` (the frame's own) stay empty; the rest
+/// hold `prev XOR frame`. Returns the delta image and the changed-row
+/// count.
+fn delta(
+    prev: &RleImage,
+    frame: &RleImage,
+    sigs: &[u64],
+) -> Result<(RleImage, usize), ArchiveError> {
+    let mut changed = 0;
+    let rows = prev
+        .rows()
+        .iter()
+        .zip(frame.rows())
+        .zip(sigs)
+        .map(|((pr, fr), &sig)| {
+            if pr.signature() == sig {
+                RleRow::new(frame.width())
+            } else {
+                changed += 1;
+                rle::ops::xor(pr, fr)
+            }
+        })
+        .collect();
+    Ok((RleImage::from_rows(frame.width(), rows)?, changed))
 }
 
-impl DeltaArchive {
-    /// An empty archive; dimensions are adopted from the first appended
-    /// frame. `keyframe_interval` is clamped to at least 1.
-    #[must_use]
-    pub fn new(keyframe_interval: usize) -> Self {
-        Self {
-            width: 0,
-            height: 0,
-            keyframe_interval: keyframe_interval.max(1),
-            frames: Vec::new(),
-            last: None,
+/// The delta codec's decoder: replays `delta` onto `img` in place, XORing
+/// every non-empty delta row into its row. A delta whose geometry differs
+/// from `img`'s is a malformed payload of `frame`.
+fn apply_delta(img: &mut RleImage, delta: &RleImage, frame: usize) -> Result<(), ArchiveError> {
+    if delta.width() != img.width() || delta.height() != img.height() {
+        return Err(ArchiveError::PayloadGeometry { frame });
+    }
+    for (i, d) in delta.rows().iter().enumerate() {
+        if !d.is_empty() {
+            let replayed = rle::ops::xor(&img.rows()[i], d);
+            img.set_row(i, replayed)?;
         }
     }
+    Ok(())
+}
 
-    /// Frames stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.frames.len()
+/// The delta codec's integrity check: a reconstruction of `frame` must
+/// match its stored signature index row for row.
+fn check_signatures(img: &RleImage, sigs: &[u64], frame: usize) -> Result<(), ArchiveError> {
+    if img.height() != sigs.len() {
+        return Err(ArchiveError::PayloadGeometry { frame });
     }
-
-    /// Whether the archive holds no frames.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+    match img
+        .rows()
+        .iter()
+        .zip(sigs)
+        .position(|(row, &sig)| row.signature() != sig)
+    {
+        Some(row) => Err(ArchiveError::SignatureMismatch { frame, row }),
+        None => Ok(()),
     }
+}
 
-    /// Image width (0 until the first frame is appended).
-    #[must_use]
-    pub fn width(&self) -> Pixel {
-        self.width
+/// Reads a signature index of `height` little-endian `u64`s at `*pos`, or
+/// `None` when fewer bytes remain — checked before anything is allocated.
+/// Shared by the `RDA1` and `RDA2` body parsers.
+fn read_signatures(data: &[u8], pos: &mut usize, height: usize) -> Option<Vec<u64>> {
+    let bytes = data.get(*pos..)?.get(..height.checked_mul(8)?)?;
+    *pos += bytes.len();
+    Some(
+        bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect(),
+    )
+}
+
+/// One frame of a legacy `RDA1` blob, as parsed.
+struct LegacyFrame {
+    keyframe: bool,
+    /// Full frame (keyframe) or XOR delta image.
+    payload: RleImage,
+    /// Row signatures of the reconstructed frame (the integrity index).
+    sigs: Vec<u64>,
+}
+
+/// Parses a whole legacy `RDA1` blob into its keyframe interval and
+/// frames, enforcing the same plausibility caps as [`rle::serialize`]:
+/// declared counts are checked against what the remaining input could
+/// hold *before* anything is allocated. Replaying and checking the frames
+/// is [`ArchiveFile::from_rda1`]'s job.
+fn parse_rda1(data: &[u8]) -> Result<(usize, Vec<LegacyFrame>), ArchiveError> {
+    if data.len() < LEGACY_MAGIC.len() {
+        return Err(ArchiveError::Truncated);
     }
-
-    /// Image height (0 until the first frame is appended).
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.height
+    if &data[..LEGACY_MAGIC.len()] != LEGACY_MAGIC {
+        return Err(ArchiveError::BadMagic);
     }
-
-    /// Re-keyframe cadence.
-    #[must_use]
-    pub fn keyframe_interval(&self) -> usize {
-        self.keyframe_interval
+    let width = data.get(4..8).ok_or(ArchiveError::Truncated)?;
+    let width = Pixel::from_le_bytes(width.try_into().expect("4 bytes"));
+    let mut pos = 8;
+    let height = get_varint(data, &mut pos)? as usize;
+    let keyframe_interval = get_varint(data, &mut pos)? as usize;
+    if keyframe_interval == 0 {
+        return Err(ArchiveError::ZeroInterval);
     }
-
-    /// The stored signature index of frame `index`.
-    pub fn signatures(&self, index: usize) -> Result<&[u64], ArchiveError> {
-        self.frames
-            .get(index)
-            .map(|f| f.sigs.as_slice())
-            .ok_or(ArchiveError::FrameOutOfRange {
-                index,
-                frames: self.frames.len(),
-            })
+    let count = get_varint(data, &mut pos)? as usize;
+    // Every frame costs at least: 1 flag byte + 1 changed varint byte
+    // + 8 bytes per row of signature index + 1 payload-length byte +
+    // the RLI1 header (magic + width + height ≥ 9 bytes).
+    let per_frame_floor = (8 * height as u64) + 11;
+    let remaining = (data.len() - pos) as u64;
+    let max_plausible = remaining / per_frame_floor;
+    if count as u64 > max_plausible {
+        return Err(ArchiveError::ImplausibleCount {
+            declared: count as u64,
+            max_plausible,
+        });
     }
-
-    /// Appends the next version of the image. The first frame (and every
-    /// `keyframe_interval`-th after it) is stored in full; other frames
-    /// store only the XOR of rows whose signatures changed since the
-    /// previous frame — cost proportional to the churn, not the image.
-    pub fn append(&mut self, frame: &RleImage) -> Result<AppendOutcome, ArchiveError> {
-        if self.frames.is_empty() {
-            self.width = frame.width();
-            self.height = frame.height();
-        } else if frame.width() != self.width || frame.height() != self.height {
-            return Err(ArchiveError::DimensionMismatch {
-                expected: (self.width, self.height),
-                got: (frame.width(), frame.height()),
+    let mut frames = Vec::with_capacity(count);
+    for frame in 0..count {
+        let &flags = data.get(pos).ok_or(ArchiveError::Truncated)?;
+        pos += 1;
+        let keyframe = flags & 1 != 0;
+        let changed_rows = get_varint(data, &mut pos)? as usize;
+        if changed_rows > height {
+            return Err(ArchiveError::ImplausibleCount {
+                declared: changed_rows as u64,
+                max_plausible: height as u64,
             });
         }
-        let index = self.frames.len();
-        let sigs = frame.row_signatures();
-        let keyframe = index.is_multiple_of(self.keyframe_interval);
-        let (payload, changed_rows) = if keyframe {
-            (frame.clone(), self.height)
-        } else {
-            let prev = self
-                .last
-                .as_ref()
-                .expect("non-empty archive has a last frame");
-            let mut changed = 0usize;
-            let mut rows = Vec::with_capacity(self.height);
-            for (i, (pr, fr)) in prev.rows().iter().zip(frame.rows()).enumerate() {
-                if pr.signature() == sigs[i] {
-                    rows.push(RleRow::new(self.width));
-                } else {
-                    changed += 1;
-                    rows.push(rle::ops::xor(pr, fr));
-                }
-            }
-            (RleImage::from_rows(self.width, rows)?, changed)
-        };
-        self.frames.push(FrameRecord {
+        let sigs = read_signatures(data, &mut pos, height).ok_or(ArchiveError::Truncated)?;
+        let payload_len = get_varint(data, &mut pos)? as usize;
+        let payload = data[pos..]
+            .get(..payload_len)
+            .ok_or(ArchiveError::Truncated)?;
+        let payload = serialize::decode_image(payload)?;
+        pos += payload_len;
+        if payload.width() != width || payload.height() != height || (frame == 0 && !keyframe) {
+            return Err(ArchiveError::PayloadGeometry { frame });
+        }
+        frames.push(LegacyFrame {
             keyframe,
             payload,
             sigs,
-            changed_rows,
         });
-        self.last = Some(frame.clone());
-        Ok(AppendOutcome {
-            frame: index,
-            keyframe,
-            changed_rows,
-        })
     }
-
-    /// Reconstructs frame `index` bit-identically by replaying deltas from
-    /// the nearest keyframe, then verifies the reconstruction against the
-    /// stored signature index.
-    pub fn extract(&self, index: usize) -> Result<RleImage, ArchiveError> {
-        if index >= self.frames.len() {
-            return Err(ArchiveError::FrameOutOfRange {
-                index,
-                frames: self.frames.len(),
-            });
-        }
-        let key = (0..=index)
-            .rev()
-            .find(|&i| self.frames[i].keyframe)
-            .expect("frame 0 is always a keyframe");
-        let mut img = self.frames[key].payload.clone();
-        if img.width() != self.width || img.height() != self.height {
-            return Err(ArchiveError::PayloadGeometry { frame: key });
-        }
-        for j in key + 1..=index {
-            let delta = &self.frames[j].payload;
-            if delta.width() != self.width || delta.height() != self.height {
-                return Err(ArchiveError::PayloadGeometry { frame: j });
-            }
-            for (i, d) in delta.rows().iter().enumerate() {
-                if !d.is_empty() {
-                    let replayed = rle::ops::xor(&img.rows()[i], d);
-                    img.set_row(i, replayed)?;
-                }
-            }
-        }
-        let want = &self.frames[index].sigs;
-        for (i, row) in img.rows().iter().enumerate() {
-            if row.signature() != want[i] {
-                return Err(ArchiveError::SignatureMismatch {
-                    frame: index,
-                    row: i,
-                });
-            }
-        }
-        Ok(img)
-    }
-
-    /// Rebuilds the archive with a new keyframe cadence (clamped to ≥ 1)
-    /// in one forward replay — re-keyframing after the fact, so replay
-    /// cost stays bounded however the archive was written. The stored
-    /// sequence of frames is unchanged.
-    pub fn compact(&mut self, keyframe_interval: usize) -> Result<(), ArchiveError> {
-        let mut rebuilt = DeltaArchive::new(keyframe_interval);
-        let mut current: Option<RleImage> = None;
-        for (index, record) in self.frames.iter().enumerate() {
-            let frame = if record.keyframe {
-                record.payload.clone()
-            } else {
-                let mut img = current.take().expect("deltas always follow a frame");
-                for (i, d) in record.payload.rows().iter().enumerate() {
-                    if !d.is_empty() {
-                        let replayed = rle::ops::xor(&img.rows()[i], d);
-                        img.set_row(i, replayed)?;
-                    }
-                }
-                img
-            };
-            for (i, row) in frame.rows().iter().enumerate() {
-                if row.signature() != record.sigs[i] {
-                    return Err(ArchiveError::SignatureMismatch {
-                        frame: index,
-                        row: i,
-                    });
-                }
-            }
-            rebuilt.append(&frame)?;
-            current = Some(frame);
-        }
-        *self = rebuilt;
-        Ok(())
-    }
-
-    /// Shape summary (frame counts, churn, stored size drivers).
-    #[must_use]
-    pub fn stat(&self) -> ArchiveStats {
-        ArchiveStats {
-            frames: self.frames.len(),
-            keyframes: self.frames.iter().filter(|f| f.keyframe).count(),
-            width: self.width,
-            height: self.height,
-            keyframe_interval: self.keyframe_interval,
-            delta_rows: self
-                .frames
-                .iter()
-                .filter(|f| !f.keyframe)
-                .map(|f| f.changed_rows)
-                .sum(),
-            stored_runs: self.frames.iter().map(|f| f.payload.total_runs()).sum(),
-            ..ArchiveStats::default()
-        }
-    }
-
-    /// Serializes the archive (see the crate docs for the `RDA1` format).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&self.width.to_le_bytes());
-        put_varint(&mut out, self.height as u32);
-        put_varint(&mut out, self.keyframe_interval as u32);
-        put_varint(&mut out, self.frames.len() as u32);
-        for record in &self.frames {
-            out.push(u8::from(record.keyframe));
-            put_varint(&mut out, record.changed_rows as u32);
-            for sig in &record.sigs {
-                out.extend_from_slice(&sig.to_le_bytes());
-            }
-            let payload = serialize::encode_image(&record.payload);
-            put_varint(&mut out, payload.len() as u32);
-            out.extend_from_slice(&payload);
-        }
-        out
-    }
-
-    /// Deserializes an archive, enforcing the same plausibility caps as
-    /// [`rle::serialize`]: declared counts are checked against what the
-    /// remaining input could hold *before* anything is allocated, and the
-    /// newest frame is reconstructed (and signature-verified) so a corrupt
-    /// tail fails at load instead of at first append.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, ArchiveError> {
-        if data.len() < MAGIC.len() {
-            return Err(ArchiveError::Truncated);
-        }
-        if &data[..MAGIC.len()] != MAGIC {
-            return Err(ArchiveError::BadMagic);
-        }
-        let mut pos = MAGIC.len();
-        if data.len() < pos + 4 {
-            return Err(ArchiveError::Truncated);
-        }
-        let width = Pixel::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-        pos += 4;
-        let height = get_varint(data, &mut pos)? as usize;
-        let keyframe_interval = get_varint(data, &mut pos)? as usize;
-        if keyframe_interval == 0 {
-            return Err(ArchiveError::ZeroInterval);
-        }
-        let count = get_varint(data, &mut pos)? as usize;
-        // Every frame costs at least: 1 flag byte + 1 changed varint byte
-        // + 8 bytes per row of signature index + 1 payload-length byte +
-        // the RLI1 header (magic + width + height ≥ 9 bytes).
-        let per_frame_floor = (8 * height as u64) + 11;
-        let remaining = (data.len() - pos) as u64;
-        let max_plausible = remaining / per_frame_floor;
-        if count as u64 > max_plausible {
-            return Err(ArchiveError::ImplausibleCount {
-                declared: count as u64,
-                max_plausible,
-            });
-        }
-        let mut frames = Vec::with_capacity(count);
-        for frame in 0..count {
-            let &flags = data.get(pos).ok_or(ArchiveError::Truncated)?;
-            pos += 1;
-            let keyframe = flags & 1 != 0;
-            let changed_rows = get_varint(data, &mut pos)? as usize;
-            if changed_rows > height {
-                return Err(ArchiveError::ImplausibleCount {
-                    declared: changed_rows as u64,
-                    max_plausible: height as u64,
-                });
-            }
-            if data.len() - pos < 8 * height {
-                return Err(ArchiveError::Truncated);
-            }
-            let mut sigs = Vec::with_capacity(height);
-            for _ in 0..height {
-                sigs.push(u64::from_le_bytes(
-                    data[pos..pos + 8].try_into().expect("8 bytes"),
-                ));
-                pos += 8;
-            }
-            let payload_len = get_varint(data, &mut pos)? as usize;
-            if data.len() - pos < payload_len {
-                return Err(ArchiveError::Truncated);
-            }
-            let payload = serialize::decode_image(&data[pos..pos + payload_len])?;
-            pos += payload_len;
-            if payload.width() != width || payload.height() != height {
-                return Err(ArchiveError::PayloadGeometry { frame });
-            }
-            if frame == 0 && !keyframe {
-                return Err(ArchiveError::PayloadGeometry { frame });
-            }
-            frames.push(FrameRecord {
-                keyframe,
-                payload,
-                sigs,
-                changed_rows,
-            });
-        }
-        let mut archive = Self {
-            width: if frames.is_empty() { 0 } else { width },
-            height: if frames.is_empty() { 0 } else { height },
-            keyframe_interval,
-            frames,
-            last: None,
-        };
-        if !archive.is_empty() {
-            // Reconstruct (and thereby signature-verify) the newest frame
-            // so append stays incremental and a corrupt tail fails here.
-            archive.last = Some(archive.extract(archive.len() - 1)?);
-        }
-        Ok(archive)
-    }
+    Ok((keyframe_interval, frames))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rle::serialize::put_varint;
+
+    /// The 12-frame legacy fixture (recipe in `tests/delta_archive.rs`).
+    const LEGACY: &[u8] = include_bytes!("../testdata/legacy.rda1");
 
     /// A deterministic little sequence: a bar that marches one row down
     /// per frame over a static background.
@@ -639,10 +459,22 @@ mod tests {
             .collect()
     }
 
+    fn journal(interval: usize) -> ArchiveFile<MemStorage> {
+        let opts = ArchiveOptions {
+            keyframe_interval: interval,
+            fsync: FsyncPolicy::OnClose,
+        };
+        ArchiveFile::create_on(MemStorage::new(), opts).unwrap()
+    }
+
+    fn from_rda1(blob: &[u8]) -> Result<ArchiveFile<MemStorage>, ArchiveError> {
+        ArchiveFile::from_rda1(MemStorage::new(), blob, FsyncPolicy::OnClose)
+    }
+
     #[test]
     fn round_trip_reconstructs_every_frame() {
         let frames = sequence(20, 32, 7);
-        let mut archive = DeltaArchive::new(5);
+        let mut archive = journal(5);
         for (i, f) in frames.iter().enumerate() {
             let outcome = archive.append(f).unwrap();
             assert_eq!(outcome.frame, i);
@@ -651,10 +483,11 @@ mod tests {
         for (i, f) in frames.iter().enumerate() {
             assert_eq!(&archive.extract(i).unwrap(), f, "frame {i}");
         }
-        let bytes = archive.to_bytes();
-        let back = DeltaArchive::from_bytes(&bytes).unwrap();
+        let bytes = archive.into_storage().into_bytes();
+        let mut back =
+            ArchiveFile::open_on(MemStorage::from_bytes(bytes), ArchiveOptions::default()).unwrap();
         for (i, f) in frames.iter().enumerate() {
-            assert_eq!(&back.extract(i).unwrap(), f, "decoded frame {i}");
+            assert_eq!(&back.extract(i).unwrap(), f, "reopened frame {i}");
         }
         let stats = back.stat();
         assert_eq!(stats.frames, 20);
@@ -668,9 +501,8 @@ mod tests {
 
     #[test]
     fn deltas_store_only_changed_rows() {
-        let frames = sequence(4, 32, 8);
-        let mut archive = DeltaArchive::new(100);
-        for f in &frames {
+        let mut archive = journal(100);
+        for f in &sequence(4, 32, 8) {
             archive.append(f).unwrap();
         }
         let stats = archive.stat();
@@ -681,32 +513,37 @@ mod tests {
     #[test]
     fn compact_rekeys_and_preserves_content() {
         let frames = sequence(17, 24, 5);
-        let mut archive = DeltaArchive::new(100);
+        let mut archive = journal(100);
         for f in &frames {
             archive.append(f).unwrap();
         }
         assert_eq!(archive.stat().keyframes, 1);
-        archive.compact(4).unwrap();
-        assert_eq!(archive.keyframe_interval(), 4);
-        assert_eq!(archive.stat().keyframes, 5);
+        let mut compacted = archive.compact_into(MemStorage::new(), 4).unwrap();
+        assert_eq!(compacted.keyframe_interval(), 4);
+        assert_eq!(compacted.stat().keyframes, 5);
         for (i, f) in frames.iter().enumerate() {
-            assert_eq!(&archive.extract(i).unwrap(), f, "frame {i} after compact");
+            assert_eq!(&compacted.extract(i).unwrap(), f, "frame {i} after compact");
         }
         // Appending continues on the new cadence.
-        archive.append(&frames[0]).unwrap();
-        assert_eq!(archive.extract(17).unwrap(), frames[0]);
+        compacted.append(&frames[0]).unwrap();
+        assert_eq!(compacted.extract(17).unwrap(), frames[0]);
     }
 
     #[test]
     fn dimension_and_range_errors_are_typed() {
         let frames = sequence(2, 32, 4);
-        let mut archive = DeltaArchive::new(4);
+        let mut archive = journal(4);
         archive.append(&frames[0]).unwrap();
-        let tall = RleImage::new(32, 5);
-        assert!(matches!(
-            archive.append(&tall),
-            Err(ArchiveError::DimensionMismatch { .. })
-        ));
+        for odd in [RleImage::new(32, 5), RleImage::new(33, 4)] {
+            assert_eq!(
+                archive.append(&odd),
+                Err(ArchiveError::DimensionMismatch {
+                    expected: (32, 4),
+                    got: (odd.width(), odd.height()),
+                })
+            );
+        }
+        assert_eq!(archive.len(), 1, "a rejected frame writes nothing");
         assert!(matches!(
             archive.extract(7),
             Err(ArchiveError::FrameOutOfRange {
@@ -722,16 +559,13 @@ mod tests {
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        let frames = sequence(6, 16, 4);
-        let mut archive = DeltaArchive::new(3);
-        for f in &frames {
-            archive.append(f).unwrap();
+        for cut in 0..LEGACY.len() {
+            assert!(
+                from_rda1(&LEGACY[..cut]).is_err(),
+                "prefix of {cut} bytes must not migrate"
+            );
         }
-        let bytes = archive.to_bytes();
-        for cut in 0..bytes.len() {
-            let err = DeltaArchive::from_bytes(&bytes[..cut]);
-            assert!(err.is_err(), "prefix of {cut} bytes must not decode");
-        }
+        assert_eq!(from_rda1(LEGACY).unwrap().len(), 12);
     }
 
     #[test]
@@ -745,7 +579,7 @@ mod tests {
         put_varint(&mut bytes, 1 << 28); // frames — absurd
         bytes.extend_from_slice(&[0u8; 64]);
         assert!(matches!(
-            DeltaArchive::from_bytes(&bytes),
+            from_rda1(&bytes),
             Err(ArchiveError::ImplausibleCount { .. })
         ));
         // Zero keyframe interval is rejected too.
@@ -755,39 +589,33 @@ mod tests {
         put_varint(&mut bytes, 4);
         put_varint(&mut bytes, 0);
         put_varint(&mut bytes, 0);
-        assert!(matches!(
-            DeltaArchive::from_bytes(&bytes),
-            Err(ArchiveError::ZeroInterval)
-        ));
-        assert!(matches!(
-            DeltaArchive::from_bytes(b"NOPE"),
-            Err(ArchiveError::BadMagic)
-        ));
+        assert!(matches!(from_rda1(&bytes), Err(ArchiveError::ZeroInterval)));
+        assert!(matches!(from_rda1(b"NOPE"), Err(ArchiveError::BadMagic)));
     }
 
     #[test]
     fn tampered_signature_index_is_caught() {
-        let frames = sequence(5, 16, 4);
-        let mut archive = DeltaArchive::new(10);
-        for f in &frames {
-            archive.append(f).unwrap();
-        }
-        let mut bytes = archive.to_bytes();
-        // Flip one bit in the LAST frame's signature index: load-time
-        // verification of the newest frame catches it immediately.
-        let len = bytes.len();
-        let sig_region = len - 40; // inside the final frame's sigs
-        bytes[sig_region] ^= 0x01;
-        assert!(matches!(
-            DeltaArchive::from_bytes(&bytes),
-            Err(ArchiveError::SignatureMismatch { .. })
-        ));
+        // Flip one bit in frame 0's signature index, which starts at byte
+        // 13: magic (4) + width (4) + one-byte varints for height, interval
+        // and count, then frame 0's flags and changed count. Migration
+        // replays and checks every frame, so the first one fails.
+        let mut bytes = LEGACY.to_vec();
+        bytes[13] ^= 0x01;
+        assert_eq!(
+            from_rda1(&bytes).unwrap_err(),
+            ArchiveError::SignatureMismatch { frame: 0, row: 0 }
+        );
     }
 
     #[test]
     fn empty_archive_round_trips() {
-        let archive = DeltaArchive::new(8);
-        let back = DeltaArchive::from_bytes(&archive.to_bytes()).unwrap();
+        let mut blob = LEGACY_MAGIC.to_vec();
+        blob.extend_from_slice(&0u32.to_le_bytes()); // width
+        put_varint(&mut blob, 0); // height
+        put_varint(&mut blob, 8); // interval
+        put_varint(&mut blob, 0); // frames
+        let migrated = from_rda1(&blob).unwrap().into_storage();
+        let back = ArchiveFile::open_on(migrated, ArchiveOptions::default()).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.keyframe_interval(), 8);
     }

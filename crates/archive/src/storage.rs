@@ -4,7 +4,7 @@
 //! read, write, seek, truncate, and sync. Production uses
 //! [`std::fs::File`]; tests and benches use [`MemStorage`] (a seekable
 //! `Vec<u8>`); the crash-injection harness wraps either in
-//! [`FaultStorage`] (behind the `fault-injection` feature) to cut power at
+//! `FaultStorage` (behind the `fault-injection` feature) to cut power at
 //! an exact byte offset.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};

@@ -8,8 +8,9 @@
 //! `(1−c)·height` rows host-side — no chunk, no checkout, no kernel. This
 //! bench sweeps churn from 1 % to 50 % and compares the prefilter
 //! pipeline against the plain pipeline on the identical frame stream,
-//! asserting bit-identical outputs. It then times `archive::DeltaArchive`
-//! append/extract over the same stream and reports the storage ratio
+//! asserting bit-identical outputs. It then times the `RDA2` journal
+//! (`archive::ArchiveFile` on in-memory storage, fsync on close)
+//! append/extract over the same stream and reports its committed size
 //! against encoding every frame in full.
 //!
 //! Results go to `BENCH_delta.json` at the workspace root. Hand-rolled
@@ -17,7 +18,7 @@
 //! for the JSON report.
 //!
 //! Set `BENCH_SMOKE=1` for a seconds-scale smoke run (small frames, one
-//! sample) — used by the CI delta-smoke job. The smoke run keeps the
+//! sample) — used by the CI archive-smoke job. The smoke run keeps the
 //! speedup guard (prefilter must win at 10 % churn) when the host has
 //! enough cores to show it, and leaves `BENCH_delta.json` untouched.
 
@@ -176,7 +177,12 @@ fn main() {
 
         // Archive costs over the same stream: append every frame, then
         // extract every frame and verify bit-identity against the source.
-        let mut store = archive::DeltaArchive::new(archive::DEFAULT_KEYFRAME_INTERVAL);
+        let opts = archive::ArchiveOptions {
+            keyframe_interval: archive::DEFAULT_KEYFRAME_INTERVAL,
+            fsync: archive::FsyncPolicy::OnClose,
+        };
+        let mut store =
+            archive::ArchiveFile::create_on(archive::MemStorage::new(), opts).expect("create");
         let append_started = Instant::now();
         for f in &stream {
             store.append(f).expect("append");
@@ -188,7 +194,7 @@ fn main() {
             assert_eq!(&got, f.as_ref(), "archive replay must be bit-identical");
         }
         let extract_ms = extract_started.elapsed().as_secs_f64() * 1e3;
-        let bytes = store.to_bytes().len();
+        let bytes = store.stat().journal_bytes as usize;
         let full_bytes: usize = stream
             .iter()
             .map(|f| rle::serialize::encode_image(f).len())

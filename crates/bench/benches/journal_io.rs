@@ -2,19 +2,20 @@
 //!
 //! The journal's contract is that `append` performs O(frame) I/O — one
 //! frame record plus a 9-byte commit, regardless of how many frames the
-//! archive already holds. The legacy RDA1 path (`to_bytes` + whole-file
-//! rewrite, what `rlediff archive append` did before the journal) pays
-//! O(archive) per append instead. This bench demonstrates both claims
-//! with *byte counters*, not wall-clock: counters are exact and
-//! deterministic, so the result is meaningful even on a noisy or
-//! single-core host.
+//! archive already holds. A whole-file store (what `rlediff archive
+//! append` did with RDA1 blobs before the journal) rewrites the entire
+//! archive on every append, paying O(archive) instead. This bench
+//! demonstrates both claims with *byte counters*, not wall-clock:
+//! counters are exact and deterministic, so the result is meaningful even
+//! on a noisy or single-core host.
 //!
 //! For a churn-controlled frame stream it appends every frame to an
-//! in-memory journal, recording `last_append_bytes` per append, and in
-//! parallel accumulates what the whole-blob rewrite would have written
-//! for the same stream. The guards assert the journal's per-append bytes
-//! are bounded by the frame size (flat across the archive's growth) while
-//! the rewrite bytes grow with the archive.
+//! in-memory journal, recording `last_append_bytes` per append, and takes
+//! the whole-file-rewrite baseline as the journal's committed size after
+//! each append — what rewriting the whole file would have cost. The
+//! guards assert the journal's per-append bytes are bounded by the frame
+//! size (flat across the archive's growth) while the rewrite bytes grow
+//! with the archive.
 //!
 //! Results merge into `BENCH_delta.json` under a `"journal"` key — the
 //! rest of that file (E16's timing sweep) is left untouched. Set
@@ -22,7 +23,7 @@
 
 use std::fmt::Write as _;
 
-use archive::{ArchiveFile, ArchiveOptions, DeltaArchive, FsyncPolicy, MemStorage};
+use archive::{ArchiveFile, ArchiveOptions, FsyncPolicy, MemStorage};
 use workload::{FrameSequence, GenParams, SequenceParams};
 
 const WIDTH: u32 = 8_192;
@@ -60,17 +61,17 @@ fn main() {
         fsync: FsyncPolicy::OnClose,
     };
     let mut journal = ArchiveFile::create_on(MemStorage::new(), opts).expect("create");
-    let mut legacy = DeltaArchive::new(KEYFRAME_INTERVAL);
 
-    // Per-append bytes for both strategies. `legacy_bytes[i]` is what the
-    // pre-journal CLI wrote back to disk after append i: the entire blob.
+    // Per-append bytes for both strategies. `legacy_bytes[i]` is what a
+    // whole-file store writes back to disk after append i: the entire
+    // archive.
     let mut journal_bytes = Vec::with_capacity(frames);
     let mut legacy_bytes = Vec::with_capacity(frames);
     for f in &stream {
         journal.append(f).expect("journal append");
-        journal_bytes.push(journal.stat().last_append_bytes);
-        legacy.append(f).expect("legacy append");
-        legacy_bytes.push(legacy.to_bytes().len() as u64);
+        let stats = journal.stat();
+        journal_bytes.push(stats.last_append_bytes);
+        legacy_bytes.push(stats.journal_bytes);
     }
 
     // The O(frame) guard: no append — first or last, keyframe or delta —

@@ -655,50 +655,46 @@ pub fn save_image(img: &RleImage, path: &Path) -> Result<(), CliError> {
 }
 
 /// Opens (or creates) the RDA2 journal at `path` for appending. A legacy
-/// RDA1 blob is migrated first: its frames are imported into a temp
-/// sibling journal, synced, and atomically renamed over the original — a
-/// crash mid-migration leaves either format fully intact, never a mix.
-/// Returns the open journal plus the notes to print (migration, recovery
-/// salvage).
+/// RDA1 blob is migrated first: every frame is replayed, checked and
+/// appended to a temp sibling journal, which is synced and atomically
+/// renamed over the original — a crash mid-migration leaves either format
+/// fully intact, never a mix, and a failed migration removes the temp
+/// file. Returns the open journal plus the notes to print (migration,
+/// recovery salvage).
 fn open_journal(
     path: &Path,
     opts: archive::ArchiveOptions,
 ) -> Result<(archive::ArchiveFile<fs::File>, String), CliError> {
     let mut notes = String::new();
     let legacy = match fs::read(path) {
-        Ok(data) if data.starts_with(archive::LEGACY_MAGIC) => Some(
-            archive::DeltaArchive::from_bytes(&data)
-                .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?,
-        ),
+        Ok(data) if data.starts_with(archive::LEGACY_MAGIC) => Some(data),
         Ok(_) => None,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
         Err(e) => return Err(e.into()),
     };
-    if let Some(old) = legacy {
-        // Keep the blob's own keyframe cadence; the CLI flag only governs
-        // archives created from scratch.
-        let migrate_opts = archive::ArchiveOptions {
-            keyframe_interval: old.stat().keyframe_interval,
-            fsync: opts.fsync,
-        };
+    if let Some(blob) = legacy {
         let mut tmp = path.to_path_buf().into_os_string();
         tmp.push(".migrate");
         let tmp = PathBuf::from(tmp);
-        let _ = fs::remove_file(&tmp);
-        let mut journal = archive::ArchiveFile::open(&tmp, migrate_opts)
-            .map_err(|e| CliError::Parse(format!("{}: {e}", tmp.display())))?;
-        journal
-            .import(&old)
-            .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?;
-        journal
-            .sync()
-            .map_err(|e| CliError::Io(std::io::Error::other(e.to_string())))?;
-        drop(journal.into_storage());
+        // The blob keeps its own keyframe cadence; the CLI flag only
+        // governs archives created from scratch.
+        let migrated = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)
+            .map_err(archive::ArchiveError::from)
+            .and_then(|file| archive::ArchiveFile::from_rda1(file, &blob, opts.fsync))
+            .and_then(|mut journal| journal.sync().map(|()| journal.len()));
+        let frames = migrated.map_err(|e| {
+            let _ = fs::remove_file(&tmp);
+            CliError::Parse(format!("{}: {e}", path.display()))
+        })?;
         fs::rename(&tmp, path)?;
         let _ = writeln!(
             notes,
-            "migrated {} RDA1 frame(s) into the RDA2 journal",
-            old.len()
+            "migrated {frames} RDA1 frame(s) into the RDA2 journal"
         );
     }
     let journal = archive::ArchiveFile::open(path, opts)
@@ -717,37 +713,30 @@ fn open_journal(
     Ok((journal, notes))
 }
 
-/// Extracts one frame from either archive format: RDA2 journals are
-/// loaded into memory first so a recovery scan never mutates the file on
-/// a read path. Returns the frame plus the notes to print.
-fn extract_frame(path: &Path, index: usize) -> Result<(RleImage, String), CliError> {
+/// Loads an archive of either format into memory, so a read path never
+/// mutates the file: an RDA2 journal goes through its recovery scan, a
+/// legacy RDA1 blob through migration (every frame replayed and checked).
+/// Returns the archive, whether the file is an RDA2 journal, and the
+/// file's size in bytes.
+fn load_archive(
+    path: &Path,
+) -> Result<(archive::ArchiveFile<archive::MemStorage>, bool, usize), CliError> {
     let data = fs::read(path)?;
-    let mut notes = String::new();
-    let frame = if data.starts_with(archive::JOURNAL_MAGIC) {
-        let mut store = archive::ArchiveFile::open_on(
+    let (journal, bytes) = (data.starts_with(archive::JOURNAL_MAGIC), data.len());
+    let store = if journal {
+        archive::ArchiveFile::open_on(
             archive::MemStorage::from_bytes(data),
             archive::ArchiveOptions::default(),
         )
-        .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?;
-        let rec = store.recovery();
-        if !rec.clean() {
-            let _ = writeln!(
-                notes,
-                "note: journal tail is torn ({} byte(s) ignored); run `archive fsck`",
-                rec.truncated_bytes
-            );
-        }
-        store
-            .extract(index)
-            .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?
     } else {
-        let store = archive::DeltaArchive::from_bytes(&data)
-            .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?;
-        store
-            .extract(index)
-            .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?
-    };
-    Ok((frame, notes))
+        archive::ArchiveFile::from_rda1(
+            archive::MemStorage::new(),
+            &data,
+            archive::FsyncPolicy::OnClose,
+        )
+    }
+    .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?;
+    Ok((store, journal, bytes))
 }
 
 /// Executes a command, returning the text to print.
@@ -1112,7 +1101,19 @@ pub fn run_command(cmd: &Command) -> Result<String, CliError> {
             index,
             out,
         } => {
-            let (frame, mut s) = extract_frame(path, *index)?;
+            let (mut store, _, _) = load_archive(path)?;
+            let mut s = String::new();
+            let rec = store.recovery();
+            if !rec.clean() {
+                let _ = writeln!(
+                    s,
+                    "note: journal tail is torn ({} byte(s) ignored); run `archive fsck`",
+                    rec.truncated_bytes
+                );
+            }
+            let frame = store
+                .extract(*index)
+                .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?;
             save_image(&frame, out)?;
             let _ = writeln!(
                 s,
@@ -1125,37 +1126,25 @@ pub fn run_command(cmd: &Command) -> Result<String, CliError> {
             Ok(s)
         }
         Command::ArchiveStat { archive: path } => {
-            let data = fs::read(path)?;
+            let (store, journal, bytes) = load_archive(path)?;
             let mut s = String::new();
             let _ = writeln!(s, "{}", path.display());
-            let stats = if data.starts_with(archive::JOURNAL_MAGIC) {
-                // Load the journal bytes into memory so the recovery scan
-                // never mutates the file — stat stays read-only.
-                let store = archive::ArchiveFile::open_on(
-                    archive::MemStorage::from_bytes(data.clone()),
-                    archive::ArchiveOptions::default(),
-                )
-                .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?;
-                let rec = *store.recovery();
-                let _ = writeln!(s, "  format     : RDA2 journal");
-                if !rec.clean() {
-                    let _ = writeln!(
-                        s,
-                        "  unclean    : {} torn byte(s) past the committed prefix ({}) — run `archive fsck`",
-                        rec.truncated_bytes,
-                        rec.reason.map_or_else(|| "unknown".to_string(), |r| r.to_string()),
-                    );
-                }
-                store.stat()
+            let format = if journal {
+                "RDA2 journal"
             } else {
-                let store = archive::DeltaArchive::from_bytes(&data)
-                    .map_err(|e| CliError::Parse(format!("{}: {e}", path.display())))?;
+                "RDA1 legacy blob (append migrates it to the RDA2 journal)"
+            };
+            let _ = writeln!(s, "  format     : {format}");
+            let rec = store.recovery();
+            if !rec.clean() {
                 let _ = writeln!(
                     s,
-                    "  format     : RDA1 legacy blob (append migrates it to the RDA2 journal)"
+                    "  unclean    : {} torn byte(s) past the committed prefix ({}) — run `archive fsck`",
+                    rec.truncated_bytes,
+                    rec.reason.map_or_else(|| "unknown".to_string(), |r| r.to_string()),
                 );
-                store.stat()
-            };
+            }
+            let stats = store.stat();
             let _ = writeln!(s, "  dimensions : {} x {}", stats.width, stats.height);
             let _ = writeln!(
                 s,
@@ -1173,7 +1162,7 @@ pub fn run_command(cmd: &Command) -> Result<String, CliError> {
                     stored as f64 / full as f64 * 100.0
                 );
             }
-            let _ = writeln!(s, "  bytes      : {}", data.len());
+            let _ = writeln!(s, "  bytes      : {bytes}");
             Ok(s)
         }
         Command::ArchiveFsck {
@@ -2268,35 +2257,74 @@ mod tests {
 
     #[test]
     fn archive_append_migrates_rda1_blobs_in_place() {
-        let (frames, paths) = frame_files("migrate", 5, 0x1DA1);
+        // The 12-frame legacy fixture and the stream it was written from
+        // (recipe in the root `tests/delta_archive.rs`), plus a 13th frame
+        // to append after migration.
+        let legacy: &[u8] = include_bytes!("../../archive/testdata/legacy.rda1");
+        let params = workload::SequenceParams {
+            gen: workload::GenParams::for_density(256, 0.3),
+            height: 16,
+            churn: 0.25,
+        };
+        let frames = workload::FrameSequence::new(params, 0x1DA1).take_frames(13);
+        let next = tmp("migrate_12.rle");
+        save_image(&frames[12], &next).unwrap();
+        let append = |path: &Path| {
+            run_command(&Command::ArchiveAppend {
+                archive: path.to_path_buf(),
+                frames: vec![next.clone()],
+                keyframe_every: 999, // ignored: the blob's cadence wins
+                fsync: archive::FsyncPolicy::Always,
+            })
+        };
+        let migrate_tmp = |path: &Path| {
+            let mut tmp = path.as_os_str().to_owned();
+            tmp.push(".migrate");
+            PathBuf::from(tmp)
+        };
+
+        // A truncated blob fails to migrate and is left exactly as it was.
+        let torn_path = tmp("migrate_torn.rda");
+        let torn = &legacy[..legacy.len() - 5];
+        fs::write(&torn_path, torn).unwrap();
+        assert!(append(&torn_path).is_err());
+        assert_eq!(fs::read(&torn_path).unwrap(), torn);
+        assert!(
+            !migrate_tmp(&torn_path).exists(),
+            "temp journal left behind"
+        );
+
+        // stat of the untouched blob reports the shape it was written with.
         let archive_path = tmp("migrate.rda");
-
-        // Write a legacy RDA1 blob the old way.
-        let mut old = archive::DeltaArchive::new(2);
-        for f in &frames[..4] {
-            old.append(f).unwrap();
-        }
-        fs::write(&archive_path, old.to_bytes()).unwrap();
-
-        // Appending migrates, then appends on the journal.
-        let out = run_command(&Command::ArchiveAppend {
+        fs::write(&archive_path, legacy).unwrap();
+        let stat = run_command(&Command::ArchiveStat {
             archive: archive_path.clone(),
-            frames: vec![paths[4].clone()],
-            keyframe_every: 999, // ignored: the blob's cadence wins
-            fsync: archive::FsyncPolicy::Always,
         })
         .unwrap();
-        assert!(out.contains("migrated 4 RDA1 frame(s)"), "{out}");
-        assert!(out.contains("5 frames"), "{out}");
+        for line in [
+            "RDA1 legacy blob",
+            "12 (3 keyframes, every 4)",
+            "delta rows : 36",
+            "stored runs: 705",
+            "bytes      : 3297",
+        ] {
+            assert!(stat.contains(line), "{line}: {stat}");
+        }
+
+        // Appending migrates, then appends on the journal.
+        let out = append(&archive_path).unwrap();
+        assert!(out.contains("migrated 12 RDA1 frame(s)"), "{out}");
+        assert!(out.contains("13 frames"), "{out}");
         assert!(fs::read(&archive_path)
             .unwrap()
             .starts_with(archive::JOURNAL_MAGIC));
+        assert!(!migrate_tmp(&archive_path).exists());
 
         let stat = run_command(&Command::ArchiveStat {
             archive: archive_path.clone(),
         })
         .unwrap();
-        assert!(stat.contains("every 2"), "{stat}");
+        assert!(stat.contains("every 4"), "{stat}");
 
         for (i, want) in frames.iter().enumerate() {
             let out_path = tmp(&format!("migrate_out_{i}.rle"));

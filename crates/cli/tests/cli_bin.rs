@@ -468,6 +468,38 @@ fn archive_round_trips_frames_bit_identically() {
     assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
 }
 
+/// A file that is not an archive of either format is refused without
+/// being touched, and the message names the format the CLI writes.
+#[test]
+fn archive_refuses_a_foreign_file_and_names_the_journal_format() {
+    let foreign = tmp("foreign.rda");
+    let original = b"P1\n4 2\n1 0 1 0\n0 1 0 1\n";
+    std::fs::write(&foreign, original).unwrap();
+    let frame = tmp("foreign_f0.rle");
+    let out = rlediff(&[
+        "gen",
+        "glyphs",
+        "-o",
+        frame.to_str().unwrap(),
+        "--text",
+        "A",
+    ]);
+    assert!(out.status.success());
+
+    let foreign = foreign.to_str().unwrap();
+    for args in [
+        vec!["archive", "append", foreign, frame.to_str().unwrap()],
+        vec!["archive", "stat", foreign],
+    ] {
+        let out = rlediff(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("RDA2"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(std::fs::read(foreign).unwrap(), original, "{args:?}");
+    }
+}
+
 /// A load run where the server sheds every request must exit nonzero: a
 /// scripted benchmark that silently reports "p50 0.000 ms" over zero
 /// successes is worse than one that fails. A zero-admission server makes

@@ -1,17 +1,35 @@
 //! End-to-end contract of the delta archive against realistic sequences:
 //! a 100-frame churn-controlled stream must replay bit-identically from
-//! every keyframe distance, survive serialization, re-keyframe without
-//! content drift, and reject corrupted bytes with typed errors — plus the
-//! shared edge-case contract of both stores (in-memory `DeltaArchive` and
-//! the RDA2 journal): out-of-range indexing, degenerate compaction, the
-//! RDA1→RDA2 migration path, and the keyframe replay bound on a long
-//! archive.
+//! every keyframe distance, survive a reopen, re-keyframe without content
+//! drift, and reject corrupted bytes with typed errors — plus the edge
+//! cases (out-of-range indexing, degenerate compaction, the keyframe
+//! replay bound on a long archive) and the two pinned formats: the legacy
+//! RDA1 fixture migrates into the journal bit-identically, and a fresh
+//! journal reproduces the RDA2 fixture byte for byte.
 
-use rle_systolic::archive::{
-    ArchiveError, ArchiveFile, ArchiveOptions, DeltaArchive, FsyncPolicy, MemStorage,
-};
+use rle_systolic::archive::{ArchiveError, ArchiveFile, ArchiveOptions, FsyncPolicy, MemStorage};
 use rle_systolic::rle::RleImage;
 use rle_systolic::workload::{FrameSequence, GenParams, SequenceParams};
+
+/// A legacy `RDA1` blob, written once by the crate's last `RDA1` writer
+/// (commit 6433a25, the in-memory archive with keyframe interval 4,
+/// appending [`fixture_frames`] and serialising the whole blob). 3,297
+/// bytes; regenerating it gave identical bytes.
+const LEGACY: &[u8] = include_bytes!("../crates/archive/testdata/legacy.rda1");
+
+/// The `RDA2` journal format, version 1: [`fixture_frames`] appended to
+/// `ArchiveFile::create_on(MemStorage::new(), opts(4))`. 3,635 bytes.
+const V1: &[u8] = include_bytes!("../crates/archive/testdata/v1.rda2");
+
+/// The stream both fixtures hold: 12 frames of 256×16 at 25 % churn.
+fn fixture_frames() -> Vec<RleImage> {
+    let params = SequenceParams {
+        gen: GenParams::for_density(256, 0.3),
+        height: 16,
+        churn: 0.25,
+    };
+    FrameSequence::new(params, 0x1DA1).take_frames(12)
+}
 
 fn frames(n: usize, churn: f64, seed: u64) -> Vec<RleImage> {
     let params = SequenceParams {
@@ -22,10 +40,25 @@ fn frames(n: usize, churn: f64, seed: u64) -> Vec<RleImage> {
     FrameSequence::new(params, seed).take_frames(n)
 }
 
+fn opts(keyframe_interval: usize) -> ArchiveOptions {
+    ArchiveOptions {
+        keyframe_interval,
+        fsync: FsyncPolicy::OnClose,
+    }
+}
+
+fn journal(keyframe_interval: usize) -> ArchiveFile<MemStorage> {
+    ArchiveFile::create_on(MemStorage::new(), opts(keyframe_interval)).expect("create")
+}
+
+fn from_rda1(blob: &[u8]) -> Result<ArchiveFile<MemStorage>, ArchiveError> {
+    ArchiveFile::from_rda1(MemStorage::new(), blob, FsyncPolicy::OnClose)
+}
+
 #[test]
 fn hundred_frame_sequence_replays_bit_identically() {
     let stream = frames(100, 0.10, 0xA5C1);
-    let mut store = DeltaArchive::new(16);
+    let mut store = journal(16);
     for (i, f) in stream.iter().enumerate() {
         let outcome = store.append(f).expect("append");
         assert_eq!(outcome.keyframe, i % 16 == 0);
@@ -43,11 +76,11 @@ fn hundred_frame_sequence_replays_bit_identically() {
     for (i, f) in stream.iter().enumerate() {
         assert_eq!(&store.extract(i).expect("extract"), f, "frame {i}");
     }
-    // And again through bytes.
-    let bytes = store.to_bytes();
-    let back = DeltaArchive::from_bytes(&bytes).expect("decode");
+    // And again after a reopen of the journal bytes.
+    let bytes = store.into_storage().into_bytes();
+    let mut back = ArchiveFile::open_on(MemStorage::from_bytes(bytes), opts(16)).expect("reopen");
     for (i, f) in stream.iter().enumerate() {
-        assert_eq!(&back.extract(i).expect("extract"), f, "decoded frame {i}");
+        assert_eq!(&back.extract(i).expect("extract"), f, "reopened frame {i}");
     }
     // The whole point: 10% churn stores ~10% of the rows (plus keyframes).
     let stats = back.stat();
@@ -64,12 +97,14 @@ fn hundred_frame_sequence_replays_bit_identically() {
 fn compaction_rekeys_a_long_archive_without_drift() {
     let stream = frames(40, 0.25, 0xC0DE);
     // Written with a pathological interval: one keyframe, 39 deltas.
-    let mut store = DeltaArchive::new(1_000);
+    let mut store = journal(1_000);
     for f in &stream {
         store.append(f).expect("append");
     }
     assert_eq!(store.stat().keyframes, 1);
-    store.compact(8).expect("compact");
+    let mut store = store
+        .compact_into(MemStorage::new(), 8)
+        .expect("compact_into");
     assert_eq!(store.stat().keyframes, 5);
     for (i, f) in stream.iter().enumerate() {
         assert_eq!(
@@ -82,205 +117,156 @@ fn compaction_rekeys_a_long_archive_without_drift() {
 
 #[test]
 fn corrupted_bytes_are_typed_errors_never_panics() {
-    let stream = frames(12, 0.15, 0xBAD);
-    let mut store = DeltaArchive::new(4);
-    for f in &stream {
-        store.append(f).expect("append");
-    }
-    let bytes = store.to_bytes();
+    let stream = fixture_frames();
 
     // Every truncation point fails typed.
-    for cut in 0..bytes.len() {
+    for cut in 0..LEGACY.len() {
         assert!(
-            DeltaArchive::from_bytes(&bytes[..cut]).is_err(),
-            "prefix of {cut} bytes decoded"
+            from_rda1(&LEGACY[..cut]).is_err(),
+            "prefix of {cut} bytes migrated"
         );
     }
-    // Single-bit flips either fail typed or decode to an archive whose
-    // frames still extract or error typed — never a panic. (A flip inside
-    // an early frame's payload can go unnoticed at load, which only
-    // verifies the newest frame; extraction's signature check is the
-    // backstop, exercised here for every frame.)
-    for stride in [1usize, 7, 13] {
-        for pos in (0..bytes.len()).step_by(stride.max(bytes.len() / 97).max(1)) {
-            let mut evil = bytes.clone();
-            evil[pos] ^= 0x10;
-            if let Ok(decoded) = DeltaArchive::from_bytes(&evil) {
-                for i in 0..decoded.len() {
-                    let _ = decoded.extract(i);
-                }
+    // A single-bit flip at any byte either fails typed or migrates frames
+    // that are still exactly the source frames — never a panic, never a
+    // wrong frame: migration replays every frame and checks it against
+    // the signature index.
+    for pos in 0..LEGACY.len() {
+        let mut evil = LEGACY.to_vec();
+        evil[pos] ^= 0x10;
+        if let Ok(mut migrated) = from_rda1(&evil) {
+            for (i, want) in stream.iter().enumerate().take(migrated.len()) {
+                assert_eq!(
+                    &migrated.extract(i).expect("extract"),
+                    want,
+                    "flip at {pos}, frame {i}"
+                );
             }
         }
     }
 
-    // A flip inside a mid-chain delta payload is caught by extraction's
-    // signature verification even when load-time checks pass it through.
-    let mut tail_ok = bytes.clone();
-    // Find a byte whose flip load succeeds but some extract fails; sweep
-    // until we exhibit at least one SignatureMismatch, proving the
-    // signature index is a real integrity check, not decoration.
-    let mut caught = false;
-    for pos in 12..bytes.len() {
-        tail_ok.copy_from_slice(&bytes);
-        tail_ok[pos] ^= 0x01;
-        if let Ok(decoded) = DeltaArchive::from_bytes(&tail_ok) {
-            for i in 0..decoded.len() {
-                if matches!(
-                    decoded.extract(i),
-                    Err(ArchiveError::SignatureMismatch { .. })
-                ) {
-                    caught = true;
-                    break;
-                }
-            }
-        }
-        if caught {
-            break;
-        }
-    }
+    // Sweep until one flip trips the signature index, proving it is a real
+    // integrity check, not decoration.
+    let caught = (12..LEGACY.len()).any(|pos| {
+        let mut evil = LEGACY.to_vec();
+        evil[pos] ^= 0x01;
+        matches!(
+            from_rda1(&evil),
+            Err(ArchiveError::SignatureMismatch { .. })
+        )
+    });
     assert!(caught, "no bit flip ever tripped the signature index");
 }
 
-/// Out-of-range indexing on empty and single-frame stores, for both the
-/// in-memory archive and the journal: always `FrameOutOfRange` carrying
-/// the right bounds, never a panic or a wrong frame.
+/// Out-of-range indexing on empty and single-frame stores: always
+/// `FrameOutOfRange` carrying the right bounds, never a panic or a wrong
+/// frame.
 #[test]
 fn out_of_range_indexing_is_typed_on_empty_and_single_frame_stores() {
     let one = frames(1, 0.0, 0xE1).remove(0);
 
-    let empty = DeltaArchive::new(4);
-    assert_eq!(empty.len(), 0);
+    let mut store = journal(4);
+    assert_eq!(store.len(), 0);
     for probe in [0usize, 1, usize::MAX] {
         assert!(matches!(
-            empty.extract(probe),
+            store.extract(probe),
             Err(ArchiveError::FrameOutOfRange { frames: 0, .. })
         ));
         assert!(matches!(
-            empty.signatures(probe),
+            store.signatures(probe),
             Err(ArchiveError::FrameOutOfRange { frames: 0, .. })
         ));
     }
-    let mut single = DeltaArchive::new(4);
-    single.append(&one).expect("append");
-    assert_eq!(&single.extract(0).expect("extract"), &one);
-    assert_eq!(single.signatures(0).expect("sigs").len(), one.height());
+    store.append(&one).expect("append");
+    assert_eq!(&store.extract(0).expect("extract"), &one);
+    assert_eq!(store.signatures(0).expect("sigs").len(), one.height());
     assert!(matches!(
-        single.extract(1),
+        store.extract(1),
         Err(ArchiveError::FrameOutOfRange {
             index: 1,
             frames: 1
         })
     ));
     assert!(matches!(
-        single.signatures(1),
-        Err(ArchiveError::FrameOutOfRange {
-            index: 1,
-            frames: 1
-        })
-    ));
-
-    let opts = ArchiveOptions {
-        keyframe_interval: 4,
-        fsync: FsyncPolicy::OnClose,
-    };
-    let mut journal = ArchiveFile::create_on(MemStorage::new(), opts).expect("create");
-    assert!(matches!(
-        journal.extract(0),
-        Err(ArchiveError::FrameOutOfRange { frames: 0, .. })
-    ));
-    assert!(matches!(
-        journal.signatures(0),
-        Err(ArchiveError::FrameOutOfRange { frames: 0, .. })
-    ));
-    journal.append(&one).expect("append");
-    assert_eq!(&journal.extract(0).expect("extract"), &one);
-    assert!(matches!(
-        journal.extract(1),
+        store.signatures(1),
         Err(ArchiveError::FrameOutOfRange {
             index: 1,
             frames: 1
         })
     ));
     assert!(matches!(
-        journal.signatures(usize::MAX),
+        store.signatures(usize::MAX),
         Err(ArchiveError::FrameOutOfRange { frames: 1, .. })
     ));
 }
 
 /// Compacting with an interval larger than the archive degenerates to
-/// "one keyframe, everything else a delta" and stays bit-identical, in
-/// both stores.
+/// "one keyframe, everything else a delta" and stays bit-identical.
 #[test]
 fn compact_with_interval_beyond_the_archive_is_sound() {
     let stream = frames(6, 0.2, 0xC0);
-    let mut store = DeltaArchive::new(2);
+    let mut store = journal(2);
     for f in &stream {
         store.append(f).expect("append");
     }
     assert_eq!(store.stat().keyframes, 3);
-    store.compact(1_000).expect("compact");
+    let mut compacted = store
+        .compact_into(MemStorage::new(), 1_000)
+        .expect("compact_into");
     assert_eq!(
-        store.stat().keyframes,
+        compacted.stat().keyframes,
         1,
         "one governing keyframe is enough"
     );
     for (i, f) in stream.iter().enumerate() {
-        assert_eq!(&store.extract(i).expect("extract"), f, "frame {i}");
-    }
-
-    let opts = ArchiveOptions {
-        keyframe_interval: 2,
-        fsync: FsyncPolicy::OnClose,
-    };
-    let mut journal = ArchiveFile::create_on(MemStorage::new(), opts).expect("create");
-    for f in &stream {
-        journal.append(f).expect("append");
-    }
-    let mut compacted = journal
-        .compact_into(MemStorage::new(), 1_000)
-        .expect("compact_into");
-    assert_eq!(compacted.stat().keyframes, 1);
-    for (i, f) in stream.iter().enumerate() {
-        assert_eq!(
-            &compacted.extract(i).expect("extract"),
-            f,
-            "journal frame {i}"
-        );
+        assert_eq!(&compacted.extract(i).expect("extract"), f, "frame {i}");
     }
 }
 
-/// RDA1 → RDA2 migration: an old `to_bytes` blob imports into a journal
-/// and every frame survives the trip — including back out through the
-/// journal's own recovery path after a reopen.
+/// RDA1 → RDA2 migration: the legacy fixture migrates on its own cadence
+/// to exactly the frames it was written from — and to exactly the bytes a
+/// fresh journal writes for them — and every frame survives the journal's
+/// own recovery path after a reopen.
 #[test]
 fn rda1_blobs_migrate_into_the_journal_round_trip() {
-    let stream = frames(30, 0.15, 0x314A);
-    let mut old = DeltaArchive::new(8);
-    for f in &stream {
-        old.append(f).expect("append");
-    }
-    let blob = old.to_bytes();
-
-    let legacy = DeltaArchive::from_bytes(&blob).expect("RDA1 decode");
-    let opts = ArchiveOptions {
-        keyframe_interval: 8,
-        fsync: FsyncPolicy::OnClose,
-    };
-    let mut journal = ArchiveFile::create_on(MemStorage::new(), opts).expect("create");
-    let imported = journal.import(&legacy).expect("import");
-    assert_eq!(imported, stream.len());
+    let stream = fixture_frames();
+    let mut journal = from_rda1(LEGACY).expect("migrate");
+    assert_eq!(journal.len(), stream.len());
+    assert_eq!(journal.keyframe_interval(), 4, "the blob's cadence");
     for (i, f) in stream.iter().enumerate() {
-        assert_eq!(&journal.extract(i).expect("extract"), f, "imported {i}");
+        assert_eq!(&journal.extract(i).expect("extract"), f, "migrated {i}");
     }
-    // And through a sync → reopen cycle of the journal bytes: the
-    // migrated archive must survive its own recovery path.
     journal.sync().expect("sync");
     let storage = journal.into_storage();
-    let mut back = ArchiveFile::open_on(storage, opts).expect("reopen");
+    assert!(storage.as_bytes() == V1, "migration wrote the v1 journal");
+    let mut back = ArchiveFile::open_on(storage, opts(8)).expect("reopen");
     assert!(back.recovery().clean(), "migration left nothing torn");
     assert_eq!(back.len(), stream.len());
     for (i, f) in stream.iter().enumerate() {
         assert_eq!(&back.extract(i).expect("extract"), f, "reopened {i}");
+    }
+}
+
+/// The on-disk format is pinned: a fresh journal fed the fixture stream
+/// writes the `v1.rda2` fixture byte for byte, and the fixture opens clean
+/// and extracts that stream.
+#[test]
+fn rda2_bytes_match_the_v1_fixture() {
+    let stream = fixture_frames();
+    let mut fresh = journal(4);
+    for f in &stream {
+        fresh.append(f).expect("append");
+    }
+    assert!(
+        fresh.into_storage().as_bytes() == V1,
+        "journal bytes drifted from the v1 fixture"
+    );
+    let mut back =
+        ArchiveFile::open_on(MemStorage::from_bytes(V1.to_vec()), opts(16)).expect("open");
+    assert!(back.recovery().clean());
+    assert_eq!(back.keyframe_interval(), 4);
+    assert_eq!(back.len(), stream.len());
+    for (i, f) in stream.iter().enumerate() {
+        assert_eq!(&back.extract(i).expect("extract"), f, "frame {i}");
     }
 }
 
@@ -293,11 +279,7 @@ fn long_archive_extraction_replays_at_most_one_interval() {
     const N: usize = 200;
     const INTERVAL: usize = 16;
     let stream = frames(N, 0.2, 0x10_06);
-    let opts = ArchiveOptions {
-        keyframe_interval: INTERVAL,
-        fsync: FsyncPolicy::OnClose,
-    };
-    let mut journal = ArchiveFile::create_on(MemStorage::new(), opts).expect("create");
+    let mut journal = journal(INTERVAL);
     for f in &stream {
         journal.append(f).expect("append");
     }
@@ -322,7 +304,7 @@ fn long_archive_extraction_replays_at_most_one_interval() {
 #[test]
 fn zero_churn_archives_are_tiny() {
     let stream = frames(20, 0.0, 0x5AFE);
-    let mut store = DeltaArchive::new(10);
+    let mut store = journal(10);
     for f in &stream {
         store.append(f).expect("append");
     }
