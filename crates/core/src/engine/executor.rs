@@ -8,26 +8,25 @@
 //! workers can each diff its own rows, like a rack of systolic chips
 //! scanning different board regions.
 //!
-//! # Two ways in
+//! # One job kind, one path
 //!
-//! * **Many submitters** (`&self`): [`DiffExecutor::submit_pair`],
-//!   [`DiffExecutor::diff_pair`] and the returned [`JobHandle`]. An
-//!   `Arc<DiffExecutor>` serves any number of threads with no outer lock;
-//!   `diffd` sessions submit this way, each with its own deadline budget.
-//! * **One owner** (`&mut self`): the batch API
-//!   ([`DiffExecutor::diff_images_shared`], [`DiffExecutor::diff_images`])
-//!   adds the signature prefilter
-//!   ([`DiffExecutorConfig::signature_prefilter`]) with its adaptive
-//!   bypass, paranoid verification and an inline path for tiny residuals,
-//!   plus the per-collect [`DiffExecutorConfig::row_deadline`]. The
-//!   streaming API ([`DiffExecutor::submit`] / [`DiffExecutor::collect`])
-//!   feeds single row pairs as they arrive (e.g. from a scanner head)
-//!   through one internal stream job, matching each result to its
-//!   [`Ticket`].
+//! Every unit of work is an image-pair job. [`DiffExecutor::diff_pair`]
+//! (one budget for the whole job) and the batch calls
+//! [`DiffExecutor::diff_images_shared`] / [`DiffExecutor::diff_images`]
+//! (the per-collect [`DiffExecutorConfig::row_deadline`]) run one path:
+//! check → signature prefilter → inline residual → plan → submit →
+//! collect → assemble. The prefilter
+//! ([`DiffExecutorConfig::signature_prefilter`], with its adaptive
+//! bypass and paranoid verification) resolves matching rows host-side,
+//! and a residual of a few rows is diffed inline on the caller's thread.
+//! [`DiffExecutor::submit_pair`] plans every row and hands back the
+//! [`JobHandle`], whose [`JobHandle::collect_next`] yields rows by
+//! [`Ticket`] in completion order. Every entry point takes `&self`, so an
+//! `Arc<DiffExecutor>` serves any number of submitters with no outer
+//! lock; `diffd` sessions submit this way.
 //!
-//! Both image entry points run one plan → submit → collect → assemble
-//! path. The planner splits an image into contiguous row chunks weighted
-//! by per-row run counts ([`DiffExecutorConfig::chunk_target`]); chunks
+//! The planner splits an image into contiguous row chunks weighted by
+//! per-row run counts ([`DiffExecutorConfig::chunk_target`]); chunks
 //! reference the caller's images through `Arc`s, so neither submission
 //! nor checkout copies row data. Workers diff rows through
 //! [`crate::engine::kernel::diff_row`] on per-worker reusable scratch.
@@ -119,7 +118,7 @@ const CHUNKS_PER_WORKER: usize = 4;
 const SPARE_POOL_CAP: usize = 64;
 
 /// In paranoid mode ([`DiffExecutorConfig::verify_signatures`]), every
-/// `SIG_VERIFY_SAMPLE`-th signature skip of a batch (starting with the
+/// `SIG_VERIFY_SAMPLE`-th signature skip of a job (starting with the
 /// first) is cross-checked against the reference XOR.
 const SIG_VERIFY_SAMPLE: usize = 16;
 
@@ -137,9 +136,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Identifies one submitted row pair; returned by [`DiffExecutor::submit`]
-/// and echoed by [`DiffExecutor::collect`] so streaming callers can match
-/// results (which complete out of order) to submissions.
+/// Identifies one submitted row: a job's rows take consecutive tickets
+/// ([`JobHandle::tickets`]), and every [`RowOutcome`] echoes its row's
+/// ticket so a collector can place rows, which complete out of order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ticket(u64);
 
@@ -151,8 +150,7 @@ impl Ticket {
     }
 }
 
-/// One completed row diff, as handed back by [`DiffExecutor::collect`] and
-/// [`JobHandle::collect_next`].
+/// One completed row diff, as handed back by [`JobHandle::collect_next`].
 #[derive(Debug)]
 pub struct RowOutcome {
     /// Which submission this result answers.
@@ -180,29 +178,21 @@ pub struct SupervisionCounters {
     pub timeouts: u64,
 }
 
-/// Where a chunk's row pairs live. Cloning is `Arc`-cheap in both cases,
-/// which is what makes chunk checkout (and retry re-enqueue) free of row
-/// copies.
-#[derive(Clone)]
-enum RowsSource {
-    /// One streamed row pair: the single row of a stream-job chunk.
-    Row(Arc<(RleRow, RleRow)>),
-    /// Rows shared with the caller's images, indexed by absolute image row.
-    Shared { a: Arc<RleImage>, b: Arc<RleImage> },
-}
-
 /// A contiguous chunk of one job's row pairs: the scheduling, checkout and
 /// retry unit. Row `i` (for `lo <= i < hi`) carries ticket
 /// `base + (i - lo)`, so per-row identity survives chunking; the `job`
 /// `Arc` routes every result (and every supervision event) back to the
-/// owner.
+/// owner. The rows stay in the caller's images, indexed by absolute image
+/// row, so cloning a chunk (checkout, retry re-enqueue) copies no row
+/// data.
 #[derive(Clone)]
 struct Chunk {
     base: u64,
     lo: usize,
     hi: usize,
     attempts: u32,
-    source: RowsSource,
+    a: Arc<RleImage>,
+    b: Arc<RleImage>,
     job: Arc<JobState>,
 }
 
@@ -216,10 +206,7 @@ impl Chunk {
     }
 
     fn row(&self, i: usize) -> (&RleRow, &RleRow) {
-        match &self.source {
-            RowsSource::Row(pair) => (&pair.0, &pair.1),
-            RowsSource::Shared { a, b } => (&a.rows()[i], &b.rows()[i]),
-        }
+        (&self.a.rows()[i], &self.b.rows()[i])
     }
 
     /// A sub-chunk over `[lo, hi)` keeping this chunk's attempt count,
@@ -229,9 +216,7 @@ impl Chunk {
             base: self.base + (lo - self.lo) as u64,
             lo,
             hi,
-            attempts: self.attempts,
-            source: self.source.clone(),
-            job: Arc::clone(&self.job),
+            ..self.clone()
         }
     }
 }
@@ -252,8 +237,8 @@ struct JobInner {
     undelivered: usize,
     /// The job was abandoned: stale deliveries are discarded on arrival.
     abandoned: bool,
-    /// All rows were delivered (ledger jobs only; guards the
-    /// `jobs_completed` count against double-fire).
+    /// All rows were delivered (guards the `jobs_completed` count against
+    /// double-fire).
     completed: bool,
     /// Wedged rows a worker still holds for this abandoned job; each one
     /// decrements on (discarded) arrival or orphan recovery.
@@ -268,12 +253,8 @@ struct JobState {
     id: u64,
     lo: u64,
     hi: u64,
-    /// Chunks the job was planned into (0 for the stream job, whose rows
-    /// are single-row chunks ticketed individually).
+    /// Chunks the job was planned into.
     chunks: usize,
-    /// Whether this job participates in the batch/job ledgers
-    /// (`jobs_submitted`, …); the stream job does not.
-    ledger: bool,
     created: Instant,
     /// Nanoseconds from job creation to the first chunk checkout, plus one
     /// (0 = no chunk checked out yet). The submit→first-dispatch delay is
@@ -290,13 +271,12 @@ struct JobState {
 }
 
 impl JobState {
-    fn new(id: u64, lo: u64, hi: u64, chunks: usize, ledger: bool, workers: usize) -> Self {
+    fn new(id: u64, lo: u64, hi: u64, chunks: usize, workers: usize) -> Self {
         Self {
             id,
             lo,
             hi,
             chunks,
-            ledger,
             created: Instant::now(),
             first_checkout_ns: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -408,8 +388,8 @@ struct Shared {
     /// never slip between a worker's check and its wait.
     work_bell: Mutex<()>,
     work_ready: Condvar,
-    /// The supervisor's private bell, so a streaming submit's `notify_one`
-    /// can never be swallowed by the supervisor instead of a worker.
+    /// The supervisor's private bell, so the retry path's `notify_one` can
+    /// never be swallowed by the supervisor instead of a worker.
     sup_bell: Mutex<()>,
     sup_ready: Condvar,
     /// Chunk-result vectors recycled back to workers.
@@ -417,9 +397,21 @@ struct Shared {
     kernel: Kernel,
     /// Resolved SIMD level every worker's kernel scratch is built with.
     simd: SimdLevel,
-    /// Chunk-weight target for `submit_pair` plans.
+    /// Chunk-weight target for job plans.
     chunk_target: Option<usize>,
     retry_limit: u32,
+    /// Signature prefilter settings (see the config fields of the same
+    /// names).
+    signature_prefilter: bool,
+    sig_prefilter_min_skip_rate: f64,
+    verify_signatures: bool,
+    #[cfg(feature = "fault-injection")]
+    fault_sig_collisions: Vec<usize>,
+    /// `f64` bits of the last prefiltered job's observed skip rate
+    /// (matched rows / rows), driving the adaptive bypass. Starts as NaN,
+    /// which compares below no threshold, so the first job always runs
+    /// the prefilter.
+    sig_skip_rate: AtomicU64,
     /// Worker thread handles, shared between the supervisor (respawns)
     /// and `Drop` (joins). Indexed by worker slot.
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -576,7 +568,7 @@ impl Shared {
                     });
                 }
                 inner.undelivered -= n;
-                if inner.undelivered == 0 && job.ledger && !inner.completed {
+                if inner.undelivered == 0 && !inner.completed {
                     inner.completed = true;
                     self.obs.metrics.jobs_completed.inc();
                     self.obs.record(TraceKind::JobDone {
@@ -606,7 +598,7 @@ pub struct DiffExecutorConfig {
     /// or died. A chunk is attempted at most `retry_limit + 1` times before
     /// its culprit row surfaces as [`SystolicError::RowFailed`].
     pub retry_limit: u32,
-    /// Per-collect deadline honoured by the batch API: the longest
+    /// Per-collect deadline of the batch calls: the longest
     /// [`DiffExecutor::diff_images_shared`] waits for the *next* completed
     /// row before abandoning the batch with
     /// [`SystolicError::DeadlineExceeded`]. `None` (the default) waits
@@ -635,11 +627,13 @@ pub struct DiffExecutorConfig {
     /// [`Observer`]. `None` (the default) records no trace events; the
     /// metrics registry is always on either way.
     pub observe: Option<ObsConfig>,
-    /// Signature prefilter for the batch API (default off): before planning
-    /// chunks, compare the two images' cached per-row signatures
-    /// ([`rle::RleRow::signature`]) and resolve every matching row
-    /// host-side as an empty diff — no submit, no checkout round-trip, no
-    /// kernel. Skips surface in [`PipelineStats::rows_sig_skipped`], the
+    /// Signature prefilter for [`DiffExecutor::diff_pair`] and the batch
+    /// calls (default off): before planning chunks, compare the two images'
+    /// cached per-row signatures ([`rle::RleRow::signature`]) and resolve
+    /// every matching row host-side as an empty diff — no submit, no
+    /// checkout round-trip, no kernel. [`DiffExecutor::submit_pair`] plans
+    /// every row, because its caller collects rows by ticket. Skips
+    /// surface in [`PipelineStats::rows_sig_skipped`], the
     /// `rows_sig_skipped` metric and `sig_skip` trace events. Equal rows
     /// always match (signatures are canonical-view), and distinct rows
     /// collide with probability ~2⁻⁶⁴; use [`Self::verify_signatures`] if
@@ -648,20 +642,22 @@ pub struct DiffExecutorConfig {
     /// machine — skipping rows would zero their iteration counts.
     pub signature_prefilter: bool,
     /// Adaptive auto-off for the prefilter (default `0.75`): when the
-    /// previous batch's observed skip rate (fraction of rows whose
-    /// signatures matched) falls below this threshold, the next batch
+    /// last prefiltered job's observed skip rate (fraction of rows whose
+    /// signatures matched) falls below this threshold, the next job
     /// *bypasses* skip resolution — every row goes to the kernels — while
     /// still comparing the cached signatures (a u64 compare per row) to
     /// keep measuring, so the prefilter re-arms the moment churn drops
-    /// again. `0.75` matches the measured break-even: above ~25 % churn
-    /// the prefilter's bookkeeping costs more than it saves (the
-    /// BENCH_delta sweep). Set `0.0` to disable adaptation (always resolve
-    /// skips). The first batch after build always runs the prefilter
-    /// (there is no rate to adapt to yet); the engaged mode is reported in
+    /// again. The rate is executor-wide: with one submitter it is the
+    /// previous job's, with several it is whichever job measured last.
+    /// `0.75` matches the measured break-even: above ~25 % churn the
+    /// prefilter's bookkeeping costs more than it saves (the BENCH_delta
+    /// sweep). Set `0.0` to disable adaptation (always resolve skips). The
+    /// first job after build always runs the prefilter (there is no rate
+    /// to adapt to yet); the engaged mode is reported in
     /// [`PipelineStats::sig_prefilter`].
     pub sig_prefilter_min_skip_rate: f64,
     /// Paranoid mode for the prefilter (default off): cross-check a
-    /// deterministic sample of signature skips (the first of each batch,
+    /// deterministic sample of signature skips (the first of each job,
     /// then every 16th) against the reference XOR. A confirmed check
     /// counts in [`PipelineStats::sig_verified`]; a caught collision
     /// substitutes the reference diff for the empty row (the output stays
@@ -844,29 +840,14 @@ enum Deadline {
 }
 
 /// A supervised, shard-scheduled worker pool that runs many independent
-/// image-pair jobs concurrently (see the module docs). The `&self` methods
-/// serve any number of submitting threads; the `&mut self` batch and
-/// streaming methods serve the executor's single owner.
+/// image-pair jobs concurrently (see the module docs). Every job runs the
+/// same path and all its state lives in the job or the shared pool, so
+/// any number of threads can submit through `&self`.
 pub struct DiffExecutor {
     shared: Arc<Shared>,
     supervisor: Option<JoinHandle<()>>,
     shutdown_grace: Duration,
     row_deadline: Option<Duration>,
-    signature_prefilter: bool,
-    sig_prefilter_min_skip_rate: f64,
-    verify_signatures: bool,
-    #[cfg(feature = "fault-injection")]
-    fault_sig_collisions: Vec<usize>,
-    /// The previous batch's observed signature skip rate (matched rows /
-    /// total rows), driving the adaptive prefilter bypass. `None` until a
-    /// non-empty prefiltered batch has been measured.
-    sig_skip_rate: Option<f64>,
-    /// Kernel scratch for the inline residual path, so tiny batches reuse
-    /// buffers exactly like a worker does.
-    host_scratch: KernelScratch,
-    /// The non-ledger job [`Self::submit`] pushes single-row chunks
-    /// through, created on first use.
-    stream: Option<JobHandle>,
 }
 
 impl std::fmt::Debug for DiffExecutor {
@@ -908,6 +889,12 @@ impl DiffExecutor {
             simd,
             chunk_target: config.chunk_target,
             retry_limit: config.retry_limit,
+            signature_prefilter: config.signature_prefilter,
+            sig_prefilter_min_skip_rate: config.sig_prefilter_min_skip_rate,
+            verify_signatures: config.verify_signatures,
+            #[cfg(feature = "fault-injection")]
+            fault_sig_collisions: config.fault_sig_collisions,
+            sig_skip_rate: AtomicU64::new(f64::NAN.to_bits()),
             handles: Mutex::new(Vec::new()),
             obs: Arc::new(Observer::new(config.observe)),
             #[cfg(feature = "fault-injection")]
@@ -925,14 +912,6 @@ impl DiffExecutor {
             supervisor: Some(supervisor),
             shutdown_grace: config.shutdown_grace,
             row_deadline: config.row_deadline,
-            signature_prefilter: config.signature_prefilter,
-            sig_prefilter_min_skip_rate: config.sig_prefilter_min_skip_rate,
-            verify_signatures: config.verify_signatures,
-            #[cfg(feature = "fault-injection")]
-            fault_sig_collisions: config.fault_sig_collisions,
-            sig_skip_rate: None,
-            host_scratch: KernelScratch::with_simd(simd),
-            stream: None,
         }
     }
 
@@ -1017,7 +996,6 @@ impl DiffExecutor {
             lo,
             lo + rows as u64,
             ranges.len(),
-            true,
             self.workers(),
         ));
         let obs = &self.shared.obs;
@@ -1051,10 +1029,8 @@ impl DiffExecutor {
                 lo,
                 hi,
                 attempts: 0,
-                source: RowsSource::Shared {
-                    a: Arc::clone(a),
-                    b: Arc::clone(b),
-                },
+                a: Arc::clone(a),
+                b: Arc::clone(b),
                 job: Arc::clone(&job),
             };
             base += chunk.len() as u64;
@@ -1070,7 +1046,10 @@ impl DiffExecutor {
 
     /// Plans and submits one image pair as a job without waiting for it.
     /// The caller collects through the returned [`JobHandle`]; many
-    /// submitters can do this concurrently on one executor.
+    /// submitters can do this concurrently on one executor. Every row is
+    /// planned: the signature prefilter does not run here, because the
+    /// caller collects rows by ticket and a row resolved host-side would
+    /// never arrive.
     pub fn submit_pair(
         &self,
         a: &Arc<RleImage>,
@@ -1081,8 +1060,8 @@ impl DiffExecutor {
         Ok(self.submit_job(a, b, ranges))
     }
 
-    /// Diffs one image pair end to end: plan, submit, collect,
-    /// reassemble. This is the request-sized entry point `diffd` sessions
+    /// Diffs one image pair end to end as one job (see the module docs for
+    /// its path). This is the request-sized entry point `diffd` sessions
     /// call concurrently — no outer mutex; fairness and isolation come
     /// from the job machinery. A `budget` bounds the whole job; on expiry
     /// the job is abandoned (other jobs unaffected) and
@@ -1093,14 +1072,7 @@ impl DiffExecutor {
         b: &Arc<RleImage>,
         budget: Option<Duration>,
     ) -> Result<JobOutcome, SystolicError> {
-        check_dims(a, b)?;
-        self.run_job(
-            a,
-            b,
-            PipelineStats::default(),
-            None,
-            budget.map(Deadline::Job),
-        )
+        self.run_job(a, b, budget.map(Deadline::Job))
     }
 
     /// Diffs two images row by row across the pool, reassembling the rows
@@ -1114,10 +1086,12 @@ impl DiffExecutor {
         self.diff_images_shared(&Arc::new(a.clone()), &Arc::new(b.clone()))
     }
 
-    /// The batch API: diffs two shared images as one job, through the
-    /// signature prefilter and inline residual path when
-    /// [`DiffExecutorConfig::signature_prefilter`] is on. No row data is
-    /// copied.
+    /// The batch API: diffs two shared images as one job, on the same path
+    /// as [`Self::diff_pair`] but with the per-collect
+    /// [`DiffExecutorConfig::row_deadline`] instead of a job budget. No row
+    /// data is copied. It keeps its `&mut self` receiver so callers that
+    /// bind the executor `mut` compile unchanged; it reads no per-owner
+    /// state.
     ///
     /// Bit-identical to [`crate::image::xor_image`] for every kernel
     /// policy. If any row fails, the remaining rows are still drained and
@@ -1131,99 +1105,37 @@ impl DiffExecutor {
         a: &Arc<RleImage>,
         b: &Arc<RleImage>,
     ) -> Result<(RleImage, PipelineStats), SystolicError> {
-        check_dims(a, b)?;
-        let (mut stats, mut resolved) = self.prefilter(a, b);
-        if let Some(rows) = &mut resolved {
-            self.inline_residual(a, b, rows, &mut stats)?;
-        }
-        let deadline = self.row_deadline.map(Deadline::Collect);
-        let out = self.run_job(a, b, stats, resolved, deadline)?;
+        let out = self.run_job(a, b, self.row_deadline.map(Deadline::Collect))?;
         Ok((out.image, out.stats))
     }
 
-    /// Enqueues one row pair for differencing on the stream job; returns
-    /// the [`Ticket`] its [`RowOutcome`] will carry. Never blocks.
-    pub fn submit(&mut self, a: RleRow, b: RleRow) -> Ticket {
-        self.stream().submit_row(a, b)
-    }
-
-    /// Blocks for the next completed streamed row, in completion (not
-    /// submission) order. Returns `None` when no streamed row is in
-    /// flight.
-    ///
-    /// While blocked, the supervisor keeps watching the pool: dead workers
-    /// are respawned and the chunks they held recovered, so a crashed
-    /// thread delays rows rather than hanging the collector. Only a
-    /// genuinely wedged worker can block indefinitely — use
-    /// [`Self::collect_timeout`] to bound that.
-    pub fn collect(&mut self) -> Option<RowOutcome> {
-        self.stream()
-            .collect_next(None)
-            .expect("collect without a deadline cannot time out")
-    }
-
-    /// Like [`Self::collect`], but gives up with
-    /// [`SystolicError::DeadlineExceeded`] if no row completes within
-    /// `timeout`. The timed-out rows stay in flight (their worker may still
-    /// deliver them later); callers can keep collecting, [`Self::drain`]
-    /// the stream, or drop the executor.
-    pub fn collect_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<RowOutcome>, SystolicError> {
-        self.stream().collect_next(Some(Instant::now() + timeout))
-    }
-
-    /// Collects every in-flight streamed outcome (blocking, with
-    /// supervision) and returns them, leaving the stream idle.
-    pub fn drain(&mut self) -> Vec<RowOutcome> {
-        let mut out = Vec::new();
-        while let Some(done) = self.collect() {
-            out.push(done);
-        }
-        self.shared.obs.record(TraceKind::Drain {
-            collected: out.len() as u64,
-        });
-        out
-    }
-
-    fn stream(&mut self) -> &JobHandle {
-        let shared = &self.shared;
-        self.stream.get_or_insert_with(|| {
-            let id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-            let lo = shared.next_ticket.load(Ordering::Relaxed);
-            JobHandle {
-                job: Arc::new(JobState::new(id, lo, lo, 0, false, shared.shards.len())),
-                shared: Arc::clone(shared),
-            }
-        })
-    }
-
-    /// Runs the signature prefilter over a batch's rows, if enabled.
-    /// Returns the stats of the rows it resolved host-side (skipped, or
+    /// Runs the signature prefilter over a job's rows, if enabled. Returns
+    /// the stats of the rows it resolved host-side (skipped, or
     /// substituted after a caught collision) with the engaged mode, and
     /// those rows' diffs — `None` means "plan every row": the prefilter is
     /// off, the kernel policy demands exact per-row statistics, the
-    /// adaptive bypass is engaged (previous batch's skip rate below
+    /// adaptive bypass is engaged (the last measured skip rate is below
     /// [`DiffExecutorConfig::sig_prefilter_min_skip_rate`]), or no row
-    /// matched. Records this batch's observed match rate either way so the
-    /// next batch adapts.
+    /// matched. Records this job's observed match rate either way so the
+    /// next job adapts.
     fn prefilter(
-        &mut self,
+        &self,
         a: &RleImage,
         b: &RleImage,
     ) -> (PipelineStats, Option<Vec<Option<RleRow>>>) {
+        let shared = &self.shared;
         let mut stats = PipelineStats::default();
-        if !self.signature_prefilter || self.shared.kernel == Kernel::Systolic {
+        if !shared.signature_prefilter || shared.kernel == Kernel::Systolic {
             return (stats, None);
         }
         let height = a.height();
-        let threshold = self.sig_prefilter_min_skip_rate;
-        // Bypass: the last batch churned too much for skip resolution to
-        // pay for itself. Still compare the cached signatures — one u64
+        let threshold = shared.sig_prefilter_min_skip_rate;
+        let rate = f64::from_bits(shared.sig_skip_rate.load(Ordering::Relaxed));
+        // Bypass: the last job churned too much for skip resolution to pay
+        // for itself. Still compare the cached signatures — one u64
         // equality per row — so the rate stays measured and the prefilter
         // re-arms as soon as the sequence calms down.
-        let bypass = threshold > 0.0 && self.sig_skip_rate.is_some_and(|rate| rate < threshold);
+        let bypass = threshold > 0.0 && rate < threshold;
         stats.sig_prefilter = if bypass {
             SigPrefilterMode::Bypassed
         } else {
@@ -1235,7 +1147,7 @@ impl DiffExecutor {
             let (ra, rb) = (&a.rows()[i], &b.rows()[i]);
             let matches = ra.signature() == rb.signature();
             #[cfg(feature = "fault-injection")]
-            let matches = matches || self.fault_sig_collisions.contains(&i);
+            let matches = matches || shared.fault_sig_collisions.contains(&i);
             if !matches {
                 continue;
             }
@@ -1250,7 +1162,7 @@ impl DiffExecutor {
                 ..ArrayStats::default()
             };
             stats.rows += 1;
-            if self.verify_signatures && ordinal.is_multiple_of(SIG_VERIFY_SAMPLE) {
+            if shared.verify_signatures && ordinal.is_multiple_of(SIG_VERIFY_SAMPLE) {
                 let reference = rle::ops::xor(ra, rb);
                 if !reference.is_empty() {
                     // A 64-bit collision (or an injected one): the skip
@@ -1270,12 +1182,15 @@ impl DiffExecutor {
             stats.totals.absorb(&row_stats);
             stats.rows_sig_skipped += 1;
             rows[i] = Some(RleRow::new(a.width()));
-            self.shared.obs.record(TraceKind::SigSkip { row: i as u64 });
+            shared.obs.record(TraceKind::SigSkip { row: i as u64 });
         }
         if height > 0 {
-            self.sig_skip_rate = Some(matched as f64 / height as f64);
+            let observed = matched as f64 / height as f64;
+            shared
+                .sig_skip_rate
+                .store(observed.to_bits(), Ordering::Relaxed);
         }
-        self.shared
+        shared
             .obs
             .metrics
             .rows_sig_skipped
@@ -1283,16 +1198,16 @@ impl DiffExecutor {
         (stats, rows.filter(|_| matched > 0))
     }
 
-    /// Small-batch shortcut after the prefilter: when at most
+    /// Small-job shortcut after the prefilter: when at most
     /// [`INLINE_RESIDUAL_ROWS`] rows were *not* resolved, diff them here on
-    /// the host with the same kernel policy a worker would use. The batch
-    /// then plans zero chunks — no enqueue, no wake-up, no collect
-    /// handshake — which is what makes low-churn frame diffs cheap instead
-    /// of merely parallel. Inline rows join `stats` like collected rows do;
-    /// they never enter the submit/complete ledgers (nothing was
-    /// submitted).
+    /// the submitter's thread with the same kernel policy a worker would
+    /// use, on scratch of its own. The job then plans zero chunks — no
+    /// enqueue, no wake-up, no collect handshake — which is what makes
+    /// low-churn frame diffs cheap instead of merely parallel. Inline rows
+    /// join `stats` like collected rows do; they never enter the
+    /// submit/complete ledgers (nothing was submitted).
     fn inline_residual(
-        &mut self,
+        &self,
         a: &RleImage,
         b: &RleImage,
         rows: &mut [Option<RleRow>],
@@ -1302,17 +1217,14 @@ impl DiffExecutor {
         if residual == 0 || residual > INLINE_RESIDUAL_ROWS {
             return Ok(());
         }
+        let mut scratch = KernelScratch::with_simd(self.shared.simd);
         for (i, slot) in rows.iter_mut().enumerate() {
             if slot.is_some() {
                 continue;
             }
             let row_start = Instant::now();
-            let (row, row_stats, choice) = kernel::diff_row(
-                self.shared.kernel,
-                &mut self.host_scratch,
-                &a.rows()[i],
-                &b.rows()[i],
-            )?;
+            let (row, row_stats, choice) =
+                kernel::diff_row(self.shared.kernel, &mut scratch, &a.rows()[i], &b.rows()[i])?;
             // Mirror a worker's per-row accounting (kernel mix + the two
             // row histograms) under `rows_inline_diffed` instead of
             // `rows_diffed`, keeping both documented ledger identities
@@ -1331,20 +1243,26 @@ impl DiffExecutor {
         Ok(())
     }
 
-    /// The one plan → submit → collect → assemble path behind
-    /// [`Self::diff_pair`] and [`Self::diff_images_shared`]. `resolved`
-    /// holds the rows already settled host-side, which the planner skips
-    /// (tickets then map to image rows through the plan); `stats` arrives
-    /// holding their share of the job's statistics.
+    /// The one job path behind [`Self::diff_pair`] and
+    /// [`Self::diff_images_shared`]: check → prefilter → inline residual →
+    /// plan → submit → collect → assemble. Rows the first two stages
+    /// settled host-side are left out of the plan, so tickets map to image
+    /// rows through it. This is the one place a job's [`PipelineStats`]
+    /// is built: the prefilter's and the inline path's share, the collected
+    /// rows, and the job's supervision counts. On a deadline the handle is
+    /// dropped uncollected, which abandons the job.
     fn run_job(
         &self,
         a: &Arc<RleImage>,
         b: &Arc<RleImage>,
-        mut stats: PipelineStats,
-        resolved: Option<Vec<Option<RleRow>>>,
         deadline: Option<Deadline>,
     ) -> Result<JobOutcome, SystolicError> {
+        check_dims(a, b)?;
         let start = Instant::now();
+        let (mut stats, mut resolved) = self.prefilter(a, b);
+        if let Some(rows) = &mut resolved {
+            self.inline_residual(a, b, rows, &mut stats)?;
+        }
         let ranges = plan_ranges(
             a,
             b,
@@ -1367,8 +1285,8 @@ impl DiffExecutor {
                 Some(Deadline::Job(budget)) => Some(start + budget),
                 Some(Deadline::Collect(window)) => Some(Instant::now() + window),
             };
-            match handle.collect_next(collect_deadline) {
-                Ok(Some(outcome)) => match outcome.result {
+            match handle.collect_next(collect_deadline)? {
+                Some(outcome) => match outcome.result {
                     Ok((row, row_stats)) => {
                         absorb_row(&mut stats, &row_stats, outcome.kernel);
                         let offset =
@@ -1379,11 +1297,7 @@ impl DiffExecutor {
                         first_err.get_or_insert(e);
                     }
                 },
-                Ok(None) => break,
-                Err(e) => {
-                    handle.abandon();
-                    return Err(e);
-                }
+                None => break,
             }
         }
         if let Some(e) = first_err {
@@ -1450,7 +1364,8 @@ impl Drop for DiffExecutor {
 
 /// One submitted job's collection side: results route here and nowhere
 /// else. The handle is `Send` — a submitter thread can hand it off — and
-/// every method takes `&self`.
+/// every method takes `&self`. Dropping it before every row was collected
+/// abandons the job.
 pub struct JobHandle {
     job: Arc<JobState>,
     shared: Arc<Shared>,
@@ -1464,7 +1379,7 @@ impl JobHandle {
     }
 
     /// The contiguous ticket range `[lo, hi)` allocated to this job's
-    /// rows (batch jobs; the stream job tickets rows individually).
+    /// rows.
     #[must_use]
     pub fn tickets(&self) -> (u64, u64) {
         (self.job.lo, self.job.hi)
@@ -1521,40 +1436,13 @@ impl JobHandle {
         self.job.steals.load(Ordering::Relaxed)
     }
 
-    /// Enqueues one row pair as a single-row chunk of this (stream) job;
-    /// returns the row's [`Ticket`]. Never blocks.
-    fn submit_row(&self, a: RleRow, b: RleRow) -> Ticket {
-        let ticket = self.shared.next_ticket.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut inner = lock(&self.job.inner);
-            inner.undelivered += 1;
-        }
-        let obs = &self.shared.obs;
-        obs.metrics.rows_submitted.inc();
-        obs.metrics.chunks_dispatched.inc();
-        obs.metrics.in_flight.add(1);
-        obs.record(TraceKind::Submit { ticket });
-        let chunk = Chunk {
-            base: ticket,
-            lo: 0,
-            hi: 1,
-            attempts: 0,
-            source: RowsSource::Row(Arc::new((a, b))),
-            job: Arc::clone(&self.job),
-        };
-        let shards = self.shared.shards.len();
-        let shard = self.shared.submit_cursor.fetch_add(1, Ordering::Relaxed) % shards;
-        self.shared.push_chunk(shard, chunk);
-        self.shared.notify_work_one();
-        Ticket(ticket)
-    }
-
     /// Blocks for this job's next completed row, in completion order.
     /// `Ok(None)` means the job has no rows outstanding. With a
     /// `deadline`, gives up at that instant with
     /// [`SystolicError::DeadlineExceeded`] — the rows stay in flight
     /// (their worker may still deliver them later); the caller can keep
-    /// collecting or [`Self::abandon`] the job.
+    /// collecting, or [`Self::abandon`] the job (dropping the handle does
+    /// the same).
     pub fn collect_next(
         &self,
         deadline: Option<Instant>,
@@ -1644,9 +1532,24 @@ impl JobHandle {
         // `rows_completed` / `rows_errored`; booking them here closes
         // `rows_submitted == rows_completed + rows_errored + rows_abandoned`.
         metrics.rows_abandoned.add((dropped_rows + wedged) as u64);
-        if self.job.ledger {
-            metrics.jobs_abandoned.inc();
+        metrics.jobs_abandoned.inc();
+    }
+}
+
+/// A handle dropped before its job was fully collected abandons the job,
+/// so its rows leave the `in_flight` gauge (which `diffd` admission reads)
+/// instead of staying there forever. A fully collected job — every
+/// [`DiffExecutor::diff_pair`] ends this way — returns after one look at
+/// the job's own lock, touching no shard.
+impl Drop for JobHandle {
+    fn drop(&mut self) {
+        {
+            let inner = lock(&self.job.inner);
+            if inner.undelivered == 0 && inner.pending.is_empty() {
+                return;
+            }
         }
+        self.abandon();
     }
 }
 
@@ -2278,23 +2181,38 @@ mod tests {
         assert_eq!(stats.rows_fast_path, 2, "equal rows take the fast path");
     }
 
+    /// A one-row image holding `row`: how a single row pair enters the
+    /// executor, as a job of its own.
+    fn row_image(row: &RleRow) -> Arc<RleImage> {
+        Arc::new(RleImage::from_rows(row.width(), vec![row.clone()]).unwrap())
+    }
+
     #[test]
     fn streaming_submit_collect_round_trip() {
+        // Rows arriving one at a time go in as one-row jobs; the tickets
+        // place the results, which complete out of order.
         let a = img("####....\n..##..##\n#.#.#.#.\n");
         let b = img("###.....\n..##..#.\n.#.#.#.#\n");
-        let mut pipeline = DiffExecutorConfig::new(2).build();
-        let tickets: Vec<Ticket> = a
+        let pipeline = DiffExecutorConfig::new(2).build();
+        let handles: Vec<JobHandle> = a
             .rows()
             .iter()
             .zip(b.rows())
-            .map(|(ra, rb)| pipeline.submit(ra.clone(), rb.clone()))
+            .map(|(ra, rb)| {
+                pipeline
+                    .submit_pair(&row_image(ra), &row_image(rb))
+                    .unwrap()
+            })
             .collect();
+        let tickets: Vec<Ticket> = handles.iter().map(|h| Ticket(h.tickets().0)).collect();
         assert_eq!(pipeline.in_flight(), 3);
 
         let mut rows: Vec<Option<RleRow>> = vec![None; 3];
-        while let Some(done) = pipeline.collect() {
-            let slot = tickets.iter().position(|t| *t == done.ticket).unwrap();
-            rows[slot] = Some(done.result.unwrap().0);
+        for handle in &handles {
+            while let Some(done) = handle.collect_next(None).unwrap() {
+                let slot = tickets.iter().position(|t| *t == done.ticket).unwrap();
+                rows[slot] = Some(done.result.unwrap().0);
+            }
         }
         assert_eq!(pipeline.in_flight(), 0);
         let (expected, _) = xor_image(&a, &b).unwrap();
@@ -2305,17 +2223,49 @@ mod tests {
 
     #[test]
     fn row_error_is_reported_and_pipeline_survives() {
-        let mut pipeline = DiffExecutorConfig::new(2).build();
-        let good = RleRow::from_pairs(16, &[(0, 4)]).unwrap();
-        let bad = RleRow::new(8); // width mismatch against `good`
-        pipeline.submit(good.clone(), bad);
-        let outcome = pipeline.collect().unwrap();
-        assert!(outcome.result.is_err());
-        assert_eq!(outcome.kernel, None, "no kernel ran for the bad row");
+        // A row pair of unequal width is refused with a typed error before
+        // anything is submitted, and the pool keeps working.
+        let pipeline = DiffExecutorConfig::new(2).build();
+        let good = row_image(&RleRow::from_pairs(16, &[(0, 4)]).unwrap());
+        let bad = row_image(&RleRow::new(8)); // width mismatch against `good`
+        let err = pipeline.submit_pair(&good, &bad).err().expect("refused");
+        assert!(
+            matches!(err, SystolicError::WidthMismatch { .. }),
+            "{err:?}"
+        );
+        assert!(pipeline.diff_pair(&good, &bad, None).is_err());
+        let s = pipeline.observer().metrics_snapshot();
+        assert_eq!(s.rows_submitted, 0, "no kernel ran for the bad row");
         // The pool still works after the failure.
-        pipeline.submit(good.clone(), good.clone());
-        let ok = pipeline.collect().unwrap();
+        let handle = pipeline.submit_pair(&good, &good).unwrap();
+        let ok = handle.collect_next(None).unwrap().unwrap();
         assert!(ok.result.unwrap().0.is_empty());
+    }
+
+    #[test]
+    fn dropping_an_uncollected_handle_abandons_its_rows() {
+        // A handle dropped before its rows were collected must take them
+        // out of the `in_flight` gauge, which admission control reads.
+        let exec = DiffExecutorConfig::new(2).build();
+        let a = Arc::new(gen_image(128, 64, 31));
+        let b = Arc::new(gen_image(128, 64, 32));
+        drop(exec.submit_pair(&a, &b).unwrap());
+        assert_eq!(exec.in_flight(), 0, "the dropped job's rows left the gauge");
+        let out = exec.diff_pair(&a, &b, None).unwrap();
+        assert_eq!(out.image, a.xor(&b).unwrap());
+        assert_eq!(exec.in_flight(), 0);
+        // Once any stale rows are reaped, both ledgers close.
+        let settled_by = Instant::now() + Duration::from_secs(10);
+        while exec.abandoned() > 0 && Instant::now() < settled_by {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(exec.abandoned(), 0);
+        let s = exec.observer().metrics_snapshot();
+        assert_eq!(
+            s.rows_submitted,
+            s.rows_completed + s.rows_errored + s.rows_abandoned
+        );
+        assert_eq!(s.jobs_submitted, s.jobs_completed + s.jobs_abandoned);
     }
 
     #[test]
@@ -2422,31 +2372,39 @@ mod tests {
 
     #[test]
     fn collect_timeout_on_healthy_pipeline_returns_rows() {
-        let mut pipeline = DiffExecutorConfig::new(2).build();
-        assert!(matches!(
-            pipeline.collect_timeout(Duration::from_millis(10)),
-            Ok(None),
-        ));
-        let row = RleRow::from_pairs(16, &[(0, 4)]).unwrap();
-        pipeline.submit(row.clone(), row);
-        let got = pipeline
-            .collect_timeout(Duration::from_secs(10))
+        let pipeline = DiffExecutorConfig::new(2).build();
+        let row = row_image(&RleRow::from_pairs(16, &[(0, 4)]).unwrap());
+        let handle = pipeline.submit_pair(&row, &row).unwrap();
+        let got = handle
+            .collect_next(Some(Instant::now() + Duration::from_secs(10)))
             .expect("healthy worker beats a generous deadline")
             .expect("one row in flight");
         assert!(got.result.unwrap().0.is_empty());
+        // Nothing left in flight: a short deadline returns `None` at once.
+        assert!(matches!(
+            handle.collect_next(Some(Instant::now() + Duration::from_millis(10))),
+            Ok(None),
+        ));
     }
 
     #[test]
     fn drain_empties_the_pipeline() {
-        let mut pipeline = DiffExecutorConfig::new(2).build();
-        let row = RleRow::from_pairs(16, &[(0, 4)]).unwrap();
-        for _ in 0..5 {
-            pipeline.submit(row.clone(), row.clone());
+        let pipeline = DiffExecutorConfig::new(2).build();
+        let row = row_image(&RleRow::from_pairs(16, &[(0, 4)]).unwrap());
+        let handles: Vec<JobHandle> = (0..5)
+            .map(|_| pipeline.submit_pair(&row, &row).unwrap())
+            .collect();
+        let mut outcomes = Vec::new();
+        for handle in &handles {
+            while let Some(done) = handle.collect_next(None).unwrap() {
+                outcomes.push(done);
+            }
         }
-        let outcomes = pipeline.drain();
         assert_eq!(outcomes.len(), 5);
         assert_eq!(pipeline.in_flight(), 0);
-        assert!(pipeline.drain().is_empty());
+        assert!(handles
+            .iter()
+            .all(|h| matches!(h.collect_next(None), Ok(None))));
     }
 
     #[test]
@@ -2495,7 +2453,7 @@ mod tests {
         let b = img("####....\n..##..#.\n.#.#.#.#\n.#.#.#.#\n");
         let (seq, _) = xor_image(&a, &b).unwrap();
         // Threshold 0.0 pins the prefilter active: this test exercises the
-        // skip mechanics across both batch front-ends, not the adaptive
+        // skip mechanics across every job front-end, not the adaptive
         // bypass (see `adaptive_prefilter_bypasses_and_rearms`), and a 0.5
         // skip rate would otherwise trip the default threshold.
         let mut pipeline = DiffExecutorConfig::new(2)
@@ -2522,6 +2480,11 @@ mod tests {
         let (shared, shared_stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(shared, seq);
         assert_eq!(shared_stats.rows_sig_skipped, 2);
+
+        // So does `diff_pair`: the prefilter is a stage of every job.
+        let job = pipeline.diff_pair(&a, &b, None).unwrap();
+        assert_eq!(job.image, seq);
+        assert_eq!(job.stats.rows_sig_skipped, 2);
     }
 
     #[test]

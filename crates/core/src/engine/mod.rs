@@ -16,8 +16,9 @@
 //!   different jobs interleaved round-robin on the same work-stealing
 //!   shards — each worker diffing rows through an adaptive [`kernel`] (RLE
 //!   merge vs. packed words vs. the systolic simulation) on reusable
-//!   scratch buffers. Its single-owner batch API adds the signature
-//!   prefilter and inline-residual shortcuts on the host side.
+//!   scratch buffers. Every job takes one path, whose first stage — the
+//!   signature prefilter and the inline residual — settles matching and
+//!   few-row work on the submitter's thread.
 //!
 //! Real systolic hardware updates every cell simultaneously; the parallel
 //! engine is therefore the more faithful *execution* model, while the

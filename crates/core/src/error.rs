@@ -66,13 +66,13 @@ pub enum SystolicError {
         /// The panic message of the last attempt.
         cause: String,
     },
-    /// A collect deadline — [`DiffExecutor::collect_timeout`]'s timeout,
+    /// A collect deadline — [`JobHandle::collect_next`]'s deadline,
     /// [`DiffExecutor::diff_pair`]'s budget or
     /// [`DiffExecutorConfig::row_deadline`] — expired with rows still in
     /// flight, typically behind a stalled worker.
     ///
-    /// [`DiffExecutor::collect_timeout`]:
-    ///     crate::engine::executor::DiffExecutor::collect_timeout
+    /// [`JobHandle::collect_next`]:
+    ///     crate::engine::executor::JobHandle::collect_next
     /// [`DiffExecutor::diff_pair`]:
     ///     crate::engine::executor::DiffExecutor::diff_pair
     /// [`DiffExecutorConfig::row_deadline`]:

@@ -196,7 +196,7 @@ impl HistogramSnapshot {
 /// * `row_latency_ns.count == row_runs.count ==
 ///   rows_diffed + rows_inline_diffed`
 /// * `rows_diffed == rows_completed + rows_discarded` (absent kernel
-///   errors, which `diff_images`' dimension check rules out)
+///   errors, which every job's dimension check rules out)
 /// * `rows_submitted == rows_completed + rows_errored + rows_abandoned`
 ///   (every accepted row is either delivered, delivered-as-error, or
 ///   written off by a deadline abort — no row is silently lost)
@@ -206,7 +206,7 @@ impl HistogramSnapshot {
 ///   these counters, so it agrees by construction).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    /// Row pairs accepted by `submit` or a batch front-end.
+    /// Row pairs submitted to the pool by a job.
     pub rows_submitted: Counter,
     /// Row outcomes unpacked from the result channel with an `Ok` diff.
     pub rows_completed: Counter,
@@ -218,20 +218,22 @@ pub struct MetricsRegistry {
     pub rows_kernel_errors: Counter,
     /// Completed row results discarded because their chunk crashed.
     pub rows_discarded: Counter,
-    /// Rows written off when a batch was aborted on a deadline: queued
-    /// rows dropped before any worker ran them, plus rows still checked
-    /// out behind the ticket watermark. The monotonic mirror of
+    /// Rows written off when a job was abandoned (a deadline abort or a
+    /// handle dropped uncollected): queued rows dropped before any worker
+    /// ran them, plus rows still checked out by a worker. The monotonic
+    /// mirror of
     /// [`crate::DiffExecutor::abandoned`] (a level that drains back to 0
     /// as stale results arrive; this counter never decreases).
     pub rows_abandoned: Counter,
     /// Rows resolved host-side by the signature prefilter: matching row
     /// signatures short-circuited them to an empty diff before planning, so
     /// they appear in **no** other row ledger (not submitted, not diffed,
-    /// not completed). Total rows presented to a batch front-end is
-    /// `rows_submitted + rows_sig_skipped` when the prefilter is on.
+    /// not completed). Rows presented to prefiltered jobs total
+    /// `rows_submitted + rows_sig_skipped + rows_inline_diffed`, plus any
+    /// caught collisions.
     pub rows_sig_skipped: Counter,
     /// Rows the prefilter's inline-residual shortcut diffed host-side
-    /// (small leftovers after a batch of skips; never submitted to the
+    /// (small leftovers after a job's skips; never submitted to the
     /// pool). Counted in the kernel-mix counters and row histograms, but
     /// not in `rows_diffed` (worker side) or the submit/complete ledgers.
     pub rows_inline_diffed: Counter,
@@ -243,8 +245,8 @@ pub struct MetricsRegistry {
     pub rows_packed_kernel: Counter,
     /// Rows diffed by the systolic simulation kernel.
     pub rows_systolic_kernel: Counter,
-    /// Chunks handed to the scheduler queue (batch planning + streaming
-    /// submits; retries do not re-count).
+    /// Chunks handed to the scheduler queue by job planning (retries do
+    /// not re-count).
     pub chunks_dispatched: Counter,
     /// Chunks a worker carried to completion and sent back.
     pub chunks_completed: Counter,
@@ -258,15 +260,14 @@ pub struct MetricsRegistry {
     pub respawns: Counter,
     /// Deadline expiries observed by collectors.
     pub timeouts: Counter,
-    /// Ledgered jobs accepted by the executor: one per `diff_pair`,
-    /// `submit_pair` or batch call (the streaming job is not ledgered;
-    /// exposed a second time as `batches`). Quiescent identity:
-    /// `jobs_submitted == jobs_completed + jobs_abandoned`.
+    /// Jobs accepted by the executor: one per `diff_pair`, `submit_pair`
+    /// or batch call (exposed a second time as `batches`). Quiescent
+    /// identity: `jobs_submitted == jobs_completed + jobs_abandoned`.
     pub jobs_submitted: Counter,
-    /// Ledgered jobs whose every row was delivered.
+    /// Jobs whose every row was delivered.
     pub jobs_completed: Counter,
-    /// Ledgered jobs written off by `JobHandle::abandon` before all rows
-    /// were delivered.
+    /// Jobs written off by `JobHandle::abandon` (or a dropped handle)
+    /// before all rows were delivered.
     pub jobs_abandoned: Counter,
     /// Chunks currently sitting in the scheduler queues (the workers'
     /// emptiness check reads it).

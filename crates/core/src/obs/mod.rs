@@ -128,7 +128,7 @@ mod tests {
         let obs = Observer::new(Some(ObsConfig { trace_capacity: 8 }));
         obs.metrics.rows_submitted.add(3);
         obs.record(TraceKind::Submit { ticket: 0 });
-        obs.record(TraceKind::Drain { collected: 1 });
+        obs.record(TraceKind::JobDone { job: 0, rows: 1 });
         let events = obs.trace_snapshot();
         assert_eq!(events.len(), 2);
         assert!(events[0].seq < events[1].seq);

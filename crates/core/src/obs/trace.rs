@@ -17,10 +17,11 @@ use std::sync::{Mutex, PoisonError};
 /// The taxonomy mirrors the pipeline's life cycle: rows are *submitted*,
 /// chunks are *checked out* by workers, every row a kernel finishes gets a
 /// *kernel* event, completed chunks produce *chunk-done*; the supervision
-/// plane contributes *retry*, *row-failed*, *respawn* and *timeout*; the
-/// caller's side contributes *drain*. Per row the causal chain
-/// `Submit < Checkout < Kernel < ChunkDone` must hold in sequence order —
-/// the observability suite audits exactly that.
+/// plane contributes *retry*, *row-failed*, *respawn* and *timeout*; jobs
+/// are bracketed by *job-submit* and *job-done*, and the signature
+/// prefilter's host-side resolutions are *sig-skip*. Per row the causal
+/// chain `Submit < Checkout < Kernel < ChunkDone` must hold in sequence
+/// order — the observability suite audits exactly that.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKind {
     /// A row pair entered the queue.
@@ -94,11 +95,6 @@ pub enum TraceKind {
         /// Rows in flight at expiry.
         in_flight: u64,
     },
-    /// A drain finished; the pipeline is idle.
-    Drain {
-        /// Rows handed back by this drain.
-        collected: u64,
-    },
     /// The signature prefilter resolved a row host-side: matching row
     /// signatures short-circuited it to an empty diff with no submit, no
     /// checkout and no kernel. Carries the image row index (not a ticket —
@@ -107,7 +103,7 @@ pub enum TraceKind {
         /// The image row that was skipped.
         row: u64,
     },
-    /// A ledgered job entered the executor (its rows get the per-ticket
+    /// A job entered the executor (its rows get the per-ticket
     /// `Submit` events; this is the job-level envelope).
     JobSubmit {
         /// The job id.
@@ -115,7 +111,7 @@ pub enum TraceKind {
         /// Rows the job spans.
         rows: u64,
     },
-    /// A ledgered job delivered its last row.
+    /// A job delivered its last row.
     JobDone {
         /// The job id.
         job: u64,
@@ -138,7 +134,6 @@ impl TraceKind {
             TraceKind::RowFailed { .. } => "row_failed",
             TraceKind::Respawn { .. } => "respawn",
             TraceKind::Timeout { .. } => "timeout",
-            TraceKind::Drain { .. } => "drain",
             TraceKind::SigSkip { .. } => "sig_skip",
             TraceKind::JobSubmit { .. } => "job_submit",
             TraceKind::JobDone { .. } => "job_done",
@@ -220,7 +215,6 @@ impl TraceEvent {
             }
             TraceKind::Respawn { worker } => format!(", \"worker\": {worker}}}"),
             TraceKind::Timeout { in_flight } => format!(", \"in_flight\": {in_flight}}}"),
-            TraceKind::Drain { collected } => format!(", \"collected\": {collected}}}"),
             TraceKind::SigSkip { row } => format!(", \"row\": {row}}}"),
             TraceKind::JobSubmit { job, rows } | TraceKind::JobDone { job, rows } => {
                 format!(", \"job\": {job}, \"rows\": {rows}}}")
@@ -322,7 +316,7 @@ mod tests {
     fn ring_capacity_floor_is_one() {
         let ring = TraceRing::new(0);
         assert_eq!(ring.capacity(), 1);
-        ring.record(0, TraceKind::Drain { collected: 0 });
+        ring.record(0, TraceKind::Timeout { in_flight: 0 });
         assert_eq!(ring.events().len(), 1);
     }
 
@@ -361,7 +355,6 @@ mod tests {
             },
             TraceKind::Respawn { worker: 0 },
             TraceKind::Timeout { in_flight: 5 },
-            TraceKind::Drain { collected: 12 },
             TraceKind::SigSkip { row: 7 },
             TraceKind::JobSubmit { job: 2, rows: 64 },
             TraceKind::JobDone { job: 2, rows: 64 },

@@ -82,7 +82,7 @@ impl ArrayStats {
     }
 }
 
-/// How the signature prefilter engaged for one batch (see
+/// How the signature prefilter engaged for one job (see
 /// [`crate::DiffExecutorConfig::sig_prefilter_min_skip_rate`] for the
 /// adaptive bypass).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -94,16 +94,18 @@ pub enum SigPrefilterMode {
     /// The prefilter compared row signatures and resolved matching rows
     /// host-side.
     Active,
-    /// The previous batch's skip rate fell below the adaptive threshold,
-    /// so the prefilter stood aside for this batch — signatures were
-    /// still compared (cheap, cached u64s) to measure the rate and
-    /// re-arm when churn drops again, but every row went to the kernels.
+    /// The last measured skip rate (the previous job's, with one
+    /// submitter) fell below the adaptive threshold, so the prefilter
+    /// stood aside for this job — signatures were still compared (cheap,
+    /// cached u64s) to measure the rate and re-arm when churn drops
+    /// again, but every row went to the kernels.
     Bypassed,
 }
 
 /// Aggregate statistics for one [`crate::DiffExecutor`] job (a
-/// `diff_pair` call or a batch): what the pool did to an image, and how
-/// the work spread over the workers.
+/// `diff_pair` call or a batch), built in one place as the job finishes:
+/// what the pool did to an image, and how the work spread over the
+/// workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Row pairs processed.
@@ -145,8 +147,8 @@ pub struct PipelineStats {
     /// `rows_sig_skipped + sig_collisions + rows_fast_path +
     /// rows_rle_kernel + rows_packed_kernel + rows_systolic_kernel`.
     pub rows_sig_skipped: usize,
-    /// How the prefilter engaged for this batch: off, actively skipping,
-    /// or adaptively bypassed because the previous batch's skip rate fell
+    /// How the prefilter engaged for this job: off, actively skipping,
+    /// or adaptively bypassed because the last measured skip rate fell
     /// below [`crate::DiffExecutorConfig::sig_prefilter_min_skip_rate`].
     pub sig_prefilter: SigPrefilterMode,
     /// Signature skips cross-checked against the reference XOR in paranoid

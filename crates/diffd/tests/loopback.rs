@@ -221,19 +221,25 @@ fn zero_row_budget_sheds_on_pipeline_pressure() {
 /// `diff_with_retry` must absorb at least one `Overloaded`, converge to
 /// the correct answer once the slot frees, and report how many sheds it
 /// rode out.
+///
+/// The blocker holds the slot through a planned stall on its first row
+/// (ticket 0 of the fresh executor) rather than by being slow, so the
+/// first retry attempt cannot outrun it; that needs the fault hooks.
+#[cfg(feature = "fault-injection")]
 #[test]
 fn retrying_client_converges_after_a_shed() {
     let cfg = DiffServerConfig {
         max_concurrent_requests: 1,
+        fault_plan: Some(systolic_core::FaultPlan::new().stall_on_row(0, Duration::from_secs(2))),
         ..test_config()
     };
     let server = DiffServer::bind("127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr();
     let (handle, join) = server.spawn();
 
-    // Occupy the single request slot with a deliberately heavy diff.
+    // Occupy the single request slot with a diff whose first row stalls.
     let blocker = std::thread::spawn(move || {
-        let (a, b) = image_pair(8_192, 192, 0x51);
+        let (a, b) = image_pair(1_024, 16, 0x51);
         let expected = a.xor(&b).unwrap();
         let mut client = DiffClient::connect(addr).unwrap();
         client
@@ -242,15 +248,16 @@ fn retrying_client_converges_after_a_shed() {
         let reply = client.diff(&a, &b, 30_000).unwrap();
         assert_eq!(reply.image, expected);
     });
-    // Wait until the blocker holds the slot: its request is counted on
-    // entry, immediately before it claims the one admission slot (the
-    // latency split itself is recorded only when its job completes).
+    // Wait until the blocker holds the slot: its job is submitted only
+    // after it claimed the one admission slot, and the stall keeps the
+    // job's rows in flight.
     let m = handle.server_metrics();
     let armed = std::time::Instant::now();
-    while m.requests.get() == 0 && armed.elapsed() < Duration::from_secs(20) {
+    while handle.pipeline_in_flight() == 0 && armed.elapsed() < Duration::from_secs(20) {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(m.requests.get(), 1, "blocker never arrived");
+    assert!(handle.pipeline_in_flight() > 0, "blocker never submitted");
 
     // The retrying client: its first attempt lands while the slot is
     // held (a guaranteed shed), then backoff-and-retry until the blocker

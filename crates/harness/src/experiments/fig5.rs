@@ -17,7 +17,8 @@ use crate::table::TextTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rle::metrics::row_similarity;
-use rle::{Pixel, RleRow};
+use rle::{Pixel, RleImage, RleRow};
+use std::sync::Arc;
 use systolic_core::{ArrayStats, DiffExecutorConfig, Kernel, MetricsSnapshot};
 use workload::{GenParams, RowGenerator};
 
@@ -84,16 +85,21 @@ pub fn run(config: &Fig5Config) -> Fig5Result {
 /// systolic kernel, so the per-row statistics are bit-identical to
 /// [`run`]'s) and returns the figure data together with the executor's
 /// [`MetricsSnapshot`], so the iteration sweep emits machine-readable
-/// metrics alongside its CSV. The snapshot's `row_runs` histogram is the
-/// `k1 + k2` distribution of the whole sweep.
+/// metrics alongside its CSV. Each trial is one one-row job, whose stats
+/// totals are that row's statistics. The snapshot's `row_runs` histogram
+/// is the `k1 + k2` distribution of the whole sweep.
 #[must_use]
 pub fn run_observed(config: &Fig5Config) -> (Fig5Result, MetricsSnapshot) {
-    let mut pipeline = DiffExecutorConfig::new(2).kernel(Kernel::Systolic).build();
-    let obs = pipeline.observer();
+    let executor = DiffExecutorConfig::new(2).kernel(Kernel::Systolic).build();
+    let obs = executor.observer();
+    let one_row = |row: &RleRow| {
+        Arc::new(RleImage::from_rows(row.width(), vec![row.clone()]).expect("one row"))
+    };
     let result = sweep(config, &mut |a, b| {
-        pipeline.submit(a.clone(), b.clone());
-        let outcome = pipeline.collect().expect("one row in flight");
-        outcome.result.expect("systolic run").1
+        let job = executor
+            .diff_pair(&one_row(a), &one_row(b), None)
+            .expect("systolic run");
+        job.stats.totals
     });
     (result, obs.metrics_snapshot())
 }

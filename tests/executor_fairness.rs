@@ -25,7 +25,9 @@
 
 use rle_systolic::rle::{RleImage, RleRow};
 use rle_systolic::systolic_core::image::xor_image;
-use rle_systolic::systolic_core::{DiffExecutor, DiffExecutorConfig, JobHandle};
+use rle_systolic::systolic_core::{
+    DiffExecutor, DiffExecutorConfig, JobHandle, PipelineStats, SigPrefilterMode,
+};
 use rle_systolic::workload::{errors, ErrorModel, GenParams, RowGenerator};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -219,19 +221,24 @@ fn results_route_only_to_the_owning_job_under_churn() {
 // Differential suite: many submitters, one executor, two references.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn multi_submitter_differential_suite_is_bit_identical_to_both_references() {
-    let executor: Arc<DiffExecutor> = Arc::new(DiffExecutorConfig::new(3).build());
-
+/// Four submitters × six rounds of jobs with uneven widths and heights
+/// on one executor, each pair built by `pair(width, height, seed)`. Every
+/// job must equal both references; returns each job's stats beside the
+/// number of rows its two images had equal.
+fn run_differential_suite(
+    executor: &Arc<DiffExecutor>,
+    pair: impl Fn(u32, usize, u64) -> (Arc<RleImage>, Arc<RleImage>) + Sync,
+) -> Vec<(PipelineStats, usize)> {
+    let jobs: Mutex<Vec<(PipelineStats, usize)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for submitter in 0u64..4 {
-            let executor = Arc::clone(&executor);
+            let (executor, pair, jobs) = (Arc::clone(executor), &pair, &jobs);
             scope.spawn(move || {
                 for round in 0u64..6 {
                     let seed = 0xD1FF + submitter * 1_009 + round;
                     let width = 64 + 128 * (1 + submitter as u32);
                     let height = 1 + 4 * round as usize + submitter as usize;
-                    let (a, b) = image_pair(width, height, seed);
+                    let (a, b) = pair(width, height, seed);
                     let job = executor.diff_pair(&a, &b, None).unwrap();
                     let reference = a.xor(&b).expect("same dimensions");
                     assert_eq!(
@@ -244,10 +251,83 @@ fn multi_submitter_differential_suite_is_bit_identical_to_both_references() {
                         "submitter {submitter} round {round}: xor_image"
                     );
                     assert_eq!(job.stats.rows, height);
+                    let equal = a
+                        .rows()
+                        .iter()
+                        .zip(b.rows())
+                        .filter(|(x, y)| x == y)
+                        .count();
+                    jobs.lock().unwrap().push((job.stats, equal));
                 }
             });
         }
     });
     assert_eq!(executor.in_flight(), 0);
     assert_eq!(executor.abandoned(), 0);
+    jobs.into_inner().unwrap()
+}
+
+#[test]
+fn multi_submitter_differential_suite_is_bit_identical_to_both_references() {
+    let executor: Arc<DiffExecutor> = Arc::new(DiffExecutorConfig::new(3).build());
+    run_differential_suite(&executor, image_pair);
+}
+
+/// The same suite on a prefiltered executor: `diff_pair` runs the
+/// signature prefilter, and the four submitters share its adaptive skip
+/// rate. Pairs alternate between mostly-equal and mostly-changed rows, so
+/// jobs see both prefilter modes and both the inline and the pooled
+/// residual.
+#[test]
+fn multi_submitter_differential_suite_with_the_prefilter_is_bit_identical() {
+    let executor: Arc<DiffExecutor> =
+        Arc::new(DiffExecutorConfig::new(3).signature_prefilter().build());
+    let jobs = run_differential_suite(&executor, |width, height, seed| {
+        let (a, changed) = image_pair(width, height, seed);
+        let stride = if seed % 2 == 0 { 5 } else { 2 };
+        let rows = (0..height)
+            .map(|i| {
+                let source = if i % stride == 0 { &changed } else { &a };
+                source.rows()[i].clone()
+            })
+            .collect();
+        let b = RleImage::from_rows(a.width(), rows).unwrap();
+        (a, Arc::new(b))
+    });
+    let mut modes = [0usize; 2];
+    for (stats, equal) in &jobs {
+        assert_eq!(stats.sig_collisions, 0);
+        match stats.sig_prefilter {
+            SigPrefilterMode::Active => {
+                modes[0] += 1;
+                assert_eq!(stats.rows_sig_skipped, *equal, "{stats:?}");
+            }
+            SigPrefilterMode::Bypassed => {
+                modes[1] += 1;
+                assert_eq!(stats.rows_sig_skipped, 0, "{stats:?}");
+            }
+            SigPrefilterMode::Off => panic!("the prefilter is on: {stats:?}"),
+        }
+    }
+    assert!(modes[0] > 0, "some job ran the prefilter: {modes:?}");
+
+    // The ledger closes, and every presented row is accounted for once:
+    // skipped, diffed inline, or submitted to the pool.
+    let s = executor.observer().metrics_snapshot();
+    assert_eq!(s.jobs_submitted, 24);
+    assert_eq!(s.jobs_submitted, s.jobs_completed + s.jobs_abandoned);
+    assert_eq!(
+        s.rows_submitted,
+        s.rows_completed + s.rows_errored + s.rows_abandoned
+    );
+    assert_eq!(s.rows_diffed, s.rows_completed + s.rows_discarded);
+    assert_eq!(s.kernel_rows(), s.rows_diffed + s.rows_inline_diffed);
+    assert_eq!((s.queue_depth, s.in_flight), (0, 0));
+    let skipped: usize = jobs.iter().map(|(stats, _)| stats.rows_sig_skipped).sum();
+    let presented: usize = jobs.iter().map(|(stats, _)| stats.rows).sum();
+    assert_eq!(s.rows_sig_skipped, skipped as u64);
+    assert_eq!(
+        s.rows_submitted + s.rows_sig_skipped + s.rows_inline_diffed,
+        presented as u64
+    );
 }

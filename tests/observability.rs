@@ -34,11 +34,13 @@ mod common;
 
 use common::canonical_pair;
 use proptest::prelude::*;
-use rle_systolic::rle::RleImage;
+use rle_systolic::rle::{RleImage, RleRow};
+use rle_systolic::systolic_core::engine::executor::RowOutcome;
 use rle_systolic::systolic_core::image::xor_image;
 use rle_systolic::systolic_core::obs::ObsConfig;
 use rle_systolic::systolic_core::{
-    DiffExecutor, DiffExecutorConfig, Kernel, MetricsSnapshot, PipelineStats, TraceEvent, TraceKind,
+    DiffExecutor, DiffExecutorConfig, JobHandle, Kernel, MetricsSnapshot, PipelineStats,
+    SystolicError, TraceEvent, TraceKind,
 };
 use rle_systolic::workload::{errors, ErrorModel, GenParams, RowGenerator};
 use std::sync::{Arc, Mutex};
@@ -48,6 +50,17 @@ fn image_pair(width: u32, height: usize, seed: u64) -> (RleImage, RleImage) {
     let a = RowGenerator::new(params, seed).next_image(height);
     let b = errors::apply_errors_image(&a, &ErrorModel::fraction(0.05), seed ^ 0xBEEF);
     (a, b)
+}
+
+/// A one-row image holding `row`: a single row pair enters the executor
+/// as a job of its own.
+fn row_image(row: &RleRow) -> Arc<RleImage> {
+    Arc::new(RleImage::from_rows(row.width(), vec![row.clone()]).unwrap())
+}
+
+/// Every row of `handle`'s job, in completion order.
+fn collect_all(handle: &JobHandle) -> Vec<RowOutcome> {
+    std::iter::from_fn(|| handle.collect_next(None).expect("no deadline")).collect()
 }
 
 /// The histogram/counter identities every quiescent snapshot must satisfy,
@@ -215,33 +228,42 @@ fn metrics_accumulate_across_batches_and_streaming() {
     let mut pipeline = DiffExecutorConfig::new(2).observe().build();
     let obs = pipeline.observer();
 
-    pipeline.diff_images(&a, &b).unwrap();
-    pipeline.diff_images_shared(&a_arc, &b_arc).unwrap();
-    for (ra, rb) in a.rows().iter().zip(b.rows()) {
-        pipeline.submit(ra.clone(), rb.clone());
-    }
-    let outcomes = pipeline.drain();
+    let (_, first) = pipeline.diff_images(&a, &b).unwrap();
+    let (_, second) = pipeline.diff_images_shared(&a_arc, &b_arc).unwrap();
+    // Row at a time: each row pair goes in as a one-row job.
+    let handles: Vec<JobHandle> = a
+        .rows()
+        .iter()
+        .zip(b.rows())
+        .map(|(ra, rb)| {
+            pipeline
+                .submit_pair(&row_image(ra), &row_image(rb))
+                .unwrap()
+        })
+        .collect();
+    let outcomes: Vec<RowOutcome> = handles.iter().flat_map(collect_all).collect();
     assert_eq!(outcomes.len(), 10);
 
     let s = obs.metrics_snapshot();
     assert_ledger_closed(&s);
-    assert_eq!(s.batches, 2, "streaming submits are not batches");
+    assert_eq!(s.batches, 12, "every row pair submitted alone is a job");
     assert_eq!(s.rows_submitted, 30);
     assert_eq!(s.rows_completed, 30);
-    // Each streaming submit is its own single-row chunk.
+    // Each one-row job is a single chunk.
+    assert!(handles.iter().all(|h| h.chunks() == 1));
+    assert_eq!(
+        s.chunks_dispatched,
+        (first.chunks + second.chunks + 10) as u64
+    );
     let events = obs.trace_snapshot();
     assert_eq!(
         count(&events, |k| matches!(k, TraceKind::Submit { .. })),
         30
     );
-    let drains: Vec<u64> = events
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::Drain { collected } => Some(collected),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(drains, vec![10], "one drain, reporting its row count");
+    assert_eq!(
+        count(&events, |k| matches!(k, TraceKind::JobDone { .. })),
+        12
+    );
 }
 
 #[test]
@@ -334,27 +356,32 @@ fn trace_ring_wraps_without_corrupting_accounting() {
 
 #[test]
 fn row_errors_are_ledgered_not_lost() {
-    let mut pipeline = DiffExecutorConfig::new(2).observe().build();
+    // A row pair of unequal width is refused with a typed error before
+    // submission, so it enters no ledger; the good row beside it is
+    // ledgered as usual.
+    let pipeline = DiffExecutorConfig::new(2).observe().build();
     let obs = pipeline.observer();
-    let good = rle_systolic::rle::RleRow::from_pairs(64, &[(0, 9)]).unwrap();
-    let bad = rle_systolic::rle::RleRow::new(32); // width mismatch
-    pipeline.submit(good.clone(), bad);
-    pipeline.submit(good.clone(), good.clone());
-    let outcomes = pipeline.drain();
-    assert_eq!(outcomes.len(), 2);
-    assert_eq!(outcomes.iter().filter(|o| o.result.is_err()).count(), 1);
+    let good = row_image(&RleRow::from_pairs(64, &[(0, 9)]).unwrap());
+    let bad = row_image(&RleRow::new(32)); // width mismatch
+    assert!(matches!(
+        pipeline.submit_pair(&good, &bad).err(),
+        Some(SystolicError::WidthMismatch { .. })
+    ));
+    let outcomes = collect_all(&pipeline.submit_pair(&good, &good).unwrap());
+    assert_eq!(outcomes.len(), 1);
+    assert!(outcomes.iter().all(|o| o.result.is_ok()));
 
     let s = obs.metrics_snapshot();
     assert_ledger_closed(&s);
-    assert_eq!(s.rows_submitted, 2);
+    assert_eq!(s.rows_submitted, 1);
     assert_eq!(s.rows_completed, 1);
-    assert_eq!(s.rows_errored, 1);
-    assert_eq!(s.rows_kernel_errors, 1);
+    assert_eq!(s.rows_errored, 0);
+    assert_eq!(s.rows_kernel_errors, 0);
     assert_eq!(s.rows_diffed, 1, "the bad row never produced a diff");
     let events = obs.trace_snapshot();
     assert_eq!(
         count(&events, |k| matches!(k, TraceKind::RowError { .. })),
-        1
+        0
     );
 }
 
@@ -415,11 +442,11 @@ proptest! {
     /// rates.)
     #[test]
     fn observation_k3_plus_one_via_pipeline((a, b) in canonical_pair(800, 48)) {
-        let mut pipeline = DiffExecutorConfig::new(1)
+        let pipeline = DiffExecutorConfig::new(1)
             .kernel(Kernel::Systolic)
             .build();
-        pipeline.submit(a.clone(), b.clone());
-        let outcome = pipeline.collect().expect("one row in flight");
+        let handle = pipeline.submit_pair(&row_image(&a), &row_image(&b)).unwrap();
+        let outcome = handle.collect_next(None).unwrap().expect("one row in flight");
         let (_, stats) = outcome.result.expect("systolic kernel succeeds");
         prop_assert!(
             stats.iterations <= stats.output_runs as u64 + 1,
@@ -439,13 +466,16 @@ fn observation_tally_on_generated_workloads() {
     let mut violations = 0u64;
     let mut at_bound = 0u64;
     let total = 1_000u64;
-    let mut pipeline = DiffExecutorConfig::new(2).kernel(Kernel::Systolic).build();
+    let pipeline = DiffExecutorConfig::new(2).kernel(Kernel::Systolic).build();
     for seed in 0..total {
         let mut gen = RowGenerator::new(params, 0x0B5E + seed);
         let a = gen.next_image(1);
         let b = errors::apply_errors_image(&a, &ErrorModel::fraction(0.08), seed);
-        pipeline.submit(a.rows()[0].clone(), b.rows()[0].clone());
-        let outcome = pipeline.collect().expect("one row in flight");
+        let handle = pipeline.submit_pair(&Arc::new(a), &Arc::new(b)).unwrap();
+        let outcome = handle
+            .collect_next(None)
+            .unwrap()
+            .expect("one row in flight");
         let (_, stats) = outcome.result.expect("systolic kernel succeeds");
         let bound = stats.output_runs as u64 + 1;
         if stats.iterations > bound {
@@ -533,17 +563,20 @@ fn shared_pipeline_stress_from_four_submitters() {
                             assert_eq!(got, expected, "submitter {submitter} round {round}");
                         }
                         _ => {
-                            let tickets: Vec<_> = a
+                            let handles: Vec<JobHandle> = a
                                 .rows()
                                 .iter()
                                 .zip(b.rows())
-                                .map(|(ra, rb)| p.submit(ra.clone(), rb.clone()))
+                                .map(|(ra, rb)| {
+                                    p.submit_pair(&row_image(ra), &row_image(rb)).unwrap()
+                                })
                                 .collect();
+                            let tickets: Vec<u64> = handles.iter().map(|h| h.tickets().0).collect();
                             let mut got = vec![None; tickets.len()];
-                            while let Some(outcome) = p.collect() {
+                            for outcome in handles.iter().flat_map(collect_all) {
                                 let slot = tickets
                                     .iter()
-                                    .position(|t| *t == outcome.ticket)
+                                    .position(|t| *t == outcome.ticket.id())
                                     .expect("own ticket");
                                 got[slot] = Some(outcome.result.unwrap().0);
                             }
@@ -563,9 +596,8 @@ fn shared_pipeline_stress_from_four_submitters() {
     });
 
     // Clean drain: nothing leaked, the ledger closes over all 12 calls.
-    let mut p = pipeline.lock().unwrap();
+    let p = pipeline.lock().unwrap();
     assert_eq!(p.in_flight(), 0, "no leaked checkouts");
-    assert!(p.drain().is_empty());
     let s = obs.metrics_snapshot();
     assert_ledger_closed(&s);
     assert_eq!(s.rows_submitted, expected_rows);
@@ -872,21 +904,21 @@ mod faults {
     fn stall_timeout_is_counted_and_traced_consistently() {
         quiet_injected_panics();
         let (a, b) = image_pair(512, 1, 0x57A1);
-        let mut pipeline = DiffExecutorConfig::new(1)
+        let pipeline = DiffExecutorConfig::new(1)
             .fault_plan(FaultPlan::new().stall_on_row(0, Duration::from_millis(300)))
             .observe()
             .build();
         let obs = pipeline.observer();
-        pipeline.submit(a.rows()[0].clone(), b.rows()[0].clone());
-        let err = pipeline
-            .collect_timeout(Duration::from_millis(40))
+        let handle = pipeline.submit_pair(&Arc::new(a), &Arc::new(b)).unwrap();
+        let err = handle
+            .collect_next(Some(std::time::Instant::now() + Duration::from_millis(40)))
             .unwrap_err();
-        assert!(matches!(
-            err,
-            rle_systolic::systolic_core::SystolicError::DeadlineExceeded { .. }
-        ));
+        assert!(matches!(err, SystolicError::DeadlineExceeded { .. }));
         // The stalled row eventually lands; the pipeline goes quiescent.
-        let outcome = pipeline.collect().expect("row still in flight");
+        let outcome = handle
+            .collect_next(None)
+            .unwrap()
+            .expect("row still in flight");
         assert!(outcome.result.is_ok());
 
         let s = obs.metrics_snapshot();
@@ -944,7 +976,6 @@ mod faults {
         // counter stays monotonic.
         let healed_by = std::time::Instant::now() + stall * 10;
         while pipeline.abandoned() > 0 && std::time::Instant::now() < healed_by {
-            pipeline.drain();
             std::thread::sleep(Duration::from_millis(20));
         }
         assert_eq!(pipeline.abandoned(), 0, "healed pool drains the level");
