@@ -3,12 +3,17 @@
 //!
 //! The journal needs a checksum that detects torn writes and bit rot, not
 //! a cryptographic MAC — CRC32 is the standard choice (ext4 journals, zlib,
-//! PNG) and a 256-entry table keeps it fast without any external crate.
+//! PNG). Every record is checksummed on append and again on each replay,
+//! so the loop is slicing-by-8: eight 256-entry tables, built at compile
+//! time, fold eight input bytes per step instead of one (about 4× the
+//! byte-at-a-time loop's throughput), in safe Rust and without any
+//! external crate.
 
-/// Byte-at-a-time lookup table for the reflected IEEE polynomial,
-/// generated at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-at-a-time table for the reflected IEEE
+/// polynomial; `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so one lookup per byte folds a whole 8-byte word at once.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -21,25 +26,58 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `data`, as produced by zlib's `crc32(0, ...)`.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
 #[cfg(test)]
 mod tests {
-    use super::crc32;
+    use super::{crc32, TABLES};
+
+    /// The byte-at-a-time loop the journal used before slicing-by-8: the
+    /// reference every fast-path result must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn known_vectors() {
@@ -50,6 +88,32 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_reference() {
+        // A deterministic 1 MB buffer (64-bit LCG, high bytes).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        // Every length 0–64, so each tail length meets each word count.
+        for len in 0..=64 {
+            assert_eq!(crc32(&buf[..len]), crc32_bytewise(&buf[..len]), "{len}");
+        }
+        // Unaligned slices: every start offset within a word, short and
+        // long lengths, up to the whole buffer.
+        for start in 0..8 {
+            for len in [1, 7, 8, 9, 63, 4_095, 65_537, (1 << 20) - 8] {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -16,32 +16,60 @@
 //! journal := header record*
 //! header  := "RDA2" version:u8 interval:u32le crc:u32le      -- crc over version+interval
 //! record  := frame commit
-//! frame   := 0xF1 body_len:u32le body_crc:u32le body          -- crc over body
-//! body    := seq:u32le flags:u8 (bit0 = keyframe)
+//! frame   := tag:u8 body_len:u32le body_crc:u32le body        -- crc over body
+//! tag     := 0xF1                                             -- keyframe, or XOR-only delta (version 1)
+//!          | 0xF2                                             -- literal-or-XOR delta (version 2 only)
+//! body    := seq:u32le flags:u8 (bit0 = keyframe; clear under 0xF2)
 //!            width:u32le height:varint changed:varint runs:varint
 //!            sig[height]:u64le
-//!            payload_len:varint payload:RLI1                  -- full frame or XOR delta
+//!            literal[⌈height/8⌉]:u8                          -- 0xF2 only; unused high bits zero
+//!            payload_len:varint payload:RLI1                  -- full frame or delta rows
 //! commit  := 0xC7 seq:u32le crc:u32le                         -- crc over seq
 //! ```
 //!
+//! A delta's payload holds one row per image row. Bit `i % 8` of literal
+//! byte `i / 8` set means payload row `i` *replaces* image row `i` (it
+//! may be empty: a row cleared to background). A clear bit on a non-empty
+//! payload row means the row is XORed into the image row; a clear bit on
+//! an empty payload row means the row did not change. An `0xF1` delta
+//! replays with every bit clear. The writer stores each changed row as
+//! whichever has fewer runs, the row itself or its XOR against the
+//! previous frame (see the crate docs); keyframes are full frames.
+//!
 //! Every multi-byte field a reader trusts is covered by a CRC32: the
-//! header CRC covers the interval, the body CRC covers everything in the
-//! record (including the signature index), and the commit CRC covers its
-//! sequence number. Records carry their own geometry (`width`/`height`),
-//! so recovery never needs archive-level state to parse a record.
+//! header CRC covers the version and interval, the body CRC covers
+//! everything in the record (including the signature index and the
+//! literal bitmap), and the commit CRC covers its sequence number.
+//! Records carry their own geometry (`width`/`height`), so recovery never
+//! needs archive-level state to parse a record.
+//!
+//! # Versions: refuse, never truncate
+//!
+//! This build writes version 2 and reads versions 1 and 2. Version 1
+//! journals hold only `0xF1` records; `0xF2` records appear only in
+//! journals whose header says version 2. A build that predates version 2
+//! therefore refuses such a journal with `UnsupportedVersion` instead of
+//! reading an `0xF2` record as a torn tail and truncating it. One writer:
+//! [`ArchiveFile::create_on`], [`ArchiveFile::from_rda1`],
+//! [`ArchiveFile::compact_into`] and `fsck`'s header reset all write
+//! version 2, and [`ArchiveFile::append`] on a version-1 journal returns
+//! [`ArchiveError::ReadOnlyVersion`]; `compact_into` migrates it.
 //!
 //! # Recovery
 //!
 //! [`ArchiveFile::open_on`] scans records from the header forward. The
-//! scan stops at the first record that is truncated, fails its CRC, has a
-//! malformed body, or lacks a valid commit — everything before that point
-//! is the committed prefix, everything after is torn and gets truncated
-//! (reported in [`RecoveryReport`]). A file shorter than a full header is
-//! a torn `create` and is reset to an empty journal. [`ArchiveFile::fsck`]
-//! runs the same scan without mutating, then deep-verifies every frame by
-//! replaying it and checking the stored signature index, and can repair
-//! (truncate the torn tail, or cut back to the last verifiable frame if a
-//! committed record is corrupt).
+//! scan stops at the first record that is truncated, carries a tag its
+//! journal's version does not allow, fails its CRC, has a malformed body
+//! (including a literal bitmap with unused bits set), or lacks a valid
+//! commit — everything before that point is the committed prefix,
+//! everything after is torn and gets truncated (reported in
+//! [`RecoveryReport`]). A file shorter than a full header is a torn
+//! `create` and is reset to an empty version-2 journal.
+//! [`ArchiveFile::fsck`] runs the same scan without mutating, then
+//! deep-verifies every frame by replaying it through the delta codec and
+//! checking the stored signature index, and can repair (truncate the torn
+//! tail, or cut back to the last verifiable frame if a committed record
+//! is corrupt); a truncation keeps the journal's version.
 //!
 //! # Durability knobs
 //!
@@ -60,16 +88,21 @@ use rle::{Pixel, RleImage};
 
 use crate::crc::crc32;
 use crate::storage::Storage;
-use crate::{apply_delta, check_signatures, delta, read_signatures};
+use crate::{apply_delta, changed_rows, check_signatures, delta, read_signatures};
 use crate::{AppendOutcome, ArchiveError, ArchiveStats};
 
 /// Magic prefix of a journaled archive.
 pub const JOURNAL_MAGIC: &[u8; 4] = b"RDA2";
 
-const VERSION: u8 = 1;
+/// The journal format version this build writes; it reads every version
+/// from 1 up to this one, and takes appends only on this one.
+pub const JOURNAL_VERSION: u8 = 2;
 /// magic(4) + version(1) + interval(4) + crc(4).
 const HEADER_LEN: u64 = 13;
+/// A keyframe, or a delta whose rows all replay by XOR.
 const FRAME_TAG: u8 = 0xF1;
+/// A delta with a literal bitmap (version 2 onwards).
+const LITERAL_FRAME_TAG: u8 = 0xF2;
 const COMMIT_TAG: u8 = 0xC7;
 /// tag(1) + body_len(4) + body_crc(4).
 const FRAME_PREFIX_LEN: u64 = 9;
@@ -205,6 +238,8 @@ impl FsckReport {
 struct Entry {
     /// Byte offset of the frame record's tag.
     offset: u64,
+    /// The record's tag, which says how its body is laid out.
+    tag: u8,
     /// Length of the record body (between prefix and commit).
     body_len: u32,
     keyframe: bool,
@@ -240,6 +275,9 @@ struct ParsedBody {
     changed: usize,
     runs: usize,
     sigs: Vec<u64>,
+    /// Byte range of the literal bitmap within the body (empty for an
+    /// `0xF1` record, which replays with every bit clear).
+    literal: std::ops::Range<usize>,
     /// Byte range of the RLI1 payload within the body.
     payload: std::ops::Range<usize>,
 }
@@ -249,6 +287,8 @@ struct Scan {
     /// `None` means the header was torn (file shorter than a header that
     /// still looks like one) — the journal must be reset.
     interval: Option<usize>,
+    /// The header's format version (meaningless when `interval` is `None`).
+    version: u8,
     width: Pixel,
     height: usize,
     entries: Vec<Entry>,
@@ -265,11 +305,14 @@ struct Scan {
 pub struct ArchiveFile<S: Storage> {
     storage: S,
     opts: ArchiveOptions,
+    /// Format version from the header; only [`JOURNAL_VERSION`] takes appends.
+    version: u8,
     interval: usize,
     width: Pixel,
     height: usize,
     entries: Vec<Entry>,
-    /// Reconstruction of the newest frame, kept so append is incremental.
+    /// Reconstruction of the newest frame, kept so append is incremental:
+    /// the base the next delta is computed against and replays onto.
     last: Option<RleImage>,
     /// End of the committed region; appends write here.
     end: u64,
@@ -300,11 +343,12 @@ fn u32_at(buf: &[u8], pos: usize) -> u32 {
     u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"))
 }
 
-/// Parses and validates a record body. `expect_seq` is the sequence number
-/// the record must carry; `dims` is the archive geometry so far (`None`
-/// before the first frame).
+/// Parses and validates the body of a record with frame tag `tag`.
+/// `expect_seq` is the sequence number the record must carry; `dims` is
+/// the archive geometry so far (`None` before the first frame).
 fn parse_body(
     body: &[u8],
+    tag: u8,
     expect_seq: u32,
     dims: Option<(Pixel, usize)>,
 ) -> Result<ParsedBody, TornReason> {
@@ -320,7 +364,8 @@ fn parse_body(
         return Err(TornReason::Malformed);
     }
     let keyframe = flags & 1 != 0;
-    if expect_seq == 0 && !keyframe {
+    // Frame 0 is a keyframe, and keyframes are full frames: never `0xF2`.
+    if (expect_seq == 0 && !keyframe) || (tag == LITERAL_FRAME_TAG && keyframe) {
         return Err(TornReason::Malformed);
     }
     let width = u32_at(body, 5);
@@ -337,6 +382,18 @@ fn parse_body(
     }
     let runs = get_varint(body, &mut pos).map_err(|_| TornReason::Malformed)? as usize;
     let sigs = read_signatures(body, &mut pos, height).ok_or(TornReason::Malformed)?;
+    let literal_len = if tag == LITERAL_FRAME_TAG {
+        height.div_ceil(8)
+    } else {
+        0
+    };
+    let literal = pos..pos + literal_len;
+    let bitmap = body.get(literal.clone()).ok_or(TornReason::Malformed)?;
+    // Bits past the last row must be clear, so one image has one encoding.
+    if !height.is_multiple_of(8) && bitmap.last().is_some_and(|&b| b >> (height % 8) != 0) {
+        return Err(TornReason::Malformed);
+    }
+    pos = literal.end;
     let payload_len = get_varint(body, &mut pos).map_err(|_| TornReason::Malformed)? as usize;
     if body.len() - pos != payload_len {
         // The payload must account for every remaining byte — trailing
@@ -351,6 +408,7 @@ fn parse_body(
         changed,
         runs,
         sigs,
+        literal,
         payload: pos..body.len(),
     })
 }
@@ -370,6 +428,7 @@ fn scan<S: Storage>(storage: &mut S) -> Result<Scan, ArchiveError> {
         // A prefix of a valid header: a crash during create.
         return Ok(Scan {
             interval: None,
+            version: JOURNAL_VERSION,
             width: 0,
             height: 0,
             entries: Vec::new(),
@@ -384,8 +443,9 @@ fn scan<S: Storage>(storage: &mut S) -> Result<Scan, ArchiveError> {
     if crc32(&header[4..9]) != u32_at(&header, 9) {
         return Err(ArchiveError::HeaderCorrupt);
     }
-    if header[4] != VERSION {
-        return Err(ArchiveError::UnsupportedVersion { version: header[4] });
+    let version = header[4];
+    if !(1..=JOURNAL_VERSION).contains(&version) {
+        return Err(ArchiveError::UnsupportedVersion { version });
     }
     let interval = u32_at(&header, 5) as usize;
     if interval == 0 {
@@ -404,7 +464,8 @@ fn scan<S: Storage>(storage: &mut S) -> Result<Scan, ArchiveError> {
             torn = Some(TornReason::Truncated);
             break;
         }
-        if prefix[0] != FRAME_TAG {
+        let tag = prefix[0];
+        if tag != FRAME_TAG && !(tag == LITERAL_FRAME_TAG && version >= 2) {
             torn = Some(TornReason::BadTag);
             break;
         }
@@ -427,7 +488,7 @@ fn scan<S: Storage>(storage: &mut S) -> Result<Scan, ArchiveError> {
             break;
         }
         let dims = (!entries.is_empty()).then_some((width, height));
-        let parsed = match parse_body(&body, entries.len() as u32, dims) {
+        let parsed = match parse_body(&body, tag, entries.len() as u32, dims) {
             Ok(p) => p,
             Err(reason) => {
                 torn = Some(reason);
@@ -450,6 +511,7 @@ fn scan<S: Storage>(storage: &mut S) -> Result<Scan, ArchiveError> {
         height = parsed.height;
         entries.push(Entry {
             offset: pos,
+            tag,
             body_len,
             keyframe: parsed.keyframe,
             changed: parsed.changed,
@@ -465,6 +527,7 @@ fn scan<S: Storage>(storage: &mut S) -> Result<Scan, ArchiveError> {
     }
     Ok(Scan {
         interval: Some(interval),
+        version,
         width,
         height,
         entries,
@@ -474,10 +537,21 @@ fn scan<S: Storage>(storage: &mut S) -> Result<Scan, ArchiveError> {
     })
 }
 
+/// The format version a journal's header declares, or `None` unless
+/// `bytes` start with a whole journal header whose CRC holds — for front
+/// ends that sniff a file before choosing how to open it (the CLI
+/// migrates an older version before appending).
+#[must_use]
+pub fn journal_version(bytes: &[u8]) -> Option<u8> {
+    let header = bytes.get(..HEADER_LEN as usize)?;
+    (header.starts_with(JOURNAL_MAGIC) && crc32(&header[4..9]) == u32_at(header, 9))
+        .then_some(header[4])
+}
+
 fn encode_header(interval: usize) -> [u8; HEADER_LEN as usize] {
     let mut header = [0u8; HEADER_LEN as usize];
     header[..4].copy_from_slice(JOURNAL_MAGIC);
-    header[4] = VERSION;
+    header[4] = JOURNAL_VERSION;
     header[5..9].copy_from_slice(&(interval as u32).to_le_bytes());
     let crc = crc32(&header[4..9]);
     header[9..13].copy_from_slice(&crc.to_le_bytes());
@@ -493,6 +567,7 @@ impl<S: Storage> ArchiveFile<S> {
         let mut archive = Self {
             storage,
             opts,
+            version: JOURNAL_VERSION,
             interval,
             width: 0,
             height: 0,
@@ -553,6 +628,7 @@ impl<S: Storage> ArchiveFile<S> {
         let mut archive = Self {
             storage,
             opts,
+            version: scan.version,
             interval,
             width: scan.width,
             height: scan.height,
@@ -575,8 +651,10 @@ impl<S: Storage> ArchiveFile<S> {
     /// Migrates a legacy `RDA1` blob (see the crate docs) into a fresh
     /// journal on the **empty** `storage`, keeping the blob's own keyframe
     /// cadence. The whole blob is parsed before anything is written; then
-    /// each frame is replayed, checked against the blob's signature index
-    /// and appended, so a corrupt frame anywhere fails the migration.
+    /// each frame is replayed (its XOR payload through the delta codec,
+    /// with an all-clear literal bitmap), checked against the blob's
+    /// signature index and appended, so a corrupt frame anywhere fails the
+    /// migration.
     pub fn from_rda1(storage: S, blob: &[u8], fsync: FsyncPolicy) -> Result<Self, ArchiveError> {
         let (keyframe_interval, frames) = crate::parse_rda1(blob)?;
         let opts = ArchiveOptions {
@@ -590,7 +668,7 @@ impl<S: Storage> ArchiveFile<S> {
                 frame.payload
             } else {
                 let mut img = current.take().expect("frame 0 parsed as a keyframe");
-                apply_delta(&mut img, &frame.payload, index)?;
+                apply_delta(&mut img, frame.payload, &[], index)?;
                 img
             };
             check_signatures(&img, &frame.sigs, index)?;
@@ -630,6 +708,14 @@ impl<S: Storage> ArchiveFile<S> {
         self.interval
     }
 
+    /// Format version from the journal header. Only the version this
+    /// build writes takes appends; an older one is read-only until
+    /// [`ArchiveFile::compact_into`] rewrites it.
+    #[must_use]
+    pub fn version(&self) -> u8 {
+        self.version
+    }
+
     /// What open-time recovery found and did.
     #[must_use]
     pub fn recovery(&self) -> &RecoveryReport {
@@ -663,8 +749,15 @@ impl<S: Storage> ArchiveFile<S> {
     /// commit record — O(frame) I/O, no rewrite of earlier frames. The
     /// frame is durable per the [`FsyncPolicy`]. On an I/O error the
     /// in-memory state is unchanged and the torn bytes are cut back on a
-    /// best-effort basis; the next append (or open) overwrites them.
+    /// best-effort basis; the next append (or open) overwrites them. A
+    /// journal of an older format version takes no appends
+    /// ([`ArchiveError::ReadOnlyVersion`]).
     pub fn append(&mut self, frame: &RleImage) -> Result<AppendOutcome, ArchiveError> {
+        if self.version != JOURNAL_VERSION {
+            return Err(ArchiveError::ReadOnlyVersion {
+                version: self.version,
+            });
+        }
         if self.entries.is_empty() {
             self.width = frame.width();
             self.height = frame.height();
@@ -677,33 +770,41 @@ impl<S: Storage> ArchiveFile<S> {
         let index = self.entries.len();
         let sigs = frame.row_signatures();
         let keyframe = index.is_multiple_of(self.interval);
-        let (payload, changed) = if keyframe {
-            (frame.clone(), self.height)
+        // The rows the delta stores, and that `last` takes over once the
+        // record is written (the first frame replaces `last` whole).
+        let changed = self
+            .last
+            .as_ref()
+            .map_or_else(Vec::new, |last| changed_rows(last, &sigs));
+        let (tag, literal, rli, runs) = if keyframe {
+            let rli = serialize::encode_image(frame);
+            (FRAME_TAG, Vec::new(), rli, frame.total_runs())
         } else {
             let prev = self
                 .last
                 .as_ref()
                 .expect("non-empty journal has a last frame");
-            delta(prev, frame, &sigs)?
+            let d = delta(prev, frame, &changed);
+            (LITERAL_FRAME_TAG, d.literal, d.payload, d.runs)
         };
-        let runs = payload.total_runs();
+        let changed_count = if keyframe { self.height } else { changed.len() };
 
-        let mut body = Vec::with_capacity(32 + 8 * self.height);
+        let mut body = Vec::with_capacity(32 + 8 * self.height + literal.len() + rli.len());
         body.extend_from_slice(&(index as u32).to_le_bytes());
         body.push(u8::from(keyframe));
         body.extend_from_slice(&self.width.to_le_bytes());
         put_varint(&mut body, self.height as u32);
-        put_varint(&mut body, changed as u32);
+        put_varint(&mut body, changed_count as u32);
         put_varint(&mut body, runs as u32);
         for sig in &sigs {
             body.extend_from_slice(&sig.to_le_bytes());
         }
-        let rli = serialize::encode_image(&payload);
+        body.extend_from_slice(&literal);
         put_varint(&mut body, rli.len() as u32);
         body.extend_from_slice(&rli);
 
         let mut record = Vec::with_capacity(body.len() + 18);
-        record.push(FRAME_TAG);
+        record.push(tag);
         record.extend_from_slice(&(body.len() as u32).to_le_bytes());
         record.extend_from_slice(&crc32(&body).to_le_bytes());
         record.extend_from_slice(&body);
@@ -728,13 +829,23 @@ impl<S: Storage> ArchiveFile<S> {
         self.counters.last_append_bytes = record.len() as u64;
         self.entries.push(Entry {
             offset,
+            tag,
             body_len: body.len() as u32,
             keyframe,
-            changed,
+            changed: changed_count,
             runs,
             sigs,
         });
-        self.last = Some(frame.clone());
+        // Only now that the record is written does `last` move on, and
+        // only in the rows that changed: O(changed rows), not O(frame).
+        match &mut self.last {
+            Some(last) => {
+                for i in changed {
+                    *last.row_mut(i) = frame.rows()[i].clone();
+                }
+            }
+            None => self.last = Some(frame.clone()),
+        }
         match self.opts.fsync {
             FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::EveryN(n) => {
@@ -748,20 +859,21 @@ impl<S: Storage> ArchiveFile<S> {
         Ok(AppendOutcome {
             frame: index,
             keyframe,
-            changed_rows: changed,
+            changed_rows: changed_count,
         })
     }
 
-    /// Reads and CRC-checks frame `index`'s payload from disk.
-    fn read_payload(&mut self, index: usize) -> Result<RleImage, ArchiveError> {
-        let (offset, body_len) = {
+    /// Reads and CRC-checks frame `index`'s record from disk, returning its
+    /// decoded payload and its literal bitmap (empty for an `0xF1` record).
+    fn read_record(&mut self, index: usize) -> Result<(RleImage, Vec<u8>), ArchiveError> {
+        let (offset, tag, body_len) = {
             let e = &self.entries[index];
-            (e.offset, e.body_len)
+            (e.offset, e.tag, e.body_len)
         };
         let mut prefix = [0u8; FRAME_PREFIX_LEN as usize];
         let mut body = vec![0u8; body_len as usize];
         if !try_read_exact(&mut self.storage, offset, &mut prefix)?
-            || prefix[0] != FRAME_TAG
+            || prefix[0] != tag
             || u32_at(&prefix, 1) != body_len
             || !try_read_exact(&mut self.storage, offset + FRAME_PREFIX_LEN, &mut body)?
         {
@@ -778,14 +890,14 @@ impl<S: Storage> ArchiveFile<S> {
                 offset,
             });
         }
-        let parsed = parse_body(&body, index as u32, Some((self.width, self.height)))
+        let parsed = parse_body(&body, tag, index as u32, Some((self.width, self.height)))
             .map_err(|_| ArchiveError::PayloadGeometry { frame: index })?;
         self.counters.records_replayed += 1;
         let payload = serialize::decode_image(&body[parsed.payload])?;
         if payload.width() != self.width || payload.height() != self.height {
             return Err(ArchiveError::PayloadGeometry { frame: index });
         }
-        Ok(payload)
+        Ok((payload, body[parsed.literal].to_vec()))
     }
 
     /// Reconstructs frame `index` bit-identically. The in-memory index
@@ -804,9 +916,10 @@ impl<S: Storage> ArchiveFile<S> {
             .rev()
             .find(|&i| self.entries[i].keyframe)
             .expect("frame 0 is always a keyframe");
-        let mut img = self.read_payload(key)?;
+        let (mut img, _) = self.read_record(key)?;
         for j in key + 1..=index {
-            apply_delta(&mut img, &self.read_payload(j)?, j)?;
+            let (payload, literal) = self.read_record(j)?;
+            apply_delta(&mut img, payload, &literal, j)?;
         }
         check_signatures(&img, &self.entries[index].sigs, index)?;
         Ok(img)
@@ -887,13 +1000,13 @@ impl<S: Storage> ArchiveFile<S> {
                 && try_read_exact(storage, entry.offset + FRAME_PREFIX_LEN, &mut body)?
                 && crc32(&body) == u32_at(&prefix, 5);
             let replayed = intact.then(|| {
-                let parsed = parse_body(&body, index as u32, None).ok()?;
+                let parsed = parse_body(&body, entry.tag, index as u32, None).ok()?;
                 let payload = serialize::decode_image(&body[parsed.payload]).ok()?;
                 let frame = if entry.keyframe {
                     payload
                 } else {
                     let mut img = current.take()?;
-                    apply_delta(&mut img, &payload, index).ok()?;
+                    apply_delta(&mut img, payload, &body[parsed.literal], index).ok()?;
                     img
                 };
                 check_signatures(&frame, &entry.sigs, index).ok()?;
@@ -1278,6 +1391,150 @@ mod tests {
         assert_eq!(back.len(), 5);
         for (i, want) in frames.iter().enumerate().take(back.len()) {
             assert_eq!(&back.extract(i).unwrap(), want, "surviving frame {i}");
+        }
+    }
+
+    /// Re-seals a journal header with `version` (and a matching CRC).
+    fn set_version(bytes: &mut [u8], version: u8) {
+        bytes[4] = version;
+        let crc = crc32(&bytes[4..9]);
+        bytes[9..13].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Flips `mask` into body byte `at` of the record at `offset` and
+    /// re-seals the body CRC, so only the body parser can object.
+    fn poke_body(bytes: &mut [u8], offset: u64, at: usize, mask: u8) {
+        let offset = offset as usize;
+        let body_len = u32_at(bytes, offset + 1) as usize;
+        let body = offset + FRAME_PREFIX_LEN as usize;
+        bytes[body + at] ^= mask;
+        let crc = crc32(&bytes[body..body + body_len]);
+        bytes[offset + 5..offset + 9].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn literal_records_parse_only_under_a_version_2_header() {
+        let frames = sequence(3, 16, 5);
+        let mut journal = ArchiveFile::create_on(MemStorage::new(), opts(8)).unwrap();
+        for f in &frames {
+            journal.append(f).unwrap();
+        }
+        assert_eq!(journal.version(), JOURNAL_VERSION);
+        let tags: Vec<u8> = journal.entries.iter().map(|e| e.tag).collect();
+        assert_eq!(tags, [FRAME_TAG, LITERAL_FRAME_TAG, LITERAL_FRAME_TAG]);
+        let (second, third) = (journal.entries[1].offset, journal.entries[2].offset);
+        let bytes = journal.into_storage().into_bytes();
+
+        // Under a version-1 header an 0xF2 record is not a record.
+        let mut v1 = bytes.clone();
+        set_version(&mut v1, 1);
+        assert_eq!(journal_version(&bytes), Some(JOURNAL_VERSION));
+        assert_eq!(journal_version(&v1), Some(1));
+        assert_eq!(journal_version(&v1[..HEADER_LEN as usize - 1]), None);
+        let mut unsealed = v1.clone();
+        unsealed[4] = 2;
+        assert_eq!(journal_version(&unsealed), None, "the header CRC must hold");
+        let back = ArchiveFile::open_on(MemStorage::from_bytes(v1), opts(8)).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back.recovery().reason, Some(TornReason::BadTag));
+
+        // A bitmap bit past the last row (height 5: bits 5–7 unused), or
+        // an 0xF2 record flagged as a keyframe, is a malformed body.
+        let bitmap_at = 9 + 1 + 1 + 1 + 8 * 5; // fixed fields, 3 varints, sigs
+        for (at, mask) in [(bitmap_at, 0x80), (4, 0x01)] {
+            let mut bad = bytes.clone();
+            poke_body(&mut bad, third, at, mask);
+            let back = ArchiveFile::open_on(MemStorage::from_bytes(bad), opts(8)).unwrap();
+            assert_eq!(back.len(), 2, "body byte {at}");
+            assert_eq!(back.recovery().reason, Some(TornReason::Malformed));
+        }
+        // Flipping a used bit still parses: the CRC-valid record replays
+        // row 0 the other way, and the signature index catches the wrong
+        // frame.
+        let mut flipped = bytes;
+        poke_body(&mut flipped, second, bitmap_at, 0x01);
+        assert!(matches!(
+            ArchiveFile::open_on(MemStorage::from_bytes(flipped), opts(8)),
+            Err(ArchiveError::SignatureMismatch { .. })
+        ));
+    }
+
+    /// A `MemStorage` whose writes fail while `fail` is set.
+    #[derive(Debug, Default)]
+    struct Flaky {
+        inner: MemStorage,
+        fail: bool,
+    }
+
+    impl std::io::Read for Flaky {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.inner.read(out)
+        }
+    }
+
+    impl std::io::Write for Flaky {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            if self.fail {
+                return Err(std::io::Error::other("injected write failure"));
+            }
+            self.inner.write(data)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl std::io::Seek for Flaky {
+        fn seek(&mut self, from: SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(from)
+        }
+    }
+
+    impl Storage for Flaky {
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            self.inner.sync_data()
+        }
+
+        fn set_len(&mut self, len: u64) -> std::io::Result<u64> {
+            self.inner.set_len(len)
+        }
+
+        fn byte_len(&mut self) -> std::io::Result<u64> {
+            self.inner.byte_len()
+        }
+    }
+
+    #[test]
+    fn a_failed_append_leaves_the_delta_base_untouched() {
+        let frames = sequence(8, 32, 6);
+        let mut journal = ArchiveFile::create_on(Flaky::default(), opts(100)).unwrap();
+        for f in &frames[..3] {
+            journal.append(f).unwrap();
+        }
+        journal.storage.fail = true;
+        assert!(matches!(
+            journal.append(&frames[5]),
+            Err(ArchiveError::Io { .. })
+        ));
+        journal.storage.fail = false;
+        // Had the failed append moved `last` on to frame 5, this delta
+        // would be computed against the wrong base.
+        journal.append(&frames[3]).unwrap();
+        assert_eq!(journal.len(), 4);
+        for (i, f) in frames[..4].iter().enumerate() {
+            assert_eq!(&journal.extract(i).unwrap(), f, "frame {i}");
+        }
+    }
+
+    #[test]
+    fn last_tracks_the_newest_frame_row_by_row() {
+        let frames = sequence(12, 32, 6);
+        let mut journal = ArchiveFile::create_on(MemStorage::new(), opts(5)).unwrap();
+        for (i, f) in frames.iter().enumerate() {
+            journal.append(f).unwrap();
+            assert_eq!(journal.last.as_ref(), Some(f), "after append {i}");
+            assert_eq!(&journal.extract(i).unwrap(), f);
         }
     }
 

@@ -3,18 +3,25 @@
 //! Consecutive frames in the workloads this repo targets (PCB inspection,
 //! motion detection) differ in a handful of rows; storing every frame in
 //! full re-pays the cost of everything that *didn't* change. This crate
-//! persists a sequence as **keyframes plus per-row XOR deltas**, keyed by
-//! the 64-bit row signatures from [`rle::sig`], in one store: the
-//! crash-safe, append-only `RDA2` journal [`ArchiveFile`] (format and
-//! recovery in [`journal`]).
+//! persists a sequence as **keyframes plus per-row literal-or-XOR
+//! deltas**, keyed by the 64-bit row signatures from [`rle::sig`], in one
+//! store: the crash-safe, append-only `RDA2` journal [`ArchiveFile`]
+//! (format, versions and recovery in [`journal`]).
 //!
 //! * **Append** compares the new frame's row signatures against the
 //!   previous frame's (both cached on the rows, so the compare is O(1) per
-//!   row) and XORs only the rows whose signatures differ — append cost is
-//!   proportional to what changed, the same leverage the executor's
+//!   row) and stores only the rows whose signatures differ — append cost
+//!   is proportional to what changed, the same leverage the executor's
 //!   signature prefilter gets (see `DiffExecutorConfig::signature_prefilter`).
+//!   Each changed row is stored as whichever has fewer runs: the row
+//!   itself (a *literal*; ties go to it) or its XOR against the previous
+//!   frame. The XOR of two unlike rows tends to k1 + k2 runs (the paper's
+//!   Observation), so a redrawn row is stored as itself and a row with a
+//!   few pixel errors as its XOR; the choice is counted before any XOR is
+//!   built.
 //! * **Extract** reconstructs any version by replaying deltas forward from
-//!   the nearest keyframe, then checks the reconstruction's row signatures
+//!   the nearest keyframe — a literal row replaces its row, an XOR row is
+//!   XORed into it — then checks the reconstruction's row signatures
 //!   against the stored signature index — bit-rot anywhere in the replay
 //!   chain surfaces as a typed [`ArchiveError::SignatureMismatch`], not as
 //!   a silently wrong image.
@@ -67,7 +74,8 @@ pub mod journal;
 pub mod storage;
 
 pub use journal::{
-    ArchiveFile, ArchiveOptions, FsckReport, FsyncPolicy, RecoveryReport, TornReason, JOURNAL_MAGIC,
+    journal_version, ArchiveFile, ArchiveOptions, FsckReport, FsyncPolicy, RecoveryReport,
+    TornReason, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 #[cfg(feature = "fault-injection")]
 pub use storage::{CrashMode, CrashPlan, FaultStorage};
@@ -150,6 +158,13 @@ pub enum ArchiveError {
         /// The version byte found in the header.
         version: u8,
     },
+    /// The journal's format version is one this build reads but no longer
+    /// writes, so it takes no appends; [`ArchiveFile::compact_into`]
+    /// rewrites it in the current version.
+    ReadOnlyVersion {
+        /// The version byte found in the header.
+        version: u8,
+    },
     /// The backing storage failed.
     Io {
         /// The I/O error kind.
@@ -203,6 +218,10 @@ impl std::fmt::Display for ArchiveError {
             ArchiveError::UnsupportedVersion { version } => {
                 write!(f, "journal format version {version} not supported")
             }
+            ArchiveError::ReadOnlyVersion { version } => write!(
+                f,
+                "journal format version {version} is read-only; compact it into a new journal to append"
+            ),
             ArchiveError::Io { kind, message } => write!(f, "journal I/O ({kind:?}): {message}"),
         }
     }
@@ -283,43 +302,132 @@ pub struct AppendOutcome {
     pub changed_rows: usize,
 }
 
-/// The delta codec's encoder: the delta of `frame` against `prev`. Rows
-/// whose signature matches `sigs` (the frame's own) stay empty; the rest
-/// hold `prev XOR frame`. Returns the delta image and the changed-row
-/// count.
-fn delta(
-    prev: &RleImage,
-    frame: &RleImage,
-    sigs: &[u64],
-) -> Result<(RleImage, usize), ArchiveError> {
-    let mut changed = 0;
-    let rows = prev
-        .rows()
+/// Indices of the rows whose signature in `sigs` (the new frame's)
+/// differs from `prev`'s: the rows a delta stores.
+fn changed_rows(prev: &RleImage, sigs: &[u64]) -> Vec<usize> {
+    prev.rows()
         .iter()
-        .zip(frame.rows())
         .zip(sigs)
-        .map(|((pr, fr), &sig)| {
-            if pr.signature() == sig {
-                RleRow::new(frame.width())
-            } else {
-                changed += 1;
-                rle::ops::xor(pr, fr)
-            }
-        })
-        .collect();
-    Ok((RleImage::from_rows(frame.width(), rows)?, changed))
+        .enumerate()
+        .filter(|(_, (row, &sig))| row.signature() != sig)
+        .map(|(i, _)| i)
+        .collect()
 }
 
-/// The delta codec's decoder: replays `delta` onto `img` in place, XORing
-/// every non-empty delta row into its row. A delta whose geometry differs
-/// from `img`'s is a malformed payload of `frame`.
-fn apply_delta(img: &mut RleImage, delta: &RleImage, frame: usize) -> Result<(), ArchiveError> {
+/// Whether row `row` is set in a literal bitmap (bit `row % 8` of byte
+/// `row / 8`). Rows past the bitmap's end read as clear, so the empty
+/// bitmap is the all-clear one that XOR-only payloads replay with.
+fn is_literal(literal: &[u8], row: usize) -> bool {
+    literal
+        .get(row / 8)
+        .is_some_and(|b| b >> (row % 8) & 1 != 0)
+}
+
+/// A row's run edges (each run's start and end-exclusive), ascending,
+/// with the shared edge of two touching runs cancelled: the edges of the
+/// row's canonical encoding, whatever its encoding.
+fn edges(row: &RleRow) -> Vec<Pixel> {
+    let mut out = Vec::with_capacity(2 * row.run_count());
+    for r in row.runs() {
+        if out.last() == Some(&r.start()) {
+            out.pop();
+        } else {
+            out.push(r.start());
+        }
+        out.push(r.end_exclusive());
+    }
+    out
+}
+
+/// Whether `prev XOR row` has fewer runs than `row` stores: the XOR with a
+/// run budget of one run fewer than the row, counted without being built.
+/// The XOR toggles exactly where one of the rows toggles and the other
+/// does not, so it has `(|A| + |B|) / 2 − s` runs, `A` and `B` being the
+/// rows' canonical edges and `s` the edges they share. A merge whose steps
+/// do not branch on the data counts `s`, and stops as soon as the edges
+/// left cannot bring it to what the budget needs — about halfway through
+/// for two unrelated rows, whose XOR outgrows either row.
+fn xor_is_smaller(prev: &RleRow, row: &RleRow) -> bool {
+    let (a, b) = (edges(prev), edges(row));
+    let need = ((a.len() + b.len()) / 2 + 1).saturating_sub(row.run_count());
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        if shared + (a.len() - i).min(b.len() - j) < need {
+            return false;
+        }
+        let (x, y) = (a[i], b[j]);
+        shared += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    shared >= need
+}
+
+/// A delta frame as the journal stores it.
+struct Delta {
+    /// `RLI1` image of the stored rows; unchanged rows are empty.
+    payload: Vec<u8>,
+    /// Literal bitmap, `⌈height/8⌉` bytes: a set bit marks a row stored as
+    /// itself, a clear bit on a non-empty row one stored as an XOR.
+    literal: Vec<u8>,
+    /// Runs stored across the payload.
+    runs: usize,
+}
+
+/// The delta codec's encoder: stores each `changed` row of `frame` as
+/// whichever has fewer runs — its XOR against `prev` (`rle::ops::xor`),
+/// or the row itself (a *literal*; a tie goes to the literal). The XOR of
+/// two unlike rows tends to k1 + k2 runs (the paper's Observation), so a
+/// redrawn row is cheaper stored as itself, while a row with a few pixel
+/// errors is cheaper as its XOR. [`xor_is_smaller`] decides first, so the
+/// XOR is built only for rows that store it.
+fn delta(prev: &RleImage, frame: &RleImage, changed: &[usize]) -> Delta {
+    let unchanged = RleRow::new(frame.width());
+    let mut literal = vec![0u8; frame.height().div_ceil(8)];
+    let mut runs = 0;
+    let mut next = changed.iter().copied().peekable();
+    let mut out = serialize::ImageWriter::new(Vec::new(), frame.width(), frame.height())
+        .expect("writing to a Vec cannot fail");
+    for (i, (pr, fr)) in prev.rows().iter().zip(frame.rows()).enumerate() {
+        let xor;
+        let row = if next.next_if_eq(&i).is_none() {
+            &unchanged
+        } else if xor_is_smaller(pr, fr) {
+            xor = rle::ops::xor(pr, fr);
+            &xor
+        } else {
+            literal[i / 8] |= 1 << (i % 8);
+            fr
+        };
+        runs += row.run_count();
+        out.write_row(row).expect("writing to a Vec cannot fail");
+    }
+    let payload = out.finish().expect("one row was written per frame row");
+    Delta {
+        payload,
+        literal,
+        runs,
+    }
+}
+
+/// The delta codec's decoder: replays `delta` onto `img` in place. A row
+/// set in the `literal` bitmap replaces its row (it may be empty); any
+/// other non-empty delta row is XORed into its row. A delta whose
+/// geometry differs from `img`'s is a malformed payload of `frame`.
+fn apply_delta(
+    img: &mut RleImage,
+    delta: RleImage,
+    literal: &[u8],
+    frame: usize,
+) -> Result<(), ArchiveError> {
     if delta.width() != img.width() || delta.height() != img.height() {
         return Err(ArchiveError::PayloadGeometry { frame });
     }
-    for (i, d) in delta.rows().iter().enumerate() {
-        if !d.is_empty() {
-            let replayed = rle::ops::xor(&img.rows()[i], d);
+    for (i, d) in delta.into_rows().into_iter().enumerate() {
+        if is_literal(literal, i) {
+            img.set_row(i, d)?;
+        } else if !d.is_empty() {
+            let replayed = rle::ops::xor(&img.rows()[i], &d);
             img.set_row(i, replayed)?;
         }
     }
@@ -434,6 +542,7 @@ fn parse_rda1(data: &[u8]) -> Result<(usize, Vec<LegacyFrame>), ArchiveError> {
 mod tests {
     use super::*;
     use rle::serialize::put_varint;
+    use rle::Run;
 
     /// The 12-frame legacy fixture (recipe in `tests/delta_archive.rs`).
     const LEGACY: &[u8] = include_bytes!("../testdata/legacy.rda1");
@@ -605,6 +714,81 @@ mod tests {
             from_rda1(&bytes).unwrap_err(),
             ArchiveError::SignatureMismatch { frame: 0, row: 0 }
         );
+    }
+
+    /// A random row of `width` pixels whose runs may touch (a
+    /// non-canonical encoding), as the paper allows.
+    fn random_row(rng: &mut impl rand::Rng, width: Pixel) -> RleRow {
+        let mut runs = Vec::new();
+        let mut at = 0;
+        while at < width {
+            at += rng.gen_range(0..4);
+            let len = rng.gen_range(1..6).min(width.saturating_sub(at));
+            if len == 0 {
+                break;
+            }
+            runs.push(Run::new(at, len));
+            at += len;
+        }
+        RleRow::from_runs(width, runs).unwrap()
+    }
+
+    #[test]
+    fn the_xor_run_count_matches_the_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0D6);
+        let (mut smaller, mut not) = (0, 0);
+        for round in 0..4_000 {
+            let width = rng.gen_range(1..96);
+            let a = random_row(&mut rng, width);
+            // Half the pairs are similar: `a` with one pixel flipped.
+            let b = if round % 2 == 0 {
+                random_row(&mut rng, width)
+            } else {
+                let flip = RleRow::from_pairs(width, &[(rng.gen_range(0..width), 1)]).unwrap();
+                rle::ops::combine(&a, &flip, |x, y| x != y)
+            };
+            for (prev, row) in [(&a, &b), (&b, &a)] {
+                let want = rle::ops::xor(prev, row).run_count() < row.run_count();
+                assert_eq!(xor_is_smaller(prev, row), want, "{prev:?} ^ {row:?}");
+                if want {
+                    smaller += 1;
+                } else {
+                    not += 1;
+                }
+            }
+        }
+        assert!(smaller > 1_000 && not > 1_000, "{smaller} / {not}");
+    }
+
+    #[test]
+    fn deltas_pick_the_smaller_row_and_replay_it() {
+        let row = |pairs: &[(Pixel, Pixel)]| RleRow::from_pairs(32, pairs).unwrap();
+        let image = |rows: Vec<RleRow>| RleImage::from_rows(32, rows).unwrap();
+        let prev = image(vec![
+            row(&[(0, 2), (4, 2), (8, 2)]),
+            row(&[(0, 2), (4, 2), (8, 2)]),
+            row(&[(1, 1)]),
+            row(&[(3, 3)]),
+        ]);
+        let frame = image(vec![
+            row(&[(0, 2), (4, 2), (8, 2), (12, 1)]), // one pixel more: XOR
+            row(&[(20, 5)]),                         // redrawn: literal
+            RleRow::new(32),                         // cleared: empty literal
+            row(&[(3, 3)]),                          // unchanged
+        ]);
+        let changed = changed_rows(&prev, &frame.row_signatures());
+        assert_eq!(changed, [0, 1, 2]);
+        let d = delta(&prev, &frame, &changed);
+        assert_eq!(d.literal, [0b0110]);
+        let payload = serialize::decode_image(&d.payload).unwrap();
+        assert_eq!(payload.rows()[0], row(&[(12, 1)]));
+        assert_eq!(payload.rows()[1], frame.rows()[1]);
+        assert!(payload.rows()[2].is_empty() && payload.rows()[3].is_empty());
+        assert_eq!(d.runs, payload.total_runs());
+        let mut img = prev.clone();
+        apply_delta(&mut img, payload, &d.literal, 1).unwrap();
+        assert_eq!(img, frame);
     }
 
     #[test]

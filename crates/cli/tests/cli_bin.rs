@@ -468,6 +468,67 @@ fn archive_round_trips_frames_bit_identically() {
     assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
 }
 
+/// `archive append` on a version-1 journal (the pinned `v1.rda2`, 12
+/// frames of 256×16) migrates it in place to version 2 and appends; a
+/// failed migration leaves the file byte-identical.
+#[test]
+fn archive_append_migrates_a_version_1_journal() {
+    let v1: &[u8] = include_bytes!("../../archive/testdata/v1.rda2");
+    let store = tmp("v1_copy.rda2");
+    std::fs::write(&store, v1).unwrap();
+    let store_arg = store.to_str().unwrap();
+    let out = rlediff(&["archive", "stat", store_arg]);
+    assert!(String::from_utf8_lossy(&out.stdout)
+        .contains("RDA2 journal, version 1 (append migrates it to version 2)"));
+
+    // The frames as the version-1 journal holds them (reads never write).
+    let extract = |i: usize| {
+        let got = tmp(&format!("v1_x{i}.rle"));
+        let out = rlediff(&[
+            "archive",
+            "extract",
+            store_arg,
+            &i.to_string(),
+            "-o",
+            got.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "frame {i}: {out:?}");
+        (got.clone(), std::fs::read(&got).unwrap())
+    };
+    let before: Vec<(PathBuf, Vec<u8>)> = (0..12).map(extract).collect();
+    assert_eq!(std::fs::read(&store).unwrap(), v1);
+
+    // A directory squatting on the temp path makes the migration fail:
+    // exit 1, and the journal is byte-identical.
+    let migrate = tmp("v1_copy.rda2.migrate");
+    std::fs::create_dir_all(&migrate).unwrap();
+    let next = before[11].0.to_str().unwrap();
+    let out = rlediff(&["archive", "append", store_arg, next]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(std::fs::read(&store).unwrap(), v1);
+    std::fs::remove_dir(&migrate).unwrap();
+
+    let out = rlediff(&["archive", "append", store_arg, next]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        stdout.contains("migrated 12 frame(s) of journal version 1 to version 2"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("13 frames"), "{stdout}");
+    assert!(!migrate.exists(), "temp journal left behind");
+    let migrated = std::fs::read(&store).unwrap();
+    assert_eq!((&migrated[..4], migrated[4]), (&b"RDA2"[..], 2));
+    let out = rlediff(&["archive", "stat", store_arg]);
+    let stat = String::from_utf8_lossy(&out.stdout);
+    assert!(stat.contains("RDA2 journal, version 2\n"), "{stat}");
+    assert!(stat.contains("13 (4 keyframes, every 4)"), "{stat}");
+    for (i, (_, want)) in before.iter().enumerate() {
+        assert_eq!(&extract(i).1, want, "frame {i} after migration");
+    }
+    assert_eq!(extract(12).1, before[11].1, "the appended frame");
+}
+
 /// A file that is not an archive of either format is refused without
 /// being touched, and the message names the format the CLI writes.
 #[test]
