@@ -6,7 +6,7 @@
 //! the number of pixels". On a real machine we have a fixed thread count, so
 //! this module provides the practical version: the flat word array is split
 //! into equal chunks, one per worker, and XORed with no synchronisation
-//! beyond the final join (crossbeam scoped threads; the disjoint `&mut`
+//! beyond the final join (`std::thread::scope`; the disjoint `&mut`
 //! chunks make this data-race-free by construction).
 
 use crate::bitmap::Bitmap;
@@ -64,19 +64,18 @@ pub fn xor_into(a: &Bitmap, b: &Bitmap, out: &mut Bitmap, threads: usize) {
 
     let chunk = total.div_ceil(workers);
     let (aw, bw) = (a.words(), b.words());
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, out_chunk) in out.words_mut().chunks_mut(chunk).enumerate() {
             let start = i * chunk;
             let a_chunk = &aw[start..start + out_chunk.len()];
             let b_chunk = &bw[start..start + out_chunk.len()];
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for ((o, x), y) in out_chunk.iter_mut().zip(a_chunk).zip(b_chunk) {
                     *o = x ^ y;
                 }
             });
         }
-    })
-    .expect("xor worker panicked");
+    });
 }
 
 /// Parallel Hamming distance (differing-pixel count) between two bitmaps.
@@ -101,13 +100,13 @@ pub fn hamming(a: &Bitmap, b: &Bitmap, threads: usize) -> u64 {
 
     let chunk = total.div_ceil(workers);
     let (aw, bw) = (a.words(), b.words());
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|i| {
                 let lo = i * chunk;
                 let hi = (lo + chunk).min(total);
                 let (ac, bc) = (&aw[lo..hi], &bw[lo..hi]);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     ac.iter()
                         .zip(bc)
                         .map(|(x, y)| u64::from((x ^ y).count_ones()))
@@ -120,7 +119,6 @@ pub fn hamming(a: &Bitmap, b: &Bitmap, threads: usize) -> u64 {
             .map(|h| h.join().expect("hamming worker panicked"))
             .sum()
     })
-    .expect("hamming scope panicked")
 }
 
 fn effective_workers(total_words: usize, threads: usize) -> usize {

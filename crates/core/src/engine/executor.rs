@@ -90,6 +90,7 @@
 //! asserts this across all kernels and across injected faults.
 
 use crate::engine::kernel::{self, Kernel, KernelChoice, KernelScratch};
+use crate::engine::lock;
 use crate::engine::simd::SimdLevel;
 use crate::error::SystolicError;
 use crate::image::check_dims;
@@ -99,7 +100,7 @@ use rle::{RleImage, RleRow};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -129,12 +130,11 @@ const SIG_VERIFY_SAMPLE: usize = 16;
 /// the low-churn frame-sequence case the prefilter exists for.
 const INLINE_RESIDUAL_ROWS: usize = 16;
 
-/// Poison-tolerant lock: a holder that panicked leaves consistent-enough
-/// data (every critical section is a single push/pop/take), so callers
-/// proceed on the recovered guard instead of propagating the poison.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// Skip rate below which the signature prefilter bypasses the next job
+/// (see [`DiffExecutorConfig::signature_prefilter`]). `0.75` is the
+/// break-even the E16 churn sweep measured on warm signatures: above
+/// ~25 % churn the prefilter's bookkeeping costs more than it saves.
+const SIG_PREFILTER_MIN_SKIP_RATE: f64 = 0.75;
 
 /// Identifies one submitted row: a job's rows take consecutive tickets
 /// ([`JobHandle::tickets`]), and every [`RowOutcome`] echoes its row's
@@ -403,7 +403,6 @@ struct Shared {
     /// Signature prefilter settings (see the config fields of the same
     /// names).
     signature_prefilter: bool,
-    sig_prefilter_min_skip_rate: f64,
     verify_signatures: bool,
     #[cfg(feature = "fault-injection")]
     fault_sig_collisions: Vec<usize>,
@@ -640,22 +639,17 @@ pub struct DiffExecutorConfig {
     /// even that is too much. Ignored under [`Kernel::Systolic`], whose
     /// contract is cycle-exact per-row statistics against the reference
     /// machine — skipping rows would zero their iteration counts.
+    ///
+    /// The prefilter adapts to churn: when the last prefiltered job's
+    /// skip rate (fraction of rows whose signatures matched) falls below
+    /// 0.75, the next job *bypasses* skip resolution and sends every row
+    /// to the kernels, while still comparing the cached signatures (a u64
+    /// compare per row) so the prefilter re-arms once churn drops. The
+    /// rate is executor-wide: with one submitter it is the previous job's,
+    /// with several it is whichever job measured last. The first job after
+    /// build always runs the prefilter (there is no rate to adapt to yet);
+    /// the engaged mode is reported in [`PipelineStats::sig_prefilter`].
     pub signature_prefilter: bool,
-    /// Adaptive auto-off for the prefilter (default `0.75`): when the
-    /// last prefiltered job's observed skip rate (fraction of rows whose
-    /// signatures matched) falls below this threshold, the next job
-    /// *bypasses* skip resolution — every row goes to the kernels — while
-    /// still comparing the cached signatures (a u64 compare per row) to
-    /// keep measuring, so the prefilter re-arms the moment churn drops
-    /// again. The rate is executor-wide: with one submitter it is the
-    /// previous job's, with several it is whichever job measured last.
-    /// `0.75` matches the measured break-even: above ~25 % churn the
-    /// prefilter's bookkeeping costs more than it saves (the BENCH_delta
-    /// sweep). Set `0.0` to disable adaptation (always resolve skips). The
-    /// first job after build always runs the prefilter (there is no rate
-    /// to adapt to yet); the engaged mode is reported in
-    /// [`PipelineStats::sig_prefilter`].
-    pub sig_prefilter_min_skip_rate: f64,
     /// Paranoid mode for the prefilter (default off): cross-check a
     /// deterministic sample of signature skips (the first of each job,
     /// then every 16th) against the reference XOR. A confirmed check
@@ -687,7 +681,6 @@ impl Default for DiffExecutorConfig {
             chunk_target: None,
             observe: None,
             signature_prefilter: false,
-            sig_prefilter_min_skip_rate: 0.75,
             verify_signatures: false,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
@@ -753,15 +746,6 @@ impl DiffExecutorConfig {
     #[must_use]
     pub fn signature_prefilter(mut self) -> Self {
         self.signature_prefilter = true;
-        self
-    }
-
-    /// Sets the adaptive prefilter bypass threshold (see
-    /// [`Self::sig_prefilter_min_skip_rate`]); `0.0` pins the prefilter
-    /// active regardless of the observed skip rate.
-    #[must_use]
-    pub fn sig_prefilter_min_skip_rate(mut self, rate: f64) -> Self {
-        self.sig_prefilter_min_skip_rate = rate;
         self
     }
 
@@ -890,7 +874,6 @@ impl DiffExecutor {
             chunk_target: config.chunk_target,
             retry_limit: config.retry_limit,
             signature_prefilter: config.signature_prefilter,
-            sig_prefilter_min_skip_rate: config.sig_prefilter_min_skip_rate,
             verify_signatures: config.verify_signatures,
             #[cfg(feature = "fault-injection")]
             fault_sig_collisions: config.fault_sig_collisions,
@@ -1115,9 +1098,8 @@ impl DiffExecutor {
     /// those rows' diffs — `None` means "plan every row": the prefilter is
     /// off, the kernel policy demands exact per-row statistics, the
     /// adaptive bypass is engaged (the last measured skip rate is below
-    /// [`DiffExecutorConfig::sig_prefilter_min_skip_rate`]), or no row
-    /// matched. Records this job's observed match rate either way so the
-    /// next job adapts.
+    /// [`SIG_PREFILTER_MIN_SKIP_RATE`]), or no row matched. Records this
+    /// job's observed match rate either way so the next job adapts.
     fn prefilter(
         &self,
         a: &RleImage,
@@ -1129,13 +1111,12 @@ impl DiffExecutor {
             return (stats, None);
         }
         let height = a.height();
-        let threshold = shared.sig_prefilter_min_skip_rate;
         let rate = f64::from_bits(shared.sig_skip_rate.load(Ordering::Relaxed));
         // Bypass: the last job churned too much for skip resolution to pay
         // for itself. Still compare the cached signatures — one u64
         // equality per row — so the rate stays measured and the prefilter
         // re-arms as soon as the sequence calms down.
-        let bypass = threshold > 0.0 && rate < threshold;
+        let bypass = rate < SIG_PREFILTER_MIN_SKIP_RATE;
         stats.sig_prefilter = if bypass {
             SigPrefilterMode::Bypassed
         } else {
@@ -2452,15 +2433,13 @@ mod tests {
         let a = img("####....\n..##..##\n.#.#.#.#\n#.#.#.#.\n");
         let b = img("####....\n..##..#.\n.#.#.#.#\n.#.#.#.#\n");
         let (seq, _) = xor_image(&a, &b).unwrap();
-        // Threshold 0.0 pins the prefilter active: this test exercises the
-        // skip mechanics across every job front-end, not the adaptive
-        // bypass (see `adaptive_prefilter_bypasses_and_rearms`), and a 0.5
-        // skip rate would otherwise trip the default threshold.
-        let mut pipeline = DiffExecutorConfig::new(2)
-            .signature_prefilter()
-            .sig_prefilter_min_skip_rate(0.0)
-            .build();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        // Each front end gets a fresh executor: this test exercises the
+        // skip mechanics, not the adaptive bypass (see
+        // `adaptive_prefilter_bypasses_and_rearms`), and a fresh
+        // executor's first job always runs the prefilter, whereas this
+        // pair's 0.5 skip rate would bypass the next job.
+        let prefiltered = || DiffExecutorConfig::new(2).signature_prefilter().build();
+        let (got, stats) = prefiltered().diff_images(&a, &b).unwrap();
         assert_eq!(got, seq);
         assert_eq!(stats.rows, 4);
         assert_eq!(stats.rows_sig_skipped, 2);
@@ -2477,12 +2456,12 @@ mod tests {
 
         // The shared front-end agrees.
         let (a, b) = (Arc::new(a), Arc::new(b));
-        let (shared, shared_stats) = pipeline.diff_images_shared(&a, &b).unwrap();
+        let (shared, shared_stats) = prefiltered().diff_images_shared(&a, &b).unwrap();
         assert_eq!(shared, seq);
         assert_eq!(shared_stats.rows_sig_skipped, 2);
 
         // So does `diff_pair`: the prefilter is a stage of every job.
-        let job = pipeline.diff_pair(&a, &b, None).unwrap();
+        let job = prefiltered().diff_pair(&a, &b, None).unwrap();
         assert_eq!(job.image, seq);
         assert_eq!(job.stats.rows_sig_skipped, 2);
     }
@@ -2536,20 +2515,6 @@ mod tests {
         assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
         let (_, stats) = pipeline.diff_images(&base, &hot).unwrap();
         assert_eq!(stats.sig_prefilter, SigPrefilterMode::Bypassed);
-    }
-
-    #[test]
-    fn adaptive_prefilter_threshold_zero_never_bypasses() {
-        let base = img("####....\n..##..##\n.#.#.#.#\n#.#.#.#.\n");
-        let hot = img("...####.\n##..##..\n#.#.#.#.\n.#.#.#.#\n");
-        let mut pipeline = DiffExecutorConfig::new(2)
-            .signature_prefilter()
-            .sig_prefilter_min_skip_rate(0.0)
-            .build();
-        for _ in 0..3 {
-            let (_, stats) = pipeline.diff_images(&base, &hot).unwrap();
-            assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
-        }
     }
 
     #[test]

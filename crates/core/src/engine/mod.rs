@@ -34,6 +34,15 @@ pub mod simd;
 
 use crate::array::SystolicArray;
 use crate::error::SystolicError;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Poison-tolerant lock for the engines' shared state: a holder that
+/// panicked leaves consistent-enough data (every critical section is a
+/// single push, pop, take or store), so callers proceed on the recovered
+/// guard instead of propagating the poison.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs the machine to termination on the calling thread. Identical to
 /// [`SystolicArray::run`]; provided for symmetry with the parallel engine.

@@ -83,8 +83,8 @@ impl ArrayStats {
 }
 
 /// How the signature prefilter engaged for one job (see
-/// [`crate::DiffExecutorConfig::sig_prefilter_min_skip_rate`] for the
-/// adaptive bypass).
+/// [`crate::DiffExecutorConfig::signature_prefilter`] for the adaptive
+/// bypass).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SigPrefilterMode {
     /// The prefilter did not run: disabled in the configuration, or the
@@ -149,7 +149,8 @@ pub struct PipelineStats {
     pub rows_sig_skipped: usize,
     /// How the prefilter engaged for this job: off, actively skipping,
     /// or adaptively bypassed because the last measured skip rate fell
-    /// below [`crate::DiffExecutorConfig::sig_prefilter_min_skip_rate`].
+    /// below the threshold (see
+    /// [`crate::DiffExecutorConfig::signature_prefilter`]).
     pub sig_prefilter: SigPrefilterMode,
     /// Signature skips cross-checked against the reference XOR in paranoid
     /// mode ([`crate::DiffExecutorConfig::verify_signatures`]); counts checks that

@@ -1,9 +1,9 @@
 //! Network chaos drills: connections killed mid-frame under concurrent
-//! good traffic, stalled readers, worker panic storms and wedged rows
-//! (`--features fault-injection`), and graceful drain under load. After
-//! every storm the same acceptance bar holds: no panic, no leaked
-//! in-flight tickets, the observability ledger closes, and a polite
-//! client still gets a correct answer.
+//! good traffic, stalled readers, worker panic storms, a stalled session
+//! beside a live one, and wedged rows (`--features fault-injection`), and
+//! graceful drain under load. After every storm the same acceptance bar
+//! holds: no panic, no leaked in-flight tickets, the observability ledger
+//! closes, and a polite client still gets a correct answer.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -293,6 +293,61 @@ mod faults {
         assert!(s.retries >= 1, "the storm actually fired");
         assert_eq!(handle.server_metrics().responses_ok.get(), 12);
         assert_eq!(handle.pipeline_in_flight(), 0);
+        assert_pipeline_ledger_closed(&handle);
+
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn a_stalled_session_does_not_hold_up_another() {
+        // Ticket 0 (session A's first row) stalls for 2 s. Session B,
+        // arriving while A is outstanding, must get its exact answer
+        // without waiting for A: sessions share the executor, not a lock.
+        let cfg = DiffServerConfig {
+            fault_plan: Some(FaultPlan::new().stall_on_row(0, Duration::from_secs(2))),
+            ..chaos_config()
+        };
+        let server = DiffServer::bind("127.0.0.1:0", cfg).unwrap();
+        let addr = server.local_addr();
+        let (handle, join) = server.spawn();
+
+        let blocker = std::thread::spawn(move || {
+            let (a, b) = image_pair(1_024, 16, 0xB0);
+            let expected = a.xor(&b).unwrap();
+            let mut client = DiffClient::connect(addr).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            let reply = client.diff(&a, &b, 0).unwrap();
+            assert_eq!(
+                reply.image, expected,
+                "the stalled session's answer is exact"
+            );
+        });
+        // A's job is in flight once its rows are submitted; the stall
+        // keeps them there.
+        let armed = Instant::now();
+        while handle.pipeline_in_flight() == 0 && armed.elapsed() < Duration::from_secs(20) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(handle.pipeline_in_flight() > 0, "session A never submitted");
+
+        let (a, b) = image_pair(1_024, 16, 0xB1);
+        let expected = a.xor(&b).unwrap();
+        let mut client = DiffClient::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let reply = client.diff(&a, &b, 0).unwrap();
+        assert_eq!(reply.image, expected);
+        assert!(
+            !blocker.is_finished(),
+            "session B was answered only after the stalled session A"
+        );
+
+        blocker.join().unwrap();
+        assert_eq!(handle.server_metrics().responses_ok.get(), 2);
         assert_pipeline_ledger_closed(&handle);
 
         handle.shutdown();

@@ -563,12 +563,11 @@ fn cleared_and_returning_rows_replay_exactly() {
     assert_extracts(&mut compacted, &stream, "compacted");
 }
 
-/// E17's deterministic byte-counter guards at the bench's smoke geometry
-/// (`crates/bench/benches/journal_io.rs`, `BENCH_SMOKE=1`), in the default
-/// test run: every append writes O(frame) bytes, flat across the
-/// archive's growth, while a whole-file rewrite grows with it. Plus the
-/// literal-or-XOR bound: no delta record stores more runs than its changed
-/// rows would as literals.
+/// E17's byte-counter guards (2048×128, 48 frames at 10 % churn, a
+/// keyframe every 16): every append writes O(frame) bytes, flat across
+/// the archive's growth, while a whole-file rewrite grows with it, and
+/// every frame extracts bit-identically. Plus the literal-or-XOR bound: no
+/// delta record stores more runs than its changed rows would as literals.
 #[test]
 fn journal_appends_are_o_frame_and_never_exceed_literal_runs() {
     let (width, height, frames) = (2_048, 128, 48);

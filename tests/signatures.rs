@@ -5,7 +5,9 @@
 //!    compare rows that arrived through different code paths.
 //! 2. **Skips never lie** — across a density sweep, every row the
 //!    prefilter skips agrees with the reference `rle::ops::xor` (and the
-//!    paranoid mode's sampled cross-checks confirm rather than catch).
+//!    paranoid mode's sampled cross-checks confirm rather than catch);
+//!    across a churn sweep, the prefiltered executor returns what the
+//!    plain one does, skipping or bypassing as its adaptive rate says.
 //! 3. **Collisions are survivable** — with a fault-injected signature
 //!    collision, paranoid mode substitutes the reference diff and the
 //!    batch output stays exact (fault-injection builds only).
@@ -15,7 +17,7 @@ mod common;
 use common::rle_row;
 use proptest::prelude::*;
 use rle_systolic::rle::{ops, sig, RleImage, RleRow};
-use rle_systolic::systolic_core::DiffExecutorConfig;
+use rle_systolic::systolic_core::{DiffExecutorConfig, SigPrefilterMode};
 use rle_systolic::workload::{FrameSequence, GenParams, SequenceParams};
 use std::sync::Arc;
 
@@ -94,6 +96,61 @@ fn no_skip_disagrees_with_the_reference_across_densities() {
                 "density {density}: the row ledger must partition"
             );
             assert!(stats.sig_verified > 0, "paranoid sampling must engage");
+        }
+    }
+}
+
+/// The churn sweep: over 4096×128 frame streams at 1 %, 10 % and 50 %
+/// churn, a prefiltered executor at the default bypass threshold returns
+/// what a plain executor returns, and both equal `rle::ops::xor` row by
+/// row. Every job skips exactly the unchanged rows while the skip rate
+/// stays above the threshold; at 50 % churn the first job's rate drops
+/// every later job into bypass, where it skips nothing.
+#[test]
+fn prefilter_matches_the_plain_executor_across_churn() {
+    use SigPrefilterMode::{Active, Bypassed};
+    for (churn, unchanged, later) in [
+        (0.01, 126, Active),
+        (0.10, 115, Active),
+        (0.50, 64, Bypassed),
+    ] {
+        let params = SequenceParams {
+            gen: GenParams::with_runs(4_096, (2, 4), 0.3),
+            height: 128,
+            churn,
+        };
+        let frames: Vec<Arc<RleImage>> = FrameSequence::new(params, 0xE16)
+            .take_frames(12)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let mut plain = DiffExecutorConfig::new(2).build();
+        let mut prefiltered = DiffExecutorConfig::new(2).signature_prefilter().build();
+        for (job, pair) in frames.windows(2).enumerate() {
+            let (want, _) = plain
+                .diff_images_shared(&pair[0], &pair[1])
+                .expect("plain diff");
+            let (got, stats) = prefiltered
+                .diff_images_shared(&pair[0], &pair[1])
+                .expect("prefiltered diff");
+            assert_eq!(
+                got, want,
+                "churn {churn}, job {job}: the prefilter changed a diff"
+            );
+            for (y, (ra, rb)) in pair[0].rows().iter().zip(pair[1].rows()).enumerate() {
+                assert_eq!(
+                    got.rows()[y],
+                    ops::xor(ra, rb),
+                    "churn {churn}, job {job}, row {y} disagrees with the reference"
+                );
+            }
+            let mode = if job == 0 { Active } else { later };
+            let skipped = if mode == Active { unchanged } else { 0 };
+            assert_eq!(
+                (stats.sig_prefilter, stats.rows_sig_skipped),
+                (mode, skipped),
+                "churn {churn}, job {job}"
+            );
         }
     }
 }
