@@ -9,8 +9,7 @@ use std::time::Duration;
 use rle::RleImage;
 
 use crate::proto::{
-    self, encode_frame, DiffReply, DiffRequest, ErrorCode, FrameKind, FrameReadError, ProtoError,
-    DEFAULT_MAX_FRAME_LEN,
+    self, DiffReply, ErrorCode, FrameKind, FrameReadError, ProtoError, DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Everything a request can come back as, typed.
@@ -122,10 +121,15 @@ fn splitmix64(seed: u64) -> u64 {
 }
 
 /// A blocking `diffd` connection.
+///
+/// Each request is encoded straight from the caller's images into one
+/// buffer, and its reply is read back into the same buffer. Between
+/// requests the client keeps that buffer only up to `max_frame_len` bytes.
 pub struct DiffClient {
     stream: TcpStream,
     max_frame_len: u32,
     next_request_id: u64,
+    buf: Vec<u8>,
 }
 
 impl DiffClient {
@@ -137,6 +141,7 @@ impl DiffClient {
             stream,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             next_request_id: 1,
+            buf: Vec::new(),
         })
     }
 
@@ -148,6 +153,7 @@ impl DiffClient {
             stream,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             next_request_id: 1,
+            buf: Vec::new(),
         })
     }
 
@@ -157,25 +163,34 @@ impl DiffClient {
         self.stream.set_read_timeout(timeout)
     }
 
-    fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), ClientError> {
-        let frame = encode_frame(kind, payload);
-        self.stream.write_all(&frame).map_err(ClientError::Io)?;
-        self.stream.flush().map_err(ClientError::Io)
-    }
-
-    fn recv(&mut self) -> Result<(FrameKind, Vec<u8>), ClientError> {
-        match proto::read_frame(&mut self.stream, self.max_frame_len)? {
-            Some(frame) => Ok(frame),
-            None => Err(ClientError::Closed),
+    /// Sends one frame, its payload written by `write_payload`, and reads
+    /// the reply's payload into `self.buf`.
+    fn exchange(
+        &mut self,
+        kind: FrameKind,
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<FrameKind, ClientError> {
+        self.buf.clear();
+        proto::write_frame(&mut self.buf, kind, write_payload);
+        let sent = self
+            .stream
+            .write_all(&self.buf)
+            .and_then(|()| self.stream.flush());
+        // Only an oversize request can leave the buffer above the cap; a
+        // reply grows it to its length at most, and that is capped.
+        if self.buf.capacity() > self.max_frame_len as usize {
+            self.buf = Vec::new();
         }
+        sent.map_err(ClientError::Io)?;
+        proto::read_frame_into(&mut self.stream, self.max_frame_len, &mut self.buf)?
+            .ok_or(ClientError::Closed)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.send(FrameKind::Ping, &[])?;
-        match self.recv()? {
-            (FrameKind::Pong, _) => Ok(()),
-            (FrameKind::Error, payload) => Err(server_error(&payload)),
+        match self.exchange(FrameKind::Ping, |_| {})? {
+            FrameKind::Pong => Ok(()),
+            FrameKind::Error => Err(server_error(&self.buf)),
             _ => Err(ClientError::Unexpected("wanted Pong")),
         }
     }
@@ -183,10 +198,9 @@ impl DiffClient {
     /// Fetches the server's Prometheus exposition over the binary
     /// protocol.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.send(FrameKind::Metrics, &[])?;
-        match self.recv()? {
-            (FrameKind::MetricsText, payload) => Ok(String::from_utf8_lossy(&payload).into_owned()),
-            (FrameKind::Error, payload) => Err(server_error(&payload)),
+        match self.exchange(FrameKind::Metrics, |_| {})? {
+            FrameKind::MetricsText => Ok(String::from_utf8_lossy(&self.buf).into_owned()),
+            FrameKind::Error => Err(server_error(&self.buf)),
             _ => Err(ClientError::Unexpected("wanted MetricsText")),
         }
     }
@@ -202,22 +216,18 @@ impl DiffClient {
     ) -> Result<DiffReply, ClientError> {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        let req = DiffRequest {
-            request_id,
-            deadline_ms,
-            a: a.clone(),
-            b: b.clone(),
-        };
-        self.send(FrameKind::Diff, &proto::encode_diff_request(&req))?;
-        match self.recv()? {
-            (FrameKind::DiffOk, payload) => {
-                let reply = proto::decode_diff_reply(&payload).map_err(ClientError::Proto)?;
+        let kind = self.exchange(FrameKind::Diff, |out| {
+            proto::write_diff_request(out, request_id, deadline_ms, a, b);
+        })?;
+        match kind {
+            FrameKind::DiffOk => {
+                let reply = proto::decode_diff_reply(&self.buf).map_err(ClientError::Proto)?;
                 if reply.request_id != request_id {
                     return Err(ClientError::Unexpected("response for a different request"));
                 }
                 Ok(reply)
             }
-            (FrameKind::Error, payload) => Err(server_error(&payload)),
+            FrameKind::Error => Err(server_error(&self.buf)),
             _ => Err(ClientError::Unexpected("wanted DiffOk or Error")),
         }
     }

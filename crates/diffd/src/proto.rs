@@ -16,7 +16,8 @@
 //!   byte is read or any buffer sized from `len` is allocated.
 //! * Payload buffers start at most [`PREALLOC_CAP`] bytes and grow with
 //!   *received* bytes, so an attacker's claimed length can never reserve
-//!   memory it did not pay for on the wire.
+//!   memory it did not pay for on the wire. A connection may read every
+//!   frame into one reused buffer ([`read_frame_into`]).
 //! * Image payloads go through [`rle::serialize::decode_image`], which
 //!   applies its own pre-allocation plausibility caps per row.
 //!
@@ -262,13 +263,27 @@ fn need(data: &[u8], n: usize) -> Result<(), ProtoError> {
 /// the sending side, unreachable from wire input.
 #[must_use]
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("payload fits a u32 length prefix");
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    write_frame(&mut out, kind, |out| out.extend_from_slice(payload));
+    out
+}
+
+/// Appends a full frame to `out`: the header, then the payload that
+/// `write_payload` appends in place, then the payload length patched into
+/// the header. The one frame writer; [`encode_frame`] wraps it.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes (see [`encode_frame`]).
+pub fn write_frame(out: &mut Vec<u8>, kind: FrameKind, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(kind as u8);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    out.extend_from_slice(&[0; 4]);
+    write_payload(out);
+    let len = u32::try_from(out.len() - header - FRAME_HEADER_LEN)
+        .expect("payload fits a u32 length prefix");
+    out[header + 5..header + FRAME_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Validates a frame header. Called on exactly [`FRAME_HEADER_LEN`] bytes;
@@ -295,16 +310,33 @@ pub fn decode_header(header: &[u8], max_frame_len: u32) -> Result<(FrameKind, u3
 /// `request_id:u64le | deadline_ms:u32le | a_len:u32le | a | b`.
 #[must_use]
 pub fn encode_diff_request(req: &DiffRequest) -> Vec<u8> {
-    let a = serialize::encode_image(&req.a);
-    let b = serialize::encode_image(&req.b);
-    let mut out = Vec::with_capacity(16 + a.len() + b.len());
-    out.extend_from_slice(&req.request_id.to_le_bytes());
-    out.extend_from_slice(&req.deadline_ms.to_le_bytes());
-    let a_len = u32::try_from(a.len()).expect("image encoding fits a u32");
-    out.extend_from_slice(&a_len.to_le_bytes());
-    out.extend_from_slice(&a);
-    out.extend_from_slice(&b);
+    let mut out = Vec::new();
+    write_diff_request(&mut out, req.request_id, req.deadline_ms, &req.a, &req.b);
     out
+}
+
+/// Appends a [`DiffRequest`] payload built from borrowed images, encoding
+/// each straight into `out` and patching `a_len` once `a` is written. The
+/// one request writer; [`encode_diff_request`] wraps it.
+///
+/// # Panics
+///
+/// Panics if `a` encodes to more than `u32::MAX` bytes.
+pub fn write_diff_request(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    deadline_ms: u32,
+    a: &RleImage,
+    b: &RleImage,
+) {
+    out.extend_from_slice(&request_id.to_le_bytes());
+    out.extend_from_slice(&deadline_ms.to_le_bytes());
+    let a_at = out.len() + 4;
+    out.extend_from_slice(&[0; 4]);
+    serialize::encode_image_into(a, out);
+    let a_len = u32::try_from(out.len() - a_at).expect("image encoding fits a u32");
+    out[a_at - 4..a_at].copy_from_slice(&a_len.to_le_bytes());
+    serialize::encode_image_into(b, out);
 }
 
 /// Decodes a [`DiffRequest`] payload, enforcing the internal length split
@@ -337,15 +369,20 @@ pub fn decode_diff_request(payload: &[u8]) -> Result<DiffRequest, ProtoError> {
 /// queue_wait_ns:u64le | compute_ns:u64le | image`.
 #[must_use]
 pub fn encode_diff_reply(reply: &DiffReply) -> Vec<u8> {
-    let img = serialize::encode_image(&reply.image);
-    let mut out = Vec::with_capacity(40 + img.len());
+    let mut out = Vec::new();
+    write_diff_reply(&mut out, reply);
+    out
+}
+
+/// Appends a [`DiffReply`] payload, encoding the image straight into
+/// `out`. The one reply writer; [`encode_diff_reply`] wraps it.
+pub fn write_diff_reply(out: &mut Vec<u8>, reply: &DiffReply) {
     out.extend_from_slice(&reply.request_id.to_le_bytes());
     out.extend_from_slice(&reply.ticket_lo.to_le_bytes());
     out.extend_from_slice(&reply.ticket_hi.to_le_bytes());
     out.extend_from_slice(&reply.queue_wait_ns.to_le_bytes());
     out.extend_from_slice(&reply.compute_ns.to_le_bytes());
-    out.extend_from_slice(&img);
-    out
+    serialize::encode_image_into(&reply.image, out);
 }
 
 /// Decodes a [`DiffReply`] payload.
@@ -393,6 +430,18 @@ pub fn read_frame(
     stream: &mut impl Read,
     max_frame_len: u32,
 ) -> Result<Option<(FrameKind, Vec<u8>)>, FrameReadError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(stream, max_frame_len, &mut payload)?.map(|kind| (kind, payload)))
+}
+
+/// [`read_frame`] into a caller's buffer: the payload replaces `buf`'s
+/// contents, so a connection can read every frame into one buffer. The
+/// buffer grows only as bytes arrive.
+pub fn read_frame_into(
+    stream: &mut impl Read,
+    max_frame_len: u32,
+    buf: &mut Vec<u8>,
+) -> Result<Option<FrameKind>, FrameReadError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut got = 0;
     while got < header.len() {
@@ -411,26 +460,40 @@ pub fn read_frame(
         got += n;
     }
     let (kind, len) = decode_header(&header, max_frame_len).map_err(FrameReadError::Proto)?;
-    let payload = read_payload(stream, len)?;
-    Ok(Some((kind, payload)))
+    let len = len as usize;
+    buf.clear();
+    while buf.len() < len {
+        match read_payload_part(stream, buf, len) {
+            Ok(0) => {
+                return Err(FrameReadError::Proto(ProtoError::Truncated {
+                    needed: len,
+                    have: buf.len(),
+                }))
+            }
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameReadError::Io(e)),
+        }
+    }
+    Ok(Some(kind))
 }
 
-/// Reads a declared-length payload with capped pre-allocation (see
-/// [`PREALLOC_CAP`]).
-pub(crate) fn read_payload(stream: &mut impl Read, len: u32) -> Result<Vec<u8>, FrameReadError> {
-    let len = len as usize;
-    let mut payload = Vec::with_capacity(len.min(PREALLOC_CAP));
-    let read = stream
-        .take(len as u64)
-        .read_to_end(&mut payload)
-        .map_err(FrameReadError::Io)?;
-    if read < len {
-        return Err(FrameReadError::Proto(ProtoError::Truncated {
-            needed: len,
-            have: read,
-        }));
+/// Reads more of a `len`-byte payload straight into `buf`, which holds the
+/// bytes received so far, and returns how many arrived (0 at end of
+/// stream). A read error, a socket's read timeout included, keeps the bytes
+/// that came before it. The buffer grows only when full, by what it holds
+/// (at least [`PREALLOC_CAP`]) and never past `len`: its size follows the
+/// bytes received, not the length claimed.
+pub(crate) fn read_payload_part(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    len: usize,
+) -> std::io::Result<usize> {
+    if buf.len() == buf.capacity() {
+        buf.reserve_exact((len - buf.len()).min(buf.len().max(PREALLOC_CAP)));
     }
-    Ok(payload)
+    let room = (buf.capacity() - buf.len()).min(len - buf.len());
+    stream.by_ref().take(room as u64).read_to_end(buf)
 }
 
 /// I/O-or-protocol failure while reading a frame.
@@ -476,6 +539,52 @@ mod tests {
         };
         let payload = encode_diff_request(&req);
         assert_eq!(decode_diff_request(&payload).unwrap(), req);
+    }
+
+    /// The request writer `DiffClient` uses, framed in place behind other
+    /// bytes, equals the owned encoder's frame; its `a_len` split holds the
+    /// per-image encodings.
+    #[test]
+    fn borrowing_request_writer_matches_the_owned_frame() {
+        use workload::{errors, ErrorModel, GenParams, RowGenerator};
+        let mut state = 0xF7A3_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 16
+        };
+        for i in 0..24 {
+            let width = [1, 64, 1_000, 16_384][i % 4];
+            let gen = GenParams::for_density(width, 0.05 + (next() % 40) as f64 / 100.0);
+            let a = RowGenerator::new(gen, next()).next_image((next() % 9) as usize);
+            let b = errors::apply_errors_image(&a, &ErrorModel::fraction(0.05), next());
+            let req = DiffRequest {
+                request_id: next() << i,
+                deadline_ms: next() as u32,
+                a,
+                b,
+            };
+            let prefix = (next() % 12) as usize;
+            let mut out = vec![0xA5; prefix];
+            write_frame(&mut out, FrameKind::Diff, |out| {
+                write_diff_request(out, req.request_id, req.deadline_ms, &req.a, &req.b);
+            });
+            let payload = encode_diff_request(&req);
+            assert_eq!(
+                out[prefix..],
+                encode_frame(FrameKind::Diff, &payload),
+                "case {i}"
+            );
+            let a_bytes = serialize::encode_image(&req.a);
+            assert_eq!(u32le(&payload[12..16]) as usize, a_bytes.len());
+            assert_eq!(payload[16..16 + a_bytes.len()], a_bytes);
+            assert_eq!(
+                payload[16 + a_bytes.len()..],
+                serialize::encode_image(&req.b)
+            );
+            assert_eq!(decode_diff_request(&payload).unwrap(), req);
+        }
     }
 
     #[test]

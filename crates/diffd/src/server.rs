@@ -40,7 +40,7 @@ use systolic_core::FaultPlan;
 use crate::metrics::ServerMetrics;
 use crate::proto::{
     self, decode_header, encode_error_reply, encode_frame, DiffReply, ErrorCode, ErrorReply,
-    FrameKind, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PREALLOC_CAP,
+    FrameKind, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN,
 };
 
 /// Everything tunable about a [`DiffServer`]. `Default` is production-ish;
@@ -376,6 +376,10 @@ struct Session {
     shared: Arc<ServerShared>,
     #[allow(dead_code)] // part of the conn→ticket mapping, surfaced in replies
     conn_id: u64,
+    /// Each request's payload is read into this buffer and each reply
+    /// encoded into it. Between frames it is kept only up to
+    /// `max_frame_len` bytes.
+    buf: Vec<u8>,
 }
 
 impl Session {
@@ -386,6 +390,7 @@ impl Session {
             stream,
             shared,
             conn_id,
+            buf: Vec::new(),
         }
     }
 
@@ -458,19 +463,17 @@ impl Session {
                 return CloseReason::Protocol;
             }
 
-            let payload = match self.read_payload_deadline(len, frame_deadline) {
-                Ok(p) => p,
-                Err(step) => match step {
-                    ReadStep::TimedOut => return CloseReason::IdleOrStalled,
-                    ReadStep::Shutdown => return CloseReason::Shutdown,
-                    ReadStep::Eof { .. } => return CloseReason::Protocol,
-                    ReadStep::Done | ReadStep::Failed => return CloseReason::Io,
-                },
-            };
+            match self.read_payload_deadline(len, frame_deadline) {
+                ReadStep::Done => {}
+                ReadStep::TimedOut => return CloseReason::IdleOrStalled,
+                ReadStep::Shutdown => return CloseReason::Shutdown,
+                ReadStep::Eof { .. } => return CloseReason::Protocol,
+                ReadStep::Failed => return CloseReason::Io,
+            }
             self.shared
                 .metrics
                 .bytes_read
-                .add((FRAME_HEADER_LEN + payload.len()) as u64);
+                .add((FRAME_HEADER_LEN + self.buf.len()) as u64);
 
             match kind {
                 FrameKind::Ping => {
@@ -484,7 +487,7 @@ impl Session {
                         return CloseReason::Io;
                     }
                 }
-                FrameKind::Diff => match proto::decode_diff_request(&payload) {
+                FrameKind::Diff => match proto::decode_diff_request(&self.buf) {
                     Ok(req) => {
                         if !self.handle_diff(req) {
                             return CloseReason::Io;
@@ -590,7 +593,9 @@ impl Session {
                     compute_ns,
                     image: job.image,
                 };
-                self.send_frame(FrameKind::DiffOk, &proto::encode_diff_reply(&reply))
+                self.send(FrameKind::DiffOk, |out| {
+                    proto::write_diff_reply(out, &reply)
+                })
             }
             Err(e @ SystolicError::DeadlineExceeded { .. }) => {
                 m.deadline_hits.inc();
@@ -685,48 +690,59 @@ impl Session {
         ReadStep::Done
     }
 
-    /// Reads a declared-length payload under the frame deadline. The
-    /// buffer starts at most [`PREALLOC_CAP`] bytes — growth follows
-    /// received bytes, never the claimed length.
-    fn read_payload_deadline(&mut self, len: u32, deadline: Instant) -> Result<Vec<u8>, ReadStep> {
+    /// Reads a declared-length payload into `self.buf` under the frame
+    /// deadline. Growth follows received bytes, never the claimed length
+    /// (see [`proto::read_payload_part`]).
+    fn read_payload_deadline(&mut self, len: u32, deadline: Instant) -> ReadStep {
         let len = len as usize;
-        let mut payload = Vec::with_capacity(len.min(PREALLOC_CAP));
-        let mut scratch = [0u8; 8192];
-        while payload.len() < len {
-            let want = (len - payload.len()).min(scratch.len());
-            match self.stream.read(&mut scratch[..want]) {
-                Ok(0) => return Err(ReadStep::Eof { got: payload.len() }),
-                Ok(n) => payload.extend_from_slice(&scratch[..n]),
+        self.buf.clear();
+        while self.buf.len() < len {
+            match proto::read_payload_part(&mut self.stream, &mut self.buf, len) {
+                Ok(0) => {
+                    return ReadStep::Eof {
+                        got: self.buf.len(),
+                    }
+                }
+                Ok(_) => {}
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
                 {
                     if Instant::now() >= deadline {
-                        return Err(ReadStep::TimedOut);
+                        return ReadStep::TimedOut;
                     }
                     if self.shared.shutdown.load(Ordering::SeqCst) {
-                        return Err(ReadStep::Shutdown);
+                        return ReadStep::Shutdown;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(ReadStep::Failed),
+                Err(_) => return ReadStep::Failed,
             }
         }
-        Ok(payload)
+        ReadStep::Done
     }
 
-    /// Writes one frame; returns false if the socket is gone (the session
-    /// then closes — a stalled *reader* is bounded by the write timeout).
-    fn send_frame(&mut self, kind: FrameKind, payload: &[u8]) -> bool {
-        let frame = encode_frame(kind, payload);
-        match self.stream.write_all(&frame) {
-            Ok(()) => {
-                self.shared.metrics.bytes_written.add(frame.len() as u64);
-                let _ = self.stream.flush();
-                true
-            }
-            Err(_) => false,
+    /// Encodes one frame into `self.buf` and writes it; returns false if
+    /// the socket is gone (the session then closes — a stalled *reader* is
+    /// bounded by the write timeout).
+    fn send(&mut self, kind: FrameKind, write_payload: impl FnOnce(&mut Vec<u8>)) -> bool {
+        self.buf.clear();
+        proto::write_frame(&mut self.buf, kind, write_payload);
+        let sent = self.stream.write_all(&self.buf).is_ok();
+        if sent {
+            self.shared.metrics.bytes_written.add(self.buf.len() as u64);
+            let _ = self.stream.flush();
         }
+        // A request grows the buffer to its length at most, and that is
+        // capped; only a reply can leave it larger.
+        if self.buf.capacity() > self.shared.cfg.max_frame_len as usize {
+            self.buf = Vec::new();
+        }
+        sent
+    }
+
+    fn send_frame(&mut self, kind: FrameKind, payload: &[u8]) -> bool {
+        self.send(kind, |out| out.extend_from_slice(payload))
     }
 
     fn send_error(&mut self, request_id: u64, code: ErrorCode, message: &str) -> bool {

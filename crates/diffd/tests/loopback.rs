@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use diffd::proto::{self, ErrorCode, FrameKind};
-use diffd::{ClientError, DiffClient, DiffServer, DiffServerConfig, RetryPolicy};
+use diffd::{ClientError, DiffClient, DiffRequest, DiffServer, DiffServerConfig, RetryPolicy};
 use rle::RleImage;
 use workload::{errors, ErrorModel, GenParams, RowGenerator};
 
@@ -97,6 +97,71 @@ fn concurrent_clients_all_get_correct_answers() {
     handle.shutdown();
     join.join().unwrap();
     assert_eq!(handle.pipeline_in_flight(), 0);
+}
+
+/// One session, three requests: the first written in pieces with pauses
+/// longer than `poll_interval`, so the server's reads time out mid-header
+/// and mid-payload; then one larger than `PREALLOC_CAP`, which grows the
+/// session's buffer; then a smaller one, which reuses it.
+#[test]
+fn one_session_reads_a_dribbled_request_then_larger_and_smaller_ones() {
+    let cfg = test_config();
+    let pause = cfg.poll_interval * 4;
+    assert!(
+        pause * 8 < cfg.frame_timeout,
+        "the dribble fits the frame timeout"
+    );
+    let server = DiffServer::bind("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr();
+    let (handle, join) = server.spawn();
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let requests = [(1_024, 16, 0x51), (16_384, 64, 0x52), (256, 8, 0x53)];
+    for (i, &(width, height, seed)) in requests.iter().enumerate() {
+        let (a, b) = image_pair(width, height, seed);
+        let request_id = i as u64 + 1;
+        let frame = proto::encode_frame(
+            FrameKind::Diff,
+            &proto::encode_diff_request(&DiffRequest {
+                request_id,
+                deadline_ms: 0,
+                a: a.clone(),
+                b: b.clone(),
+            }),
+        );
+        if i == 0 {
+            // 6 bytes ends mid-header; the rest goes in seven pieces.
+            let (head, payload) = frame.split_at(6);
+            stream.write_all(head).unwrap();
+            for piece in payload.chunks(payload.len().div_ceil(7)) {
+                std::thread::sleep(pause);
+                stream.write_all(piece).unwrap();
+            }
+        } else {
+            assert_eq!(i == 1, frame.len() > proto::PREALLOC_CAP);
+            stream.write_all(&frame).unwrap();
+        }
+        let (kind, payload) = proto::read_frame(&mut stream, proto::DEFAULT_MAX_FRAME_LEN)
+            .unwrap()
+            .expect("a reply frame");
+        assert_eq!(kind, FrameKind::DiffOk, "request {request_id}");
+        let reply = proto::decode_diff_reply(&payload).unwrap();
+        assert_eq!(reply.request_id, request_id);
+        assert_eq!(reply.image, a.xor(&b).unwrap(), "request {request_id}");
+    }
+    drop(stream);
+
+    handle.shutdown();
+    join.join().unwrap();
+    let m = handle.server_metrics();
+    assert_eq!(m.connections_accepted.get(), 1, "all three on one session");
+    assert_eq!(m.responses_ok.get(), 3);
+    assert_eq!(m.idle_timeouts.get(), 0);
+    assert_eq!(m.protocol_errors.get(), 0);
 }
 
 #[test]

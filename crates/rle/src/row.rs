@@ -104,6 +104,18 @@ impl RleRow {
         })
     }
 
+    /// Creates a row from runs its caller has already checked against the
+    /// width and built in order — the wire decoder, whose non-negative gaps
+    /// rule out overlap and disorder. Debug builds re-validate.
+    pub(crate) fn from_checked_runs(width: Pixel, runs: Vec<Run>) -> Self {
+        debug_assert_eq!(Self::validate(width, &runs), Ok(()));
+        Self {
+            width,
+            runs,
+            sig: AtomicU64::new(0),
+        }
+    }
+
     /// Creates a row from the paper's `(start, length)` tuple notation.
     pub fn from_pairs(width: Pixel, pairs: &[(Pixel, Pixel)]) -> Result<Self, RleError> {
         let mut runs = Vec::with_capacity(pairs.len());

@@ -86,22 +86,39 @@ impl From<RleError> for DecodeError {
 /// Appends `v` as an LEB128 varint (the wire format's integer encoding;
 /// public so containers embedding RLI1 blobs — the delta archive — share
 /// one implementation).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+pub fn put_varint(out: &mut Vec<u8>, v: u32) {
+    let mut bytes = [0u8; 5];
+    let n = write_varint(&mut bytes, 0, v);
+    out.extend_from_slice(&bytes[..n]);
+}
+
+/// Writes `v` as an LEB128 varint into `buf` at `at` and returns the index
+/// past it; a value below 128 is one store. The one varint writer.
+fn write_varint(buf: &mut [u8], mut at: usize, mut v: u32) -> usize {
+    while v >= 0x80 {
+        buf[at] = v as u8 | 0x80;
+        at += 1;
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
+    buf[at] = v as u8;
+    at + 1
 }
 
 /// Reads an LEB128 varint from `data` at `*pos`, advancing it (see
 /// [`put_varint`]). Overflow beyond 32 bits and truncation are typed
-/// errors, never panics.
+/// errors, never panics. A one-byte value skips the loop.
+#[inline]
 pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
+    match data.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(u32::from(byte))
+        }
+        _ => get_long_varint(data, pos),
+    }
+}
+
+fn get_long_varint(data: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
     let mut value: u32 = 0;
     let mut shift = 0u32;
     loop {
@@ -120,12 +137,28 @@ pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
 }
 
 fn encode_row_body(row: &RleRow, out: &mut Vec<u8>) {
-    put_varint(out, row.run_count() as u32);
+    let runs = row.runs();
+    put_varint(out, runs.len() as u32);
+    // Runs are staged on the stack and appended 32 at a time; a run whose
+    // gap and length − 1 both fit one byte (the common case) is two plain
+    // stores. 32 runs of two 5-byte varints fill at most 320 bytes.
+    let mut stage = [0u8; 320];
     let mut prev_end: Pixel = 0;
-    for run in row.runs() {
-        put_varint(out, run.start() - prev_end);
-        put_varint(out, run.len() - 1);
-        prev_end = run.end_exclusive();
+    for chunk in runs.chunks(32) {
+        let mut n = 0;
+        for run in chunk {
+            let (gap, len1) = (run.start() - prev_end, run.len() - 1);
+            if (gap | len1) < 0x80 {
+                stage[n] = gap as u8;
+                stage[n + 1] = len1 as u8;
+                n += 2;
+            } else {
+                n = write_varint(&mut stage, n, gap);
+                n = write_varint(&mut stage, n, len1);
+            }
+            prev_end = run.end_exclusive();
+        }
+        out.extend_from_slice(&stage[..n]);
     }
 }
 
@@ -145,23 +178,29 @@ fn decode_row_body(data: &[u8], pos: &mut usize, width: Pixel) -> Result<RleRow,
             max_plausible,
         });
     }
-    let mut row = RleRow::new(width);
+    // The cap above keeps `count` at most half the remaining bytes, so this
+    // exact reservation is at most 4 × the remaining input (8-byte runs).
+    let mut runs = Vec::with_capacity(count);
     let mut prev_end: u64 = 0;
-    for _ in 0..count {
-        let gap = u64::from(get_varint(data, pos)?);
-        let len = u64::from(get_varint(data, pos)?) + 1;
-        let start = prev_end + gap;
-        if start + len > u64::from(width) {
-            return Err(RleError::RunExceedsWidth {
-                index: row.run_count(),
-                width,
+    for index in 0..count {
+        let (gap, len1) = match data.get(*pos..*pos + 2) {
+            Some(&[gap, len1]) if (gap | len1) < 0x80 => {
+                *pos += 2;
+                (u32::from(gap), u32::from(len1))
             }
-            .into());
+            _ => (get_varint(data, pos)?, get_varint(data, pos)?),
+        };
+        let start = prev_end + u64::from(gap);
+        let end = start + u64::from(len1) + 1;
+        if end > u64::from(width) {
+            return Err(RleError::RunExceedsWidth { index, width }.into());
         }
-        row.push_run(Run::new(start as Pixel, len as Pixel))?;
-        prev_end = start + len;
+        // A gap is never negative, so each run starts past the last one's
+        // end: the width check above is the only one a run can fail.
+        runs.push(Run::new(start as Pixel, len1 + 1));
+        prev_end = end;
     }
-    Ok(row)
+    Ok(RleRow::from_checked_runs(width, runs))
 }
 
 /// Serializes a row into the compact binary format.
@@ -186,14 +225,23 @@ pub fn decode_row(data: &[u8]) -> Result<RleRow, DecodeError> {
 /// Serializes an image.
 #[must_use]
 pub fn encode_image(img: &RleImage) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + img.total_runs() * 3);
+    let mut out = Vec::new();
+    encode_image_into(img, &mut out);
+    out
+}
+
+/// Appends an image's encoding to `out`, for containers that frame RLI1
+/// blobs in a buffer of their own (the `diffd` wire frames).
+pub fn encode_image_into(img: &RleImage, out: &mut Vec<u8>) {
+    // The size when every varint takes one byte: header, one count byte a
+    // row, two bytes a run.
+    out.reserve(13 + img.height() + 2 * img.total_runs());
     out.extend_from_slice(IMAGE_MAGIC);
     out.extend_from_slice(&img.width().to_le_bytes());
-    put_varint(&mut out, img.height() as u32);
+    put_varint(out, img.height() as u32);
     for row in img.rows() {
-        encode_row_body(row, &mut out);
+        encode_row_body(row, out);
     }
-    out
 }
 
 /// Deserializes an image.
@@ -422,6 +470,246 @@ mod tests {
 
     fn row(pairs: &[(Pixel, Pixel)]) -> RleRow {
         RleRow::from_pairs(10_000, pairs).unwrap()
+    }
+
+    /// The byte-at-a-time codec the fast paths replaced, kept as the
+    /// reference they must match byte for byte and error for error.
+    mod oracle {
+        use super::super::{expect_magic, plausible_run_count, read_u32, IMAGE_MAGIC, ROW_MAGIC};
+        use super::*;
+
+        fn put_varint(out: &mut Vec<u8>, mut v: u32) {
+            loop {
+                let byte = (v & 0x7F) as u8;
+                v >>= 7;
+                if v == 0 {
+                    out.push(byte);
+                    return;
+                }
+                out.push(byte | 0x80);
+            }
+        }
+
+        fn get_varint(data: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
+            let mut value: u32 = 0;
+            let mut shift = 0u32;
+            loop {
+                let &byte = data.get(*pos).ok_or(DecodeError::Truncated)?;
+                *pos += 1;
+                if shift > 28 || (shift == 28 && byte & 0x70 != 0) {
+                    return Err(DecodeError::VarintOverflow);
+                }
+                value |= u32::from(byte & 0x7F) << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(value);
+                }
+                shift += 7;
+            }
+        }
+
+        fn encode_row_body(row: &RleRow, out: &mut Vec<u8>) {
+            put_varint(out, row.run_count() as u32);
+            let mut prev_end: Pixel = 0;
+            for run in row.runs() {
+                put_varint(out, run.start() - prev_end);
+                put_varint(out, run.len() - 1);
+                prev_end = run.end_exclusive();
+            }
+        }
+
+        fn decode_row_body(
+            data: &[u8],
+            pos: &mut usize,
+            width: Pixel,
+        ) -> Result<RleRow, DecodeError> {
+            let count = get_varint(data, pos)? as usize;
+            let max_plausible = plausible_run_count(data.len() - *pos, width);
+            if count as u64 > max_plausible {
+                return Err(DecodeError::ImplausibleCount {
+                    declared: count as u64,
+                    max_plausible,
+                });
+            }
+            let mut row = RleRow::new(width);
+            let mut prev_end: u64 = 0;
+            for _ in 0..count {
+                let gap = u64::from(get_varint(data, pos)?);
+                let len = u64::from(get_varint(data, pos)?) + 1;
+                let start = prev_end + gap;
+                if start + len > u64::from(width) {
+                    return Err(RleError::RunExceedsWidth {
+                        index: row.run_count(),
+                        width,
+                    }
+                    .into());
+                }
+                row.push_run(Run::new(start as Pixel, len as Pixel))?;
+                prev_end = start + len;
+            }
+            Ok(row)
+        }
+
+        pub fn encode_row(row: &RleRow) -> Vec<u8> {
+            let mut out = Vec::new();
+            out.extend_from_slice(ROW_MAGIC);
+            out.extend_from_slice(&row.width().to_le_bytes());
+            encode_row_body(row, &mut out);
+            out
+        }
+
+        pub fn decode_row(data: &[u8]) -> Result<RleRow, DecodeError> {
+            let mut pos = 0usize;
+            expect_magic(data, &mut pos, ROW_MAGIC)?;
+            let width = read_u32(data, &mut pos)?;
+            decode_row_body(data, &mut pos, width)
+        }
+
+        pub fn encode_image(img: &RleImage) -> Vec<u8> {
+            let mut out = Vec::new();
+            out.extend_from_slice(IMAGE_MAGIC);
+            out.extend_from_slice(&img.width().to_le_bytes());
+            put_varint(&mut out, img.height() as u32);
+            for row in img.rows() {
+                encode_row_body(row, &mut out);
+            }
+            out
+        }
+
+        pub fn decode_image(data: &[u8]) -> Result<RleImage, DecodeError> {
+            let mut pos = 0usize;
+            expect_magic(data, &mut pos, IMAGE_MAGIC)?;
+            let width = read_u32(data, &mut pos)?;
+            let height = get_varint(data, &mut pos)? as usize;
+            let remaining = data.len() - pos;
+            if height > remaining {
+                return Err(DecodeError::ImplausibleCount {
+                    declared: height as u64,
+                    max_plausible: remaining as u64,
+                });
+            }
+            let mut rows = Vec::with_capacity(height);
+            for _ in 0..height {
+                rows.push(decode_row_body(data, &mut pos, width)?);
+            }
+            Ok(RleImage::from_rows(width, rows)?)
+        }
+    }
+
+    /// SplitMix64 step: the oracle tests' deterministic input stream.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random row mixing adjacent runs (gap 0), one-byte gaps and
+    /// lengths, values either side of the one- and two-byte varint limits
+    /// (127/128, 16383/16384), gaps ≥ 128 and runs ≥ 129 px, and — on wide
+    /// rows — gaps and runs of millions of pixels.
+    fn random_row(width: Pixel, max_runs: usize, state: &mut u64) -> RleRow {
+        let draw = |state: &mut u64| match next(state) % 6 {
+            0 => 0,
+            1 => next(state) % 128,
+            2 => [124, 16_380][(next(state) % 2) as usize] + next(state) % 8,
+            3 => 128 + next(state) % 20_000,
+            _ => next(state) % (u64::from(width) / 4 + 1),
+        };
+        let mut runs = Vec::new();
+        let mut at = draw(state);
+        while runs.len() < max_runs {
+            let len = 1 + draw(state);
+            if at + len > u64::from(width) {
+                break;
+            }
+            runs.push(Run::new(at as Pixel, len as Pixel));
+            at += len + draw(state);
+        }
+        RleRow::from_runs(width, runs).unwrap()
+    }
+
+    fn random_image(width: Pixel, height: usize, max_runs: usize, state: &mut u64) -> RleImage {
+        let rows = (0..height)
+            .map(|_| match next(state) % 5 {
+                0 => RleRow::new(width),
+                _ => random_row(width, max_runs, state),
+            })
+            .collect();
+        RleImage::from_rows(width, rows).unwrap()
+    }
+
+    /// Every cut and every single-bit flip of `bytes` decodes to the same
+    /// `Result` through both codecs.
+    fn damaged_inputs_match_the_oracle(bytes: &[u8]) {
+        for cut in 0..bytes.len() {
+            let cut = &bytes[..cut];
+            assert_eq!(decode_row(cut), oracle::decode_row(cut));
+            assert_eq!(decode_image(cut), oracle::decode_image(cut));
+        }
+        let mut flipped = bytes.to_vec();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(decode_row(&flipped), oracle::decode_row(&flipped));
+            assert_eq!(decode_image(&flipped), oracle::decode_image(&flipped));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn codec_matches_the_per_byte_oracle() {
+        let mut state = 0x5EED;
+        let widths = [0, 1, 7, 200, 10_000, 1 << 20, u32::MAX - 1, u32::MAX];
+        for &width in &widths {
+            for _ in 0..20 {
+                let img = random_image(width, 6, 12, &mut state);
+                let bytes = encode_image(&img);
+                assert_eq!(bytes, oracle::encode_image(&img), "width {width}");
+                assert_eq!(decode_image(&bytes), Ok(img.clone()));
+                for r in img.rows() {
+                    let bytes = encode_row(r);
+                    assert_eq!(bytes, oracle::encode_row(r), "width {width}");
+                    assert_eq!(decode_row(&bytes), Ok(r.clone()));
+                }
+            }
+        }
+        // Runs that end exactly at the widest width, and one past it.
+        let edge = RleRow::from_pairs(u32::MAX, &[(0, 1), (u32::MAX - 3, 3)]).unwrap();
+        let bytes = encode_row(&edge);
+        assert_eq!(bytes, oracle::encode_row(&edge));
+        assert_eq!(decode_row(&bytes), Ok(edge));
+        let mut past = bytes.clone();
+        *past.last_mut().unwrap() = 3; // length 4 from u32::MAX − 3
+        assert!(matches!(
+            decode_row(&past),
+            Err(DecodeError::Invalid(RleError::RunExceedsWidth {
+                index: 1,
+                ..
+            }))
+        ));
+        assert_eq!(decode_row(&past), oracle::decode_row(&past));
+    }
+
+    #[test]
+    fn damaged_and_garbage_inputs_decode_like_the_oracle() {
+        let mut state = 0xF11B;
+        for &width in &[0, 13, 300, 2_000, 70_000, u32::MAX] {
+            for _ in 0..6 {
+                let img = random_image(width, 4, 8, &mut state);
+                damaged_inputs_match_the_oracle(&encode_image(&img));
+                damaged_inputs_match_the_oracle(&encode_row(&random_row(width, 10, &mut state)));
+            }
+        }
+        for _ in 0..500 {
+            let len = (next(&mut state) % 64) as usize;
+            let tail: Vec<u8> = (0..len).map(|_| next(&mut state) as u8).collect();
+            for magic in [ROW_MAGIC, IMAGE_MAGIC] {
+                let mut bytes = magic.to_vec();
+                bytes.extend_from_slice(&tail);
+                assert_eq!(decode_row(&bytes), oracle::decode_row(&bytes));
+                assert_eq!(decode_image(&bytes), oracle::decode_image(&bytes));
+            }
+        }
     }
 
     #[test]
