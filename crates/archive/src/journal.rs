@@ -83,12 +83,12 @@
 use std::io::SeekFrom;
 use std::path::Path;
 
-use rle::serialize::{self, get_varint, put_varint};
-use rle::{Pixel, RleImage};
+use rle::serialize::{self, get_varint, put_varint, RowReader};
+use rle::{Pixel, RleImage, RleRow};
 
 use crate::crc::crc32;
 use crate::storage::Storage;
-use crate::{apply_delta, changed_rows, check_signatures, delta, read_signatures};
+use crate::{apply_delta, changed_rows, check_signatures, delta, is_literal, read_signatures};
 use crate::{AppendOutcome, ArchiveError, ArchiveStats};
 
 /// Magic prefix of a journaled archive.
@@ -863,19 +863,25 @@ impl<S: Storage> ArchiveFile<S> {
         })
     }
 
-    /// Reads and CRC-checks frame `index`'s record from disk, returning its
-    /// decoded payload and its literal bitmap (empty for an `0xF1` record).
-    fn read_record(&mut self, index: usize) -> Result<(RleImage, Vec<u8>), ArchiveError> {
+    /// Reads frame `index`'s record body from disk into `body`, checks its
+    /// CRC, parses it and counts it as replayed. Returns its literal bitmap
+    /// (empty for an `0xF1` record) and a reader at its payload's first
+    /// row, whose header has been checked against the archive's geometry.
+    fn read_body<'b>(
+        &mut self,
+        index: usize,
+        body: &'b mut Vec<u8>,
+    ) -> Result<(&'b [u8], RowReader<'b>), ArchiveError> {
         let (offset, tag, body_len) = {
             let e = &self.entries[index];
             (e.offset, e.tag, e.body_len)
         };
         let mut prefix = [0u8; FRAME_PREFIX_LEN as usize];
-        let mut body = vec![0u8; body_len as usize];
+        body.resize(body_len as usize, 0);
         if !try_read_exact(&mut self.storage, offset, &mut prefix)?
             || prefix[0] != tag
             || u32_at(&prefix, 1) != body_len
-            || !try_read_exact(&mut self.storage, offset + FRAME_PREFIX_LEN, &mut body)?
+            || !try_read_exact(&mut self.storage, offset + FRAME_PREFIX_LEN, body)?
         {
             self.counters.crc_errors += 1;
             return Err(ArchiveError::CrcMismatch {
@@ -883,28 +889,36 @@ impl<S: Storage> ArchiveFile<S> {
                 offset,
             });
         }
-        if crc32(&body) != u32_at(&prefix, 5) {
+        if crc32(body) != u32_at(&prefix, 5) {
             self.counters.crc_errors += 1;
             return Err(ArchiveError::CrcMismatch {
                 frame: index,
                 offset,
             });
         }
-        let parsed = parse_body(&body, tag, index as u32, Some((self.width, self.height)))
+        let parsed = parse_body(body, tag, index as u32, Some((self.width, self.height)))
             .map_err(|_| ArchiveError::PayloadGeometry { frame: index })?;
         self.counters.records_replayed += 1;
-        let payload = serialize::decode_image(&body[parsed.payload])?;
-        if payload.width() != self.width || payload.height() != self.height {
+        let body: &'b [u8] = body;
+        let rows = RowReader::new(&body[parsed.payload])?;
+        if rows.width() != self.width || rows.rows_remaining() != self.height {
             return Err(ArchiveError::PayloadGeometry { frame: index });
         }
-        Ok((payload, body[parsed.literal].to_vec()))
+        Ok((&body[parsed.literal], rows))
     }
 
     /// Reconstructs frame `index` bit-identically. The in-memory index
     /// holds each frame's byte offset, so extraction seeks straight to
-    /// the governing keyframe and replays at most `keyframe_interval − 1`
-    /// deltas — never a scan from frame 0. The reconstruction is verified
-    /// against the stored signature index.
+    /// the governing keyframe and reads at most `keyframe_interval`
+    /// records — never a scan from frame 0.
+    ///
+    /// Replay runs newest-first: from frame `index` back to its keyframe,
+    /// each row is resolved at its newest literal (a keyframe row counts
+    /// as one) with the XOR rows newer than it applied oldest first, as a
+    /// forward replay would, and its body is skipped, never built, in
+    /// every older record. Every record of the chain is still read,
+    /// CRC-checked and parsed, and the reconstruction is verified against
+    /// the stored signature index.
     pub fn extract(&mut self, index: usize) -> Result<RleImage, ArchiveError> {
         if index >= self.entries.len() {
             return Err(ArchiveError::FrameOutOfRange {
@@ -916,11 +930,36 @@ impl<S: Storage> ArchiveFile<S> {
             .rev()
             .find(|&i| self.entries[i].keyframe)
             .expect("frame 0 is always a keyframe");
-        let (mut img, _) = self.read_record(key)?;
-        for j in key + 1..=index {
-            let (payload, literal) = self.read_record(j)?;
-            apply_delta(&mut img, payload, &literal, j)?;
+        // Each row once the walk has reached its newest literal, and the
+        // non-empty XOR rows met before that, newest first.
+        let mut rows: Vec<Option<RleRow>> = vec![None; self.height];
+        let mut xors: Vec<Vec<RleRow>> = vec![Vec::new(); self.height];
+        let mut body = Vec::new();
+        for j in (key..=index).rev() {
+            let (literal, mut payload) = self.read_body(j, &mut body)?;
+            for (i, (row, xors)) in rows.iter_mut().zip(&mut xors).enumerate() {
+                if row.is_some() {
+                    payload
+                        .skip_row()
+                        .expect("the payload holds `height` rows")?;
+                    continue;
+                }
+                let stored = payload
+                    .next_row()
+                    .expect("the payload holds `height` rows")?;
+                if j == key || is_literal(literal, i) {
+                    let replayed = xors.drain(..).rev();
+                    *row = Some(replayed.fold(stored, |acc, x| rle::ops::xor(&acc, &x)));
+                } else if !stored.is_empty() {
+                    xors.push(stored);
+                }
+            }
         }
+        let rows = rows
+            .into_iter()
+            .map(|row| row.expect("the keyframe resolves every row"))
+            .collect();
+        let img = RleImage::from_rows(self.width, rows)?;
         check_signatures(&img, &self.entries[index].sigs, index)?;
         Ok(img)
     }
@@ -1107,7 +1146,7 @@ impl ArchiveFile<std::fs::File> {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
-    use rle::RleRow;
+    use rle::serialize::DecodeError;
 
     fn sequence(frames: usize, width: Pixel, height: usize) -> Vec<RleImage> {
         (0..frames)
@@ -1536,6 +1575,241 @@ mod tests {
             assert_eq!(journal.last.as_ref(), Some(f), "after append {i}");
             assert_eq!(&journal.extract(i).unwrap(), f);
         }
+    }
+
+    /// The forward replay, kept as the reference `extract` must equal:
+    /// every row of every record in the chain is built and replayed oldest
+    /// first through the delta codec's `apply_delta`.
+    fn extract_forward<S: Storage>(
+        journal: &mut ArchiveFile<S>,
+        index: usize,
+    ) -> Result<RleImage, ArchiveError> {
+        let key = (0..=index)
+            .rev()
+            .find(|&i| journal.entries[i].keyframe)
+            .unwrap();
+        let mut body = Vec::new();
+        let mut img: Option<RleImage> = None;
+        for j in key..=index {
+            let (literal, mut rows) = journal.read_body(j, &mut body)?;
+            let mut payload = Vec::new();
+            while let Some(row) = rows.next_row() {
+                payload.push(row?);
+            }
+            let payload = RleImage::from_rows(journal.width, payload)?;
+            match &mut img {
+                None => img = Some(payload),
+                Some(img) => apply_delta(img, payload, literal, j)?,
+            }
+        }
+        let img = img.unwrap();
+        check_signatures(&img, &journal.entries[index].sigs, index)?;
+        Ok(img)
+    }
+
+    /// A random stream whose deltas store every kind of row: redraws
+    /// (literals whose runs may touch), one flipped pixel (an XOR row), rows
+    /// XORed and later redrawn, rows cleared to empty literals, and flips
+    /// undone a frame later by restoring the row as it was, so two XOR rows
+    /// cancel over the (possibly non-canonical) literal before them.
+    fn mixed_stream(seed: u64, frames: usize, width: Pixel, height: usize) -> Vec<RleImage> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rows: Vec<RleRow> = (0..height)
+            .map(|_| crate::tests::random_row(&mut rng, width))
+            .collect();
+        // The row as it was before last frame's flip, if it was flipped.
+        let mut unflipped: Vec<Option<RleRow>> = vec![None; height];
+        let mut out = vec![RleImage::from_rows(width, rows.clone()).unwrap()];
+        for _ in 1..frames {
+            for (row, unflipped) in rows.iter_mut().zip(&mut unflipped) {
+                match (unflipped.take(), rng.gen_range(0..10)) {
+                    (Some(before), 0..=5) => *row = before,
+                    (_, 0..=3) => {}
+                    (_, 4..=5) => *row = crate::tests::random_row(&mut rng, width),
+                    (_, 6..=8) => {
+                        let pixel = RleRow::from_pairs(width, &[(rng.gen_range(0..width), 1)]);
+                        let flipped = rle::ops::combine(row, &pixel.unwrap(), |x, y| x != y);
+                        *unflipped = Some(std::mem::replace(row, flipped));
+                    }
+                    _ => *row = RleRow::new(width),
+                }
+            }
+            out.push(RleImage::from_rows(width, rows.clone()).unwrap());
+        }
+        out
+    }
+
+    /// Counts the delta rows `journal` stores as non-empty literals, empty
+    /// literals and XOR rows.
+    fn stored_kinds<S: Storage>(journal: &mut ArchiveFile<S>) -> [usize; 3] {
+        let mut kinds = [0; 3];
+        let mut body = Vec::new();
+        for j in 0..journal.len() {
+            if journal.entries[j].keyframe {
+                continue;
+            }
+            let (literal, mut rows) = journal.read_body(j, &mut body).unwrap();
+            for i in 0..rows.rows_remaining() {
+                let row = rows.next_row().unwrap().unwrap();
+                match (is_literal(literal, i), row.is_empty()) {
+                    (true, false) => kinds[0] += 1,
+                    (true, true) => kinds[1] += 1,
+                    (false, false) => kinds[2] += 1,
+                    (false, true) => {}
+                }
+            }
+        }
+        kinds
+    }
+
+    /// Extracts every frame of `journal` and checks it against the forward
+    /// reference, run encoding included, with the same records read, and
+    /// against `frames` by row signature. Returns how many frames came
+    /// back encoded otherwise than they were appended.
+    fn matches_the_forward_reference<S: Storage>(
+        journal: &mut ArchiveFile<S>,
+        frames: &[RleImage],
+        label: &str,
+    ) -> usize {
+        let mut reencoded = 0;
+        for (i, frame) in frames.iter().enumerate() {
+            let before = journal.stat().records_replayed;
+            let got = journal.extract(i).unwrap();
+            let read = journal.stat().records_replayed - before;
+            let want = extract_forward(journal, i).unwrap();
+            let read_forward = journal.stat().records_replayed - before - read;
+            assert_eq!(got, want, "{label}: frame {i}");
+            assert_eq!(read, read_forward, "{label}: frame {i} records read");
+            assert_eq!(got.row_signatures(), frame.row_signatures(), "{label}: {i}");
+            reencoded += usize::from(&got != frame);
+        }
+        reencoded
+    }
+
+    #[test]
+    fn newest_first_replay_matches_the_forward_reference() {
+        let (width, height) = (96, 24);
+        let mut kinds = [0; 3];
+        let mut reencoded = 0;
+        for (seed, interval) in [(1, 1), (2, 3), (3, 8), (4, 16)] {
+            let frames = mixed_stream(seed, 40, width, height);
+            let mut journal = ArchiveFile::create_on(MemStorage::new(), opts(interval)).unwrap();
+            for f in &frames {
+                journal.append(f).unwrap();
+            }
+            let label = format!("interval {interval}");
+            reencoded += matches_the_forward_reference(&mut journal, &frames, &label);
+            for (k, n) in kinds.iter_mut().zip(stored_kinds(&mut journal)) {
+                *k += n;
+            }
+            let bytes = journal.into_storage().into_bytes();
+            let mut back = ArchiveFile::open_on(MemStorage::from_bytes(bytes), opts(1)).unwrap();
+            matches_the_forward_reference(&mut back, &frames, &format!("{label}, reopened"));
+            let mut compacted = back.compact_into(MemStorage::new(), interval + 2).unwrap();
+            matches_the_forward_reference(&mut compacted, &frames, &format!("{label}, compacted"));
+        }
+        // Every kind of stored row occurred, and some frames replayed XOR
+        // rows that cancel over a non-canonical literal (the forward
+        // replay returns such a row canonical).
+        assert!(kinds.iter().all(|&k| k > 20), "{kinds:?}");
+        assert!(reencoded > 0);
+    }
+
+    /// Three frames of four rows: frame 1 redraws row 0, frame 2 redraws
+    /// every row, each as a literal, so extracting frame 2 skips every
+    /// row of records 0 and 1.
+    fn redrawn_frames() -> Vec<RleImage> {
+        let row = |pairs: &[(Pixel, Pixel)]| RleRow::from_pairs(32, pairs).unwrap();
+        let image = |rows: Vec<RleRow>| RleImage::from_rows(32, rows).unwrap();
+        vec![
+            image(vec![
+                row(&[(0, 3)]),
+                row(&[(8, 2)]),
+                row(&[(16, 4)]),
+                row(&[]),
+            ]),
+            image(vec![
+                row(&[(2, 5)]),
+                row(&[(8, 2)]),
+                row(&[(16, 4)]),
+                row(&[]),
+            ]),
+            image(vec![
+                row(&[(20, 6)]),
+                row(&[(1, 1)]),
+                row(&[(5, 2)]),
+                row(&[(30, 2)]),
+            ]),
+        ]
+    }
+
+    fn redrawn_journal() -> ArchiveFile<MemStorage> {
+        let mut journal = ArchiveFile::create_on(MemStorage::new(), opts(8)).unwrap();
+        for f in &redrawn_frames() {
+            journal.append(f).unwrap();
+        }
+        let mut body = Vec::new();
+        let (literal, _) = journal.read_body(2, &mut body).unwrap();
+        assert_eq!(literal, [0b1111], "frame 2 stores every row as a literal");
+        journal
+    }
+
+    #[test]
+    fn skipped_records_are_still_crc_checked() {
+        let journal = redrawn_journal();
+        let entries = journal.entries.clone();
+        let bytes = journal.into_storage().into_bytes();
+        for record in [0, 1] {
+            // The record's last byte is a row of its payload.
+            let e = &entries[record];
+            let last = (e.offset + FRAME_PREFIX_LEN) as usize + e.body_len as usize - 1;
+            let mut back =
+                ArchiveFile::open_on(MemStorage::from_bytes(bytes.clone()), opts(8)).unwrap();
+            let mut flipped = bytes.clone();
+            flipped[last] ^= 0x01;
+            back.storage = MemStorage::from_bytes(flipped);
+            assert_eq!(
+                back.extract(2),
+                Err(ArchiveError::CrcMismatch {
+                    frame: record,
+                    offset: e.offset
+                })
+            );
+            assert_eq!(back.stat().crc_errors, 1);
+        }
+    }
+
+    #[test]
+    fn a_skipped_row_past_the_width_extracts_later_frames_but_fails_fsck() {
+        let journal = redrawn_journal();
+        let e = journal.entries[1].clone();
+        let mut bytes = journal.into_storage().into_bytes();
+        let start = (e.offset + FRAME_PREFIX_LEN) as usize;
+        let body = &bytes[start..start + e.body_len as usize];
+        let payload = parse_body(body, e.tag, 1, None).unwrap().payload.start;
+        // The RLI1 header ("RLI1", width, height 4), then row 0: one run,
+        // gap 2, length − 1 = 4. Length 128 runs past the 32-pixel width.
+        let run = payload + 9;
+        assert_eq!(body[run..run + 3], [1, 2, 4]);
+        poke_body(&mut bytes, e.offset, run + 2, 4 ^ 0x7F);
+
+        let mut back = ArchiveFile::open_on(MemStorage::from_bytes(bytes), opts(8)).unwrap();
+        assert!(back.recovery().clean(), "the resealed record scans clean");
+        assert_eq!(back.extract(2).unwrap(), redrawn_frames()[2]);
+        assert!(matches!(
+            back.extract(1),
+            Err(ArchiveError::Payload(DecodeError::Invalid(
+                rle::RleError::RunExceedsWidth { .. }
+            )))
+        ));
+        assert!(
+            extract_forward(&mut back, 2).is_err(),
+            "a forward replay builds it"
+        );
+        let report = ArchiveFile::<MemStorage>::fsck(&mut back.into_storage(), false).unwrap();
+        assert_eq!(report.first_corrupt, Some(1));
+        assert_eq!(report.verified, 1);
     }
 
     #[test]

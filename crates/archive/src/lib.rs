@@ -19,19 +19,24 @@
 //!   Observation), so a redrawn row is stored as itself and a row with a
 //!   few pixel errors as its XOR; the choice is counted before any XOR is
 //!   built.
-//! * **Extract** reconstructs any version by replaying deltas forward from
-//!   the nearest keyframe — a literal row replaces its row, an XOR row is
-//!   XORed into it — then checks the reconstruction's row signatures
+//! * **Extract** reconstructs any version by replaying its chain
+//!   newest-first, from the frame back to the nearest keyframe: each row is
+//!   built once, at its newest literal (a keyframe row counts as one), with
+//!   the XOR rows newer than that literal XORed onto it, and is skipped
+//!   without being built in every older record; the result is the forward
+//!   replay's, run encoding included. Every record of the chain is still
+//!   CRC-checked, and the reconstruction's row signatures are checked
 //!   against the stored signature index — bit-rot anywhere in the replay
-//!   chain surfaces as a typed [`ArchiveError::SignatureMismatch`], not as
-//!   a silently wrong image.
+//!   chain surfaces as a typed [`ArchiveError::CrcMismatch`] or
+//!   [`ArchiveError::SignatureMismatch`], not as a silently wrong image.
 //! * **Re-keyframing** ([`ArchiveFile::compact_into`]) bounds replay cost:
 //!   a full keyframe is stored every `keyframe_interval` frames, so no
 //!   extraction replays more than `interval − 1` deltas.
 //!
 //! Append, extract, `fsck`'s deep verify and the legacy import share one
-//! private delta codec, so every path computes, replays and checks a delta
-//! the same way.
+//! private delta codec, so every path computes and checks a delta the
+//! same way; `fsck` and the legacy import, which must produce every frame
+//! in order, replay forward through it.
 //!
 //! Each payload is a standard `RLI1` blob from [`rle::serialize`],
 //! inheriting its hardening wholesale: varints are bounds-checked,
@@ -278,8 +283,8 @@ pub struct ArchiveStats {
     pub recovered_tail_bytes: u64,
     /// Record checksum failures observed since open.
     pub crc_errors: u64,
-    /// Records decoded in service of `extract` since open — the replay
-    /// cost the keyframe index is meant to bound.
+    /// Records read and CRC-checked in service of `extract` since open —
+    /// the replay cost the keyframe index is meant to bound.
     pub records_replayed: u64,
     /// Bytes written by appends since open (journal I/O, not file size).
     pub bytes_appended: u64,
@@ -410,10 +415,13 @@ fn delta(prev: &RleImage, frame: &RleImage, changed: &[usize]) -> Delta {
     }
 }
 
-/// The delta codec's decoder: replays `delta` onto `img` in place. A row
-/// set in the `literal` bitmap replaces its row (it may be empty); any
-/// other non-empty delta row is XORed into its row. A delta whose
-/// geometry differs from `img`'s is a malformed payload of `frame`.
+/// The delta codec's forward decoder: replays `delta` onto `img` in place.
+/// A row set in the `literal` bitmap replaces its row (it may be empty);
+/// any other non-empty delta row is XORed into its row. A delta whose
+/// geometry differs from `img`'s is a malformed payload of `frame`. The
+/// paths that must produce every frame in order use it (`fsck`'s deep
+/// verify, the `RDA1` import); `extract` replays newest-first, and its
+/// tests hold it to this decoder's result.
 fn apply_delta(
     img: &mut RleImage,
     delta: RleImage,
@@ -718,7 +726,7 @@ mod tests {
 
     /// A random row of `width` pixels whose runs may touch (a
     /// non-canonical encoding), as the paper allows.
-    fn random_row(rng: &mut impl rand::Rng, width: Pixel) -> RleRow {
+    pub(crate) fn random_row(rng: &mut impl rand::Rng, width: Pixel) -> RleRow {
         let mut runs = Vec::new();
         let mut at = 0;
         while at < width {

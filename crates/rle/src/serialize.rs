@@ -203,6 +203,51 @@ fn decode_row_body(data: &[u8], pos: &mut usize, width: Pixel) -> Result<RleRow,
     Ok(RleRow::from_checked_runs(width, runs))
 }
 
+/// Steps over a row body without building the row. The count is read and
+/// capped exactly as [`decode_row_body`] caps it; each of the `2 × count`
+/// varints after it ends in a byte with the high bit clear, so the body
+/// ends at the `2 × count`-th such byte, found by counting them eight
+/// bytes at a time.
+fn skip_row_body(data: &[u8], pos: &mut usize, width: Pixel) -> Result<(), DecodeError> {
+    let count = get_varint(data, pos)? as usize;
+    let max_plausible = plausible_run_count(data.len() - *pos, width);
+    if count as u64 > max_plausible {
+        return Err(DecodeError::ImplausibleCount {
+            declared: count as u64,
+            max_plausible,
+        });
+    }
+    // The cap keeps `2 × count` within the remaining bytes.
+    let body = &data[*pos..];
+    let mut left = 2 * count;
+    let mut at = 0;
+    for word in body.chunks_exact(8) {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        // A 1 in the low bit of each byte that ends a varint; the multiply
+        // sums the eight of them into the top byte (cheaper than a
+        // `count_ones` the baseline x86-64 target has no instruction for).
+        let ends_mask = (!word & 0x8080_8080_8080_8080) >> 7;
+        let ends = (ends_mask.wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize;
+        if ends >= left {
+            break;
+        }
+        left -= ends;
+        at += 8;
+    }
+    for &byte in &body[at..] {
+        if left == 0 {
+            break;
+        }
+        left -= usize::from(byte < 0x80);
+        at += 1;
+    }
+    if left > 0 {
+        return Err(DecodeError::Truncated);
+    }
+    *pos += at;
+    Ok(())
+}
+
 /// Serializes a row into the compact binary format.
 #[must_use]
 pub fn encode_row(row: &RleRow) -> Vec<u8> {
@@ -246,25 +291,91 @@ pub fn encode_image_into(img: &RleImage, out: &mut Vec<u8>) {
 
 /// Deserializes an image.
 pub fn decode_image(data: &[u8]) -> Result<RleImage, DecodeError> {
-    let mut pos = 0usize;
-    expect_magic(data, &mut pos, IMAGE_MAGIC)?;
-    let width = read_u32(data, &mut pos)?;
-    let height = get_varint(data, &mut pos)? as usize;
-    // Every row body costs at least one byte (its count varint), so a
-    // height the remaining input cannot hold is rejected before any
-    // allocation — a 5-byte crafted header cannot reserve gigabytes.
-    let remaining = data.len() - pos;
-    if height > remaining {
-        return Err(DecodeError::ImplausibleCount {
-            declared: height as u64,
-            max_plausible: remaining as u64,
-        });
+    let mut reader = RowReader::new(data)?;
+    let mut rows = Vec::with_capacity(reader.rows_remaining());
+    while let Some(row) = reader.next_row() {
+        rows.push(row?);
     }
-    let mut rows = Vec::with_capacity(height);
-    for _ in 0..height {
-        rows.push(decode_row_body(data, &mut pos, width)?);
+    Ok(RleImage::from_rows(reader.width(), rows)?)
+}
+
+/// Reads an image held in a slice row by row, building each row
+/// ([`RowReader::next_row`]) or stepping over it ([`RowReader::skip_row`]).
+/// [`decode_image`] is a loop of `next_row`; the delta archive's replay
+/// skips the rows a newer record overwrites.
+///
+/// A skipped row is checked less than a decoded one. Its count gets the
+/// same plausibility cap, and its body must hold `2 × count` complete
+/// varints inside the slice, so `skip_row` fails only with `Truncated`,
+/// `ImplausibleCount`, or `VarintOverflow` on the count. It does not
+/// check a body varint for `VarintOverflow`, nor a run for
+/// `RunExceedsWidth`: a skipped row never reaches any output, so nothing
+/// it holds can make one wrong. In the archive its bytes are still covered
+/// by its record's CRC, and `fsck` decodes every row in full. Wherever
+/// decoding a row succeeds, skipping it succeeds and ends at the same
+/// byte.
+pub struct RowReader<'a> {
+    data: &'a [u8],
+    pos: usize,
+    width: Pixel,
+    remaining: usize,
+}
+
+impl<'a> RowReader<'a> {
+    /// Reads and validates an `RLI1` header.
+    pub fn new(data: &'a [u8]) -> Result<Self, DecodeError> {
+        let mut pos = 0usize;
+        expect_magic(data, &mut pos, IMAGE_MAGIC)?;
+        let width = read_u32(data, &mut pos)?;
+        let height = get_varint(data, &mut pos)? as usize;
+        // Every row body costs at least one byte (its count varint), so a
+        // height the remaining input cannot hold is rejected before any
+        // allocation — a 5-byte crafted header cannot reserve gigabytes.
+        let remaining = data.len() - pos;
+        if height > remaining {
+            return Err(DecodeError::ImplausibleCount {
+                declared: height as u64,
+                max_plausible: remaining as u64,
+            });
+        }
+        Ok(Self {
+            data,
+            pos,
+            width,
+            remaining: height,
+        })
     }
-    Ok(RleImage::from_rows(width, rows)?)
+
+    /// Declared row width.
+    #[must_use]
+    pub fn width(&self) -> Pixel {
+        self.width
+    }
+
+    /// Rows not yet read or skipped.
+    #[must_use]
+    pub fn rows_remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// Byte offset of the next row body in the slice.
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Decodes the next row; `None` once the declared height is exhausted.
+    pub fn next_row(&mut self) -> Option<Result<RleRow, DecodeError>> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some(decode_row_body(self.data, &mut self.pos, self.width))
+    }
+
+    /// Steps over the next row without building it (see the type docs for
+    /// what is not checked); `None` once the declared height is exhausted.
+    pub fn skip_row(&mut self) -> Option<Result<(), DecodeError>> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some(skip_row_body(self.data, &mut self.pos, self.width))
+    }
 }
 
 fn expect_magic(data: &[u8], pos: &mut usize, magic: &[u8; 4]) -> Result<(), DecodeError> {
@@ -639,19 +750,94 @@ mod tests {
         RleImage::from_rows(width, rows).unwrap()
     }
 
+    /// Skips and decodes the row body at `*pos` side by side. The skip
+    /// stays inside the slice, succeeds wherever the decode does and then
+    /// ends at the same byte, and fails only for want of bytes or on the
+    /// count varint. Returns whether both succeeded; `*pos` then moves past
+    /// the row.
+    fn skip_matches_decode(data: &[u8], pos: &mut usize, width: Pixel) -> bool {
+        let (mut skipped_to, mut decoded_to) = (*pos, *pos);
+        let skipped = skip_row_body(data, &mut skipped_to, width);
+        let decoded = decode_row_body(data, &mut decoded_to, width);
+        assert!(skipped_to <= data.len(), "skip left the slice");
+        match (skipped, decoded) {
+            (Ok(()), Ok(_)) => {
+                assert_eq!(skipped_to, decoded_to, "skip and decode end apart");
+                *pos = skipped_to;
+                true
+            }
+            // What a skip does not check: a body varint past 32 bits, a
+            // run past the width.
+            (Ok(()), Err(e)) => {
+                assert!(
+                    matches!(
+                        e,
+                        DecodeError::VarintOverflow
+                            | DecodeError::Invalid(RleError::RunExceedsWidth { .. })
+                    ),
+                    "{e:?}"
+                );
+                false
+            }
+            (Err(e), decoded) => {
+                assert!(decoded.is_err(), "skip failed ({e:?}) where decode did not");
+                match e {
+                    DecodeError::Truncated => {}
+                    DecodeError::ImplausibleCount { .. } => assert_eq!(decoded, Err(e)),
+                    DecodeError::VarintOverflow => {
+                        let mut at = *pos;
+                        assert_eq!(get_varint(data, &mut at), Err(e), "only on the count");
+                    }
+                    other => panic!("skip failed with {other:?}"),
+                }
+                false
+            }
+        }
+    }
+
+    /// [`skip_matches_decode`] over every row of `bytes`, read as an `RLR1`
+    /// row or an `RLI1` image by its magic; for an image whose every row
+    /// skips and decodes, [`RowReader::skip_row`] steps over the whole
+    /// image to the byte where decoding it ends.
+    fn skips_match_decodes(bytes: &[u8]) {
+        let mut pos = 0;
+        if expect_magic(bytes, &mut pos, ROW_MAGIC).is_ok() {
+            if let Ok(width) = read_u32(bytes, &mut pos) {
+                skip_matches_decode(bytes, &mut pos, width);
+            }
+            return;
+        }
+        let Ok(mut reader) = RowReader::new(bytes) else {
+            return;
+        };
+        let (width, mut pos) = (reader.width(), reader.position());
+        for _ in 0..reader.rows_remaining() {
+            if !skip_matches_decode(bytes, &mut pos, width) {
+                return;
+            }
+        }
+        while let Some(skipped) = reader.skip_row() {
+            assert_eq!(skipped, Ok(()));
+        }
+        assert_eq!(reader.position(), pos);
+        assert_eq!(reader.next_row(), None);
+    }
+
     /// Every cut and every single-bit flip of `bytes` decodes to the same
-    /// `Result` through both codecs.
+    /// `Result` through both codecs, and skips as it decodes.
     fn damaged_inputs_match_the_oracle(bytes: &[u8]) {
         for cut in 0..bytes.len() {
             let cut = &bytes[..cut];
             assert_eq!(decode_row(cut), oracle::decode_row(cut));
             assert_eq!(decode_image(cut), oracle::decode_image(cut));
+            skips_match_decodes(cut);
         }
         let mut flipped = bytes.to_vec();
         for bit in 0..bytes.len() * 8 {
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert_eq!(decode_row(&flipped), oracle::decode_row(&flipped));
             assert_eq!(decode_image(&flipped), oracle::decode_image(&flipped));
+            skips_match_decodes(&flipped);
             flipped[bit / 8] ^= 1 << (bit % 8);
         }
     }
@@ -666,18 +852,27 @@ mod tests {
                 let bytes = encode_image(&img);
                 assert_eq!(bytes, oracle::encode_image(&img), "width {width}");
                 assert_eq!(decode_image(&bytes), Ok(img.clone()));
+                let mut skipper = RowReader::new(&bytes).unwrap();
+                while let Some(skipped) = skipper.skip_row() {
+                    assert_eq!(skipped, Ok(()));
+                }
+                assert_eq!(skipper.position(), bytes.len(), "width {width}");
+                skips_match_decodes(&bytes);
                 for r in img.rows() {
                     let bytes = encode_row(r);
                     assert_eq!(bytes, oracle::encode_row(r), "width {width}");
                     assert_eq!(decode_row(&bytes), Ok(r.clone()));
+                    skips_match_decodes(&bytes);
                 }
             }
         }
-        // Runs that end exactly at the widest width, and one past it.
+        // Runs that end exactly at the widest width, and one past it: the
+        // skip steps over the second as it does over the first.
         let edge = RleRow::from_pairs(u32::MAX, &[(0, 1), (u32::MAX - 3, 3)]).unwrap();
         let bytes = encode_row(&edge);
         assert_eq!(bytes, oracle::encode_row(&edge));
         assert_eq!(decode_row(&bytes), Ok(edge));
+        skips_match_decodes(&bytes);
         let mut past = bytes.clone();
         *past.last_mut().unwrap() = 3; // length 4 from u32::MAX − 3
         assert!(matches!(
@@ -688,6 +883,9 @@ mod tests {
             }))
         ));
         assert_eq!(decode_row(&past), oracle::decode_row(&past));
+        let mut pos = 8;
+        assert_eq!(skip_row_body(&past, &mut pos, u32::MAX), Ok(()));
+        assert_eq!(pos, past.len());
     }
 
     #[test]
@@ -708,6 +906,7 @@ mod tests {
                 bytes.extend_from_slice(&tail);
                 assert_eq!(decode_row(&bytes), oracle::decode_row(&bytes));
                 assert_eq!(decode_image(&bytes), oracle::decode_image(&bytes));
+                skips_match_decodes(&bytes);
             }
         }
     }

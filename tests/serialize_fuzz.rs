@@ -5,16 +5,49 @@
 //!
 //! Strategy coverage: exact round-trips on valid bytes, every truncation
 //! point, single-bit flips, random garbage, trailing extensions, and
-//! crafted count/height headers.
+//! crafted count/height headers. On every image input the row skipper
+//! (`RowReader::skip_row`) runs beside the decoder and must agree with it.
 
 mod common;
 
 use common::rle_row;
 use proptest::prelude::*;
 use rle_systolic::rle::serialize::{
-    self, decode_image, decode_row, encode_image, encode_row, DecodeError, ImageReader,
+    self, decode_image, decode_row, encode_image, encode_row, DecodeError, ImageReader, RowReader,
 };
 use rle_systolic::rle::RleImage;
+
+/// Skips every row of `bytes` beside a decode of it: the skipper never
+/// panics or leaves the slice, succeeds wherever decoding succeeds and
+/// then ends at the same byte, and fails only for want of bytes or on a
+/// row's count (with the error decoding reports).
+fn skipping_agrees_with_decoding(bytes: &[u8]) {
+    let (Ok(mut decoder), Ok(mut skipper)) = (RowReader::new(bytes), RowReader::new(bytes)) else {
+        return;
+    };
+    while let (Some(decoded), Some(skipped)) = (decoder.next_row(), skipper.skip_row()) {
+        assert!(skipper.position() <= bytes.len(), "skip left the slice");
+        match (decoded, skipped) {
+            (Ok(_), Ok(())) => assert_eq!(decoder.position(), skipper.position()),
+            (Ok(_), Err(e)) => panic!("skip failed ({e:?}) where decoding succeeded"),
+            // A body varint past 32 bits or a run past the width: a skip
+            // does not look.
+            (Err(_), Ok(())) => return,
+            (Err(_), Err(DecodeError::Truncated)) => return,
+            (Err(d), Err(s)) => {
+                assert!(
+                    matches!(
+                        s,
+                        DecodeError::ImplausibleCount { .. } | DecodeError::VarintOverflow
+                    ),
+                    "{s:?}"
+                );
+                assert_eq!(d, s, "a count error is the decoder's");
+                return;
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -35,6 +68,7 @@ proptest! {
         let img = RleImage::from_rows(900, rows).unwrap();
         let bytes = encode_image(&img);
         prop_assert_eq!(decode_image(&bytes).unwrap(), img.clone());
+        skipping_agrees_with_decoding(&bytes);
         let mut reader = ImageReader::new(&bytes[..]).unwrap();
         let mut streamed = Vec::new();
         while let Some(next) = reader.next_row() {
@@ -62,6 +96,7 @@ proptest! {
         let bytes = encode_image(&img);
         for cut in 0..bytes.len() {
             prop_assert!(decode_image(&bytes[..cut]).is_err(), "cut at {}", cut);
+            skipping_agrees_with_decoding(&bytes[..cut]);
             match ImageReader::new(&bytes[..cut]) {
                 Err(_) => {}
                 Ok(mut reader) => {
@@ -110,6 +145,7 @@ proptest! {
         let idx = usize::from(flip_byte) % bytes.len();
         bytes[idx] ^= 1 << flip_bit;
         let _ = decode_image(&bytes);
+        skipping_agrees_with_decoding(&bytes);
         if let Ok(mut reader) = ImageReader::new(&bytes[..]) {
             while let Some(next) = reader.next_row() {
                 if next.is_err() {
@@ -124,6 +160,7 @@ proptest! {
     fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = decode_row(&bytes);
         let _ = decode_image(&bytes);
+        skipping_agrees_with_decoding(&bytes);
         if let Ok(mut reader) = ImageReader::new(&bytes[..]) {
             while let Some(next) = reader.next_row() {
                 if next.is_err() {
@@ -143,6 +180,7 @@ proptest! {
         let mut img_bytes = b"RLI1".to_vec();
         img_bytes.extend_from_slice(&bytes);
         let _ = decode_image(&img_bytes);
+        skipping_agrees_with_decoding(&img_bytes);
     }
 
     /// Trailing extension bytes after a valid row are ignored (the row
