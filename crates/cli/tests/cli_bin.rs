@@ -31,6 +31,34 @@ fn bad_arguments_exit_nonzero_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// A flag the subcommand does not take and a `--density` outside (0, 1)
+/// are both refused at parse time: exit 2 with the usage text, never a
+/// load thread's panic.
+#[test]
+fn misplaced_and_out_of_range_flags_exit_two_with_usage() {
+    for (args, flag) in [
+        (
+            &["diff", "a.pbm", "b.pbm", "--threads", "2"][..],
+            "--threads",
+        ),
+        (
+            &["diff-client", "127.0.0.1:1", "--density", "1.5"],
+            "--density",
+        ),
+        (
+            &["diff-client", "127.0.0.1:1", "--density", "NaN"],
+            "--density",
+        ),
+    ] {
+        let out = rlediff(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(stderr.contains(rlediff::USAGE), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn missing_file_exits_one() {
     let out = rlediff(&["info", "/nonexistent/nope.pbm"]);

@@ -13,9 +13,10 @@
 //!    under [`crate::DiffExecutorConfig::observe`]; without it,
 //!    [`Observer::record`] returns before reading the clock.
 //! 2. **Cheap enough to leave on.** Counters and histograms are relaxed
-//!    atomics; trace recording is one `fetch_add` plus an uncontended
-//!    per-slot mutex write of a `Copy` value. Nothing on the hot path
-//!    allocates or blocks on a shared lock.
+//!    atomics; trace recording is one compare-exchange (retried only when
+//!    another thread claimed the same sequence number first) plus an
+//!    uncontended per-slot mutex write of a `Copy` value. Nothing on the
+//!    hot path allocates or blocks on a shared lock.
 //! 3. **Audited, not just emitted.** The registry's counters form a closed
 //!    ledger over row outcomes (see [`MetricsRegistry`]) and the trace's
 //!    per-row event chain is causally ordered; `tests/observability.rs`
@@ -91,11 +92,13 @@ impl Observer {
     }
 
     /// Records one trace event stamped with the current time; without a
-    /// ring, returns before reading the clock.
+    /// ring, returns before reading the clock. With one, the ring reads the
+    /// clock as it claims the sequence number ([`TraceRing::record`]), so
+    /// timestamps never decrease along the sequence.
     #[inline]
     pub fn record(&self, kind: TraceKind) {
         if let Some(trace) = &self.trace {
-            trace.record(self.now_ns(), kind);
+            trace.record(|| self.now_ns(), kind);
         }
     }
 
@@ -137,6 +140,38 @@ mod tests {
         assert_eq!(snapshot.rows_submitted, 3);
         assert_eq!(snapshot.trace_recorded, 2);
         assert_eq!(snapshot.trace_dropped, 0);
+    }
+
+    #[test]
+    fn concurrent_records_never_stamp_a_later_seq_earlier() {
+        // A thread preempted between reading the clock and claiming its
+        // sequence number must not record an older time under a newer
+        // number, so `at_ns` is non-decreasing along `seq` however the
+        // recording threads interleave.
+        const THREADS: usize = 4;
+        const EACH: u64 = 10_000;
+        let capacity = THREADS * EACH as usize;
+        let obs = Observer::new(Some(ObsConfig {
+            trace_capacity: capacity,
+        }));
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for ticket in 0..EACH {
+                        obs.record(TraceKind::Submit { ticket });
+                    }
+                });
+            }
+        });
+        let events = obs.trace_snapshot();
+        assert_eq!(events.len(), capacity);
+        let inversions = events
+            .windows(2)
+            .filter(|pair| pair[0].at_ns > pair[1].at_ns)
+            .count();
+        assert_eq!(inversions, 0, "at_ns decreased along seq");
     }
 
     #[test]

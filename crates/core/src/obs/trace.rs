@@ -158,7 +158,9 @@ pub fn kernel_choice_name(choice: KernelChoice) -> &'static str {
 pub struct TraceEvent {
     /// Global record order: event `n` was recorded before event `n + 1`.
     pub seq: u64,
-    /// Nanoseconds since the observer was created.
+    /// Nanoseconds since the observer was created. Non-decreasing in
+    /// `seq`: an event never carries an earlier time than one recorded
+    /// before it (see [`TraceRing::record`]).
     pub at_ns: u64,
     /// What happened.
     pub kind: TraceKind,
@@ -226,7 +228,9 @@ impl TraceEvent {
 
 /// A fixed-capacity ring of [`TraceEvent`]s.
 ///
-/// Recording claims a slot with one `fetch_add` and writes the event under
+/// Recording claims a sequence number, and with it a slot, with one
+/// compare-exchange on `head` (retried, with a fresh clock read, only when
+/// another thread claimed the number first), then writes the event under
 /// that slot's own mutex — different slots never contend, and the same
 /// slot only contends after the ring wraps a full lap, so the hot path is
 /// effectively an uncontended lock plus a `Copy` store (no allocation).
@@ -255,9 +259,26 @@ impl TraceRing {
         self.slots.len()
     }
 
-    /// Records `kind` at `at_ns`, returning its sequence number.
-    pub fn record(&self, at_ns: u64, kind: TraceKind) -> u64 {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
+    /// Records `kind`, stamped by `clock`, returning its sequence number.
+    ///
+    /// The clock is read after loading `head` and before claiming the
+    /// number with a compare-exchange; if another thread claims it first,
+    /// the clock is read again. So the time was read after every earlier
+    /// number was claimed, and a later `seq` never carries an earlier
+    /// `at_ns` (the claim is `AcqRel`, so with a monotonic clock this holds
+    /// across threads too).
+    pub fn record(&self, clock: impl Fn() -> u64, kind: TraceKind) -> u64 {
+        let mut seq = self.head.load(Ordering::Acquire);
+        let at_ns = loop {
+            let at_ns = clock();
+            match self
+                .head
+                .compare_exchange_weak(seq, seq + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => break at_ns,
+                Err(current) => seq = current,
+            }
+        };
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         *slot.lock().unwrap_or_else(PoisonError::into_inner) =
             Some(TraceEvent { seq, at_ns, kind });
@@ -299,7 +320,7 @@ mod tests {
     fn ring_retains_most_recent_events_in_order() {
         let ring = TraceRing::new(4);
         for ticket in 0..6u64 {
-            ring.record(ticket * 10, TraceKind::Submit { ticket });
+            ring.record(|| ticket * 10, TraceKind::Submit { ticket });
         }
         assert_eq!(ring.recorded(), 6);
         assert_eq!(ring.dropped(), 2);
@@ -316,7 +337,7 @@ mod tests {
     fn ring_capacity_floor_is_one() {
         let ring = TraceRing::new(0);
         assert_eq!(ring.capacity(), 1);
-        ring.record(0, TraceKind::Timeout { in_flight: 0 });
+        ring.record(|| 0, TraceKind::Timeout { in_flight: 0 });
         assert_eq!(ring.events().len(), 1);
     }
 
@@ -383,7 +404,7 @@ mod tests {
                 let ring = std::sync::Arc::clone(&ring);
                 std::thread::spawn(move || {
                     for ticket in 0..32 {
-                        ring.record(0, TraceKind::Submit { ticket });
+                        ring.record(|| 0, TraceKind::Submit { ticket });
                     }
                 })
             })

@@ -390,36 +390,50 @@ fn gauges_never_go_negative_under_concurrent_sampling() {
     // The queue-depth gauge moves inside the same shard-lock critical
     // sections that mutate the sharded queues, so no interleaving of
     // pushes, pops and steals can ever expose a negative depth to a
-    // concurrent scraper. Hammer several batches while a sampler thread
-    // reads both gauges as fast as it can.
+    // concurrent scraper. Hammer batches while a sampler thread reads
+    // both gauges as fast as it can, and keep going (at least six
+    // batches, under a time limit) until the sampler has taken snapshots
+    // with rows in flight, so the check overlaps a running batch for
+    // certain rather than by the scheduler's luck.
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let (a, b) = image_pair(512, 32, 0x6A06);
     let expected = xor_image(&a, &b).unwrap().0;
     let mut pipeline = DiffExecutorConfig::new(4).chunk_target(1).build();
     let obs = pipeline.observer();
 
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let busy_samples = Arc::new(AtomicU64::new(0));
     let sampler = {
         let obs = Arc::clone(&obs);
         let stop = Arc::clone(&stop);
+        let busy_samples = Arc::clone(&busy_samples);
         std::thread::spawn(move || {
-            let mut samples = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            while !stop.load(Ordering::Relaxed) {
                 let s = obs.metrics_snapshot();
                 assert!(s.queue_depth >= 0, "queue_depth went negative: {s:?}");
                 assert!(s.in_flight >= 0, "in_flight went negative: {s:?}");
-                samples += 1;
+                if s.in_flight > 0 {
+                    busy_samples.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            samples
         })
     };
 
-    for _ in 0..6 {
+    let limit = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let mut batches = 0;
+    while (batches < 6 || busy_samples.load(Ordering::Relaxed) == 0)
+        && std::time::Instant::now() < limit
+    {
         let (got, _) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(got, expected);
+        batches += 1;
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let samples = sampler.join().expect("sampler found a negative gauge");
-    assert!(samples > 0, "sampler must have observed the run");
+    stop.store(true, Ordering::Relaxed);
+    sampler.join().expect("sampler found a negative gauge");
+    assert!(
+        busy_samples.load(Ordering::Relaxed) > 0,
+        "sampler took no snapshot with rows in flight in {batches} batches"
+    );
 
     // Quiescent: both gauges return exactly to zero and the ledger closes.
     let s = obs.metrics_snapshot();
