@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 /// `path` is left as it was. Returns the migrated frame count.
 fn replace_with_migrated(
     path: &Path,
-    migrate: impl FnOnce(fs::File) -> Result<usize, archive::ArchiveError>,
+    migrate: impl FnOnce(fs::File) -> Result<usize, CliError>,
 ) -> Result<usize, CliError> {
     let mut tmp = path.to_path_buf().into_os_string();
     tmp.push(".migrate");
@@ -24,14 +24,35 @@ fn replace_with_migrated(
         .create(true)
         .truncate(true)
         .open(&tmp)
-        .map_err(archive::ArchiveError::from)
+        .map_err(|e| CliError::parse_at(path, archive::ArchiveError::from(e)))
         .and_then(migrate)
-        .map_err(|e| {
+        .inspect_err(|_| {
             let _ = fs::remove_file(&tmp);
-            CliError::parse_at(path, e)
         })?;
     fs::rename(&tmp, path)?;
     Ok(frames)
+}
+
+/// Checks that the frames of one append fit `journal`: every frame has its
+/// geometry, or the first frame's when it holds none yet. `archive
+/// append` runs it before anything is written or migrated, so a frame
+/// that cannot join leaves the file as it was.
+fn check_geometry<S: archive::Storage>(
+    journal: &archive::ArchiveFile<S>,
+    frames: &[(&Path, rle::RleImage)],
+) -> Result<(), CliError> {
+    let mut expected = (!journal.is_empty()).then(|| (journal.width(), journal.height()));
+    for (path, frame) in frames {
+        let got = (frame.width(), frame.height());
+        match expected {
+            Some(expected) if expected != got => {
+                let e = archive::ArchiveError::DimensionMismatch { expected, got };
+                return Err(CliError::Mismatch(format!("{}: {e}", path.display())));
+            }
+            _ => expected = Some(got),
+        }
+    }
+    Ok(())
 }
 
 /// The note for a journal whose open-time recovery salvaged a torn tail.
@@ -45,18 +66,21 @@ fn recovery_note(rec: &archive::RecoveryReport) -> String {
     )
 }
 
-/// Opens (or creates) the RDA2 journal at `path` for appending. A legacy
-/// RDA1 blob, or a journal whose header declares a format version this
-/// build no longer writes, is first migrated through a synced temp
-/// sibling that is renamed over it ([`replace_with_migrated`]): the blob
-/// by replaying, checking and appending every frame, the older journal
-/// by `compact_into` at its own keyframe interval. The older journal is
-/// read from an in-memory copy, so even its recovery never touches the
-/// file, and a failed migration leaves it byte-identical. Returns the
-/// open journal plus the notes to print (migration, recovery salvage).
+/// Opens (or creates) the RDA2 journal at `path` for appending `frames`,
+/// checking them against it first ([`check_geometry`]). A legacy RDA1
+/// blob, or a journal whose header declares a format version this build
+/// no longer writes, is migrated through a synced temp sibling that is
+/// renamed over it ([`replace_with_migrated`]): the blob by replaying,
+/// checking and appending every frame, the older journal by
+/// `compact_into` at its own keyframe interval. The older journal is read
+/// from an in-memory copy, so even its recovery never touches the file,
+/// and the frames are checked before the rename, so a failed migration or
+/// a frame that does not fit leaves it byte-identical. Returns the open
+/// journal plus the notes to print (migration, recovery salvage).
 fn open_journal(
     path: &Path,
     opts: archive::ArchiveOptions,
+    frames: &[(&Path, rle::RleImage)],
 ) -> Result<(archive::ArchiveFile<fs::File>, String), CliError> {
     let mut notes = String::new();
     let data = match fs::read(path) {
@@ -67,34 +91,42 @@ fn open_journal(
     if data.starts_with(archive::LEGACY_MAGIC) {
         // The blob keeps its own keyframe cadence; the CLI flag only
         // governs archives created from scratch.
-        let frames = replace_with_migrated(path, |file| {
-            let mut journal = archive::ArchiveFile::from_rda1(file, &data, opts.fsync)?;
-            journal.sync()?;
+        let migrated = replace_with_migrated(path, |file| {
+            let mut journal = archive::ArchiveFile::from_rda1(file, &data, opts.fsync)
+                .map_err(|e| CliError::parse_at(path, e))?;
+            check_geometry(&journal, frames)?;
+            journal.sync().map_err(|e| CliError::parse_at(path, e))?;
             Ok(journal.len())
         })?;
         let _ = writeln!(
             notes,
-            "migrated {frames} RDA1 frame(s) into the RDA2 journal"
+            "migrated {migrated} RDA1 frame(s) into the RDA2 journal"
         );
     } else if let Some(version) =
         archive::journal_version(&data).filter(|&v| v != archive::JOURNAL_VERSION)
     {
         let mut old = archive::ArchiveFile::open_on(archive::MemStorage::from_bytes(data), opts)
             .map_err(|e| CliError::parse_at(path, e))?;
+        check_geometry(&old, frames)?;
         if !old.recovery().clean() {
             notes.push_str(&recovery_note(old.recovery()));
         }
         let interval = old.keyframe_interval();
-        let frames =
-            replace_with_migrated(path, |file| Ok(old.compact_into(file, interval)?.len()))?;
+        let migrated = replace_with_migrated(path, |file| {
+            let journal = old
+                .compact_into(file, interval)
+                .map_err(|e| CliError::parse_at(path, e))?;
+            Ok(journal.len())
+        })?;
         let _ = writeln!(
             notes,
-            "migrated {frames} frame(s) of journal version {version} to version {}",
+            "migrated {migrated} frame(s) of journal version {version} to version {}",
             archive::JOURNAL_VERSION
         );
     }
     let journal =
         archive::ArchiveFile::open(path, opts).map_err(|e| CliError::parse_at(path, e))?;
+    check_geometry(&journal, frames)?;
     if !journal.recovery().clean() {
         notes.push_str(&recovery_note(journal.recovery()));
     }
@@ -137,11 +169,17 @@ pub(crate) fn append(
         keyframe_interval: keyframe_every,
         fsync,
     };
-    let (mut store, mut s) = open_journal(path, opts)?;
-    for frame_path in frames {
-        let frame = load_image(frame_path)?;
+    // Every frame is loaded before the journal opens, so a frame that is
+    // missing, unreadable or of the wrong geometry fails the command
+    // before the file changes.
+    let frames = frames
+        .iter()
+        .map(|p| Ok((p.as_path(), load_image(p)?)))
+        .collect::<Result<Vec<_>, CliError>>()?;
+    let (mut store, mut s) = open_journal(path, opts, &frames)?;
+    for (frame_path, frame) in &frames {
         let outcome = store
-            .append(&frame)
+            .append(frame)
             .map_err(|e| CliError::Mismatch(format!("{}: {e}", frame_path.display())))?;
         let _ = writeln!(
             s,

@@ -128,7 +128,8 @@ pub enum Command {
     },
     /// Append frames to (or create) a crash-safe archive journal.
     /// Legacy RDA1 blobs are migrated to the RDA2 journal in place
-    /// (atomically, via a temp sibling + rename) before the append.
+    /// (atomically, via a temp sibling + rename) before the append, once
+    /// every frame is loaded and has the archive's geometry.
     ArchiveAppend {
         /// Archive path (created if missing).
         archive: PathBuf,
@@ -296,6 +297,17 @@ fn density(s: &str) -> Result<f64, String> {
     }
 }
 
+/// A workload kind `gen` draws: refused here, so an unknown kind is a
+/// usage error like any other bad argument.
+fn gen_kind(s: &str) -> Result<String, CliError> {
+    match s {
+        "pcb" | "paper" | "glyphs" => Ok(s.to_string()),
+        other => Err(CliError::Usage(format!(
+            "unknown workload kind {other:?} (expected pcb, paper or glyphs)"
+        ))),
+    }
+}
+
 fn fsync_policy(s: &str) -> Result<archive::FsyncPolicy, String> {
     match s {
         "always" => Ok(archive::FsyncPolicy::Always),
@@ -371,7 +383,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             min_area: f.take("--min-area", str::parse)?.unwrap_or(1),
         },
         ["gen", kind] => Command::Gen {
-            kind: (*kind).to_string(),
+            kind: gen_kind(kind)?,
             out: f.out("gen")?,
             seed: f.take("--seed", str::parse)?.unwrap_or(1),
             text: f.raw("--text").unwrap_or("RLE SYSTOLIC 1999").to_string(),
@@ -436,6 +448,18 @@ mod tests {
     fn parse(line: &str) -> Result<Command, CliError> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
         parse_args(&args)
+    }
+
+    #[test]
+    fn gen_refuses_an_unknown_kind_at_parse_time() {
+        for kind in ["pcb", "paper", "glyphs"] {
+            let cmd = parse(&format!("gen {kind} -o y")).unwrap();
+            assert!(matches!(cmd, Command::Gen { kind: k, .. } if k == kind));
+        }
+        match parse("gen motion -o y") {
+            Err(CliError::Usage(m)) => assert!(m.contains("\"motion\""), "{m}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

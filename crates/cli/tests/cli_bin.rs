@@ -59,6 +59,22 @@ fn misplaced_and_out_of_range_flags_exit_two_with_usage() {
     }
 }
 
+/// An unknown `gen` kind is refused at parse time: exit 2 with the usage
+/// text, and no output file.
+#[test]
+fn gen_of_an_unknown_kind_exits_two_with_usage() {
+    let out_path = tmp("motion.pbm");
+    let out = rlediff(&["gen", "motion", "-o", out_path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown workload kind \"motion\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains(rlediff::USAGE), "{stderr}");
+    assert!(!out_path.exists());
+}
+
 #[test]
 fn missing_file_exits_one() {
     let out = rlediff(&["info", "/nonexistent/nope.pbm"]);
@@ -555,6 +571,49 @@ fn archive_append_migrates_a_version_1_journal() {
         assert_eq!(&extract(i).1, want, "frame {i} after migration");
     }
     assert_eq!(extract(12).1, before[11].1, "the appended frame");
+}
+
+/// An append with a frame that does not fit the archive's geometry exits
+/// 1 and leaves the file byte-identical: a version-1 journal or an RDA1
+/// blob is not migrated, and no frame before the bad one is appended.
+#[test]
+fn a_failed_archive_append_leaves_the_file_untouched() {
+    let big = tmp("untouched_pcb.pbm");
+    let out = rlediff(&["gen", "pcb", "-o", big.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let big = big.to_str().unwrap();
+    let fixtures: [(&str, &[u8]); 3] = [
+        ("v1.rda2", include_bytes!("../../archive/testdata/v1.rda2")),
+        (
+            "legacy.rda1",
+            include_bytes!("../../archive/testdata/legacy.rda1"),
+        ),
+        ("v2.rda2", include_bytes!("../../archive/testdata/v2.rda2")),
+    ];
+    for (name, fixture) in fixtures {
+        let store = tmp(&format!("untouched_{name}"));
+        std::fs::write(&store, fixture).unwrap();
+        let store = store.to_str().unwrap();
+        // A frame that fits: the fixture's own first frame.
+        let fits = tmp(&format!("untouched_{name}_f0.rle"));
+        let fits = fits.to_str().unwrap();
+        let out = rlediff(&["archive", "extract", store, "0", "-o", fits]);
+        assert!(out.status.success(), "{name}: {out:?}");
+        for frames in [vec![big], vec![fits, big]] {
+            let mut args = vec!["archive", "append", store];
+            args.extend(&frames);
+            let out = rlediff(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{name} {frames:?}: {stderr}");
+            assert!(
+                stderr.contains("input mismatch") && stderr.contains("frame is 1024x256"),
+                "{name} {frames:?}: {stderr}"
+            );
+            let unchanged = std::fs::read(store).unwrap() == fixture;
+            assert!(unchanged, "{name} {frames:?}: the file changed");
+        }
+        assert!(!tmp(&format!("untouched_{name}.migrate")).exists());
+    }
 }
 
 /// A file that is not an archive of either format is refused without

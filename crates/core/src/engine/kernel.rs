@@ -1,8 +1,8 @@
 //! Row-diff kernels and the adaptive selector used by the pipeline.
 //!
 //! The paper's sequential analysis (§2) assumes run-length processing is
-//! always the right representation, but its `Θ(k1 + k2)` merge loses to a
-//! plain word-wise XOR once rows get dense: a 16 384-pixel row is only 256
+//! always the right representation, but its `Θ(k1 + k2)` merge loses to
+//! word-level work once rows get dense: a 16 384-pixel row is only 256
 //! `u64` words, while a noisy scan line can easily carry thousands of runs.
 //! Breuel (arXiv:0712.0121) and Ehrensperger et al. (arXiv:1504.01052)
 //! document the same density-dependent crossover for RLE morphology. This
@@ -10,13 +10,14 @@
 //!
 //! * **RLE merge** ([`rle::ops::xor_into`]): `Θ(k1 + k2)` merge iterations,
 //!   allocation-free against a per-worker output buffer;
-//! * **packed run-cancellation**: XOR is symmetric difference, so runs that
-//!   appear identically in both rows annihilate without touching pixel
-//!   data. A SIMD common-prefix scan ([`crate::engine::simd`]) cancels the
-//!   long identical stretches that dominate real scan pairs; only the
-//!   leftover runs are toggled into one reusable [`BitRow`] scratch, which
-//!   is then re-encoded (`Θ(width/64 + k_cancelled/V + k_leftover)` for
-//!   vector width `V`);
+//! * **packed edge parity**: the XOR of two rows changes value exactly
+//!   where an odd number of their run edges sit, so each run `[s, e)` only
+//!   flips the two bits `s` and `e` of one reusable edge scratch, and the
+//!   result's runs are the set bits read in pairs. Runs that appear
+//!   identically in both rows would flip the same bits twice; a SIMD
+//!   common-prefix scan ([`crate::engine::simd`]) cancels those long
+//!   identical stretches at vector width instead
+//!   (`Θ(width/64 + k_cancelled/V + k_leftover)` for vector width `V`);
 //! * **systolic simulation** ([`SystolicArray`]): the paper's cycle-accurate
 //!   machine, kept for stats-exact experiments (cost ~ iterations × cells);
 //!
@@ -36,9 +37,7 @@ use crate::array::SystolicArray;
 use crate::engine::simd::{common_prefix_runs, SimdLevel};
 use crate::error::SystolicError;
 use crate::stats::ArrayStats;
-use bitimg::bitrow::words_for;
-use bitimg::{convert, BitRow};
-use rle::RleRow;
+use rle::{Pixel, RleRow, Run};
 
 /// Kernel selection policy for the pipeline (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -49,7 +48,8 @@ pub enum Kernel {
     Auto,
     /// Always the sequential RLE merge (the paper's §2 algorithm).
     Rle,
-    /// Always decode → word-wise XOR → re-encode.
+    /// Always the packed edge-parity kernel: identical runs cancel, the
+    /// rest flip their edge bits, and the set bits read back as runs.
     Packed,
     /// Always the cycle-accurate systolic array simulation. Slow, but the
     /// only kernel whose [`ArrayStats`] model the paper's machine exactly.
@@ -82,7 +82,7 @@ pub enum KernelChoice {
     FastPath,
     /// The sequential RLE merge.
     Rle,
-    /// Decode → word XOR → re-encode.
+    /// The packed edge-parity kernel.
     Packed,
     /// The systolic array simulation.
     Systolic,
@@ -92,27 +92,28 @@ pub enum KernelChoice {
 /// `k1 + k2 > PACKED_RUNS_PER_WORD * ceil(width / 64)`.
 ///
 /// Calibration (see DESIGN.md "Hot path & kernel selection"): the merge
-/// costs ~`k1 + k2` branchy iterations; the run-cancellation packed kernel
-/// costs `Θ(width/64 + k_cancelled/V + k_leftover)`, where the cancelled
-/// fraction is unknowable from `k1 + k2` alone. Re-measured on 16 384-px
-/// rows with the SIMD cancellation kernel: on realistic pairs (similar
-/// scans, ~1 % row errors — the paper's workload) packed wins from roughly
-/// one run per word upward and by 3–4× in dense territory; on adversarial
-/// pairs where nothing cancels, the merge wins at every density. At two
-/// runs per word those risks are symmetric (~2× either way), so the factor
-/// stays the balanced middle. It also guarantees that an auto-chosen
-/// packed kernel reports `iterations < (k1 + k2) / 2`, keeping every auto
-/// row within the paper's Theorem-1 budget of `k1 + k2`.
+/// costs ~`k1 + k2` branchy iterations; the packed edge-parity kernel
+/// costs `Θ(width/64 + k_cancelled/V + k_leftover)`, two bit flips per
+/// leftover run plus one pass over the edge words. Swept from 0.5 to 8
+/// runs per word at 2 048 and 16 384 px: on similar pairs (~1 % pixel
+/// errors, the paper's workload) packed wins from about one run per word
+/// up, by 1.4–1.9× at two; on unrelated pairs, where nothing cancels, the
+/// crossover lies between 1.5 and 3 runs per word (packed 0.69× the
+/// merge's speed at two on 2 048 px, 1.12× on 16 384 px). Two runs per
+/// word stays the balanced middle: one would cost unrelated rows up to
+/// 2.5×, three would give up the 1.4–1.9× on similar rows. It also
+/// guarantees that an auto-chosen packed kernel reports
+/// `iterations < (k1 + k2) / 2`, keeping every auto row within the
+/// paper's Theorem-1 budget of `k1 + k2`.
 pub const PACKED_RUNS_PER_WORD: usize = 2;
 
-/// Per-worker reusable buffers: one dense scratch row for the packed
-/// kernel, one output row shared by all kernels, the lazily-built systolic
-/// array, and the SIMD dispatch level the packed kernel's prefix scan runs
-/// at. In steady state a worker's row diffs allocate only the compact
-/// clone of each result row.
+/// Per-worker reusable buffers: the packed kernel's edge words, one output
+/// row for the merge and the fast paths, the lazily-built systolic array,
+/// and the SIMD dispatch level the packed kernel's prefix scan runs at. In
+/// steady state a worker's row diffs allocate only each result row.
 #[derive(Debug)]
 pub struct KernelScratch {
-    dense: BitRow,
+    edges: Vec<u64>,
     out: RleRow,
     array: Option<SystolicArray>,
     simd: SimdLevel,
@@ -138,7 +139,7 @@ impl KernelScratch {
     #[must_use]
     pub fn with_simd(level: SimdLevel) -> Self {
         Self {
-            dense: BitRow::new(0),
+            edges: Vec::new(),
             out: RleRow::new(0),
             array: None,
             simd: SimdLevel::resolve(Some(level)),
@@ -152,7 +153,7 @@ impl KernelScratch {
     }
 
     /// Discards state that may be mid-mutation after a caught panic. The
-    /// dense and output buffers are unconditionally reset per row, so only
+    /// edge and output buffers are unconditionally reset per row, so only
     /// the array can hold poisoned state.
     pub fn discard_poisoned(&mut self) {
         self.array = None;
@@ -193,7 +194,7 @@ pub fn diff_row(
                 return Ok(fast_path(scratch, a, b));
             }
             let runs = a.run_count() + b.run_count();
-            if runs > PACKED_RUNS_PER_WORD * words_for(a.width()) {
+            if runs > PACKED_RUNS_PER_WORD * a.width().div_ceil(64) as usize {
                 Ok(packed_kernel(scratch, a, b))
             } else {
                 Ok(rle_kernel(scratch, a, b))
@@ -233,61 +234,97 @@ fn rle_kernel(
     (scratch.out.clone(), stats, KernelChoice::Rle)
 }
 
-/// The packed kernel: run-cancellation with a SIMD prefix scan.
+/// Flips the packed kernel makes in merge order before it checks whether
+/// the rows cancel at all (see [`packed_kernel`]).
+const MERGE_ORDER_PROBE: usize = 64;
+
+/// Flips the edge bits of `run` (`start` and `end_exclusive`) in `edges`.
+fn flip(edges: &mut [u64], run: &Run) {
+    for edge in [run.start(), run.end_exclusive()] {
+        edges[edge as usize / 64] ^= 1 << (edge % 64);
+    }
+}
+
+/// The packed kernel: run cancellation, then edge parity.
 ///
-/// XOR is symmetric difference, so a run that appears byte-identically in
-/// both rows contributes nothing — it would be toggled twice. The scan
-/// walks both sorted run lists, cancelling common prefixes at vector
-/// width ([`common_prefix_runs`]); each leftover run is toggled into the
-/// zeroed dense scratch with [`BitRow::toggle_range`]. Toggling is exact
-/// because each side's runs are disjoint within that side (the `RleRow`
-/// invariant), so a pixel is flipped once per side that covers it —
-/// twice (back to 0) exactly where both rows agree. The scratch is then
-/// re-encoded into canonical runs.
+/// XOR is symmetric difference. A run `[s, e)` of either row contributes
+/// two edges, `s` and `e`, and the XOR of the two rows changes value
+/// exactly at the positions flipped an odd number of times; read in
+/// pairs, those positions are its runs. Within one row a shared edge of
+/// two touching runs flips twice and vanishes, so non-canonical input
+/// needs no coalescing, and two output runs never share an edge, so the
+/// output is canonical by construction.
+///
+/// 1. **Cancel.** Walking both sorted run lists in merge order, equal
+///    heads start a common-prefix scan at vector width
+///    ([`common_prefix_runs`]); a run present byte-identically in both
+///    rows would only flip the same two bits twice.
+/// 2. **Flip.** Every other run flips its two edge bits in the zeroed
+///    scratch of `width / 64 + 1` words (the extra word holds an edge at
+///    `width`). The merge order only lets the lists resynchronise after an
+///    error site — absolute positions mean the tails match again — and
+///    correctness does not depend on it. So once [`MERGE_ORDER_PROBE`] runs
+///    have flipped while fewer cancelled, the rows are not alike and the
+///    rest of both rows flips in list order, without the merge's
+///    unpredictable branch.
+/// 3. **Read.** One pass over the edge words pairs the set bits into runs,
+///    in a vector reserved at the flip count, which bounds the output.
 ///
 /// On near-identical dense rows (the continuous-inspection workload) this
-/// replaces two full decodes — millions of branchy `set_range` calls per
-/// image — with a memcmp-speed scan plus a handful of toggles around the
-/// actual defects.
+/// costs a memcmp-speed scan plus a handful of flips around the actual
+/// defects; on rows that share nothing, two flips per run and the read.
 fn packed_kernel(
     scratch: &mut KernelScratch,
     a: &RleRow,
     b: &RleRow,
 ) -> (RleRow, ArrayStats, KernelChoice) {
-    scratch.dense.reset(a.width());
+    let width = a.width();
+    let edges = &mut scratch.edges;
+    edges.clear();
+    edges.resize(width as usize / 64 + 1, 0);
     let (ar, br) = (a.runs(), b.runs());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ar.len() || j < br.len() {
-        let p = common_prefix_runs(scratch.simd, &ar[i..], &br[j..]);
-        i += p;
-        j += p;
-        // After cancellation either one list is exhausted or the heads
-        // differ; toggle the earlier-starting head and rescan (error sites
-        // desynchronise the lists only locally — absolute positions mean
-        // the tails match again, which the next prefix scan exploits).
-        let take_a = match (ar.get(i), br.get(j)) {
-            (Some(ra), Some(rb)) => ra.start() <= rb.start(),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let run = if take_a {
-            let r = ar[i];
+    let (mut i, mut j, mut cancelled, mut flipped) = (0usize, 0usize, 0usize, 0usize);
+    while let (Some(ra), Some(rb)) = (ar.get(i), br.get(j)) {
+        if ra == rb {
+            let p = common_prefix_runs(scratch.simd, &ar[i..], &br[j..]);
+            i += p;
+            j += p;
+            cancelled += 2 * p;
+        } else if flipped == MERGE_ORDER_PROBE && cancelled < flipped {
+            break;
+        } else if ra.start() <= rb.start() {
+            flip(edges, ra);
             i += 1;
-            r
+            flipped += 1;
         } else {
-            let r = br[j];
+            flip(edges, rb);
             j += 1;
-            r
-        };
-        scratch.dense.toggle_range(run.start(), run.end());
+            flipped += 1;
+        }
     }
-    convert::encode_row_into(&scratch.dense, &mut scratch.out);
-    // One "iteration" per word of the dense scratch: the packed kernel's
-    // fixed re-encode cost, directly comparable against the merge's
-    // k1 + k2 (and, via the Auto crossover, always below it).
-    let stats = host_stats(a, b, words_for(a.width()) as u64, scratch.out.run_count());
-    (scratch.out.clone(), stats, KernelChoice::Packed)
+    let (rest_a, rest_b) = (&ar[i..], &br[j..]);
+    for run in rest_a.iter().chain(rest_b) {
+        flip(edges, run);
+    }
+    let mut runs = Vec::with_capacity(flipped + rest_a.len() + rest_b.len());
+    let mut start: Option<Pixel> = None;
+    for (w, &word) in edges.iter().enumerate() {
+        let (mut bits, base) = (word, w as Pixel * 64);
+        while bits != 0 {
+            let edge = base + bits.trailing_zeros();
+            bits &= bits - 1;
+            match start.take() {
+                None => start = Some(edge),
+                Some(s) => runs.push(Run::new(s, edge - s)),
+            }
+        }
+    }
+    let out = RleRow::from_runs(width, runs).expect("paired edges are ordered runs in the row");
+    // One "iteration" per word of the row: the packed kernel's fixed
+    // edge-read cost, directly comparable against the merge's k1 + k2
+    // (and, via the Auto crossover, always below it).
+    let stats = host_stats(a, b, u64::from(width.div_ceil(64)), out.run_count());
+    (out, stats, KernelChoice::Packed)
 }
 
 fn systolic_kernel(
@@ -400,6 +437,38 @@ mod tests {
         assert_eq!("systolic".parse::<Kernel>().unwrap(), Kernel::Systolic);
         assert!("warp".parse::<Kernel>().is_err());
         assert_eq!(Kernel::default(), Kernel::Auto);
+    }
+
+    #[test]
+    fn packed_agrees_on_both_sides_of_the_merge_order_probe() {
+        use workload::{GenParams, RowGenerator};
+        // An identical prefix of `shared` runs, then unrelated tails: short
+        // prefixes leave the rows below the probe's cancellation bar (the
+        // rest flips in list order), long ones keep the merge order to the
+        // end. Either way one row runs out first and the other's tail
+        // must still flip.
+        let mut gen = RowGenerator::new(GenParams::with_runs(4096, (2, 4), 0.3), 0xED6E);
+        let (x, y) = (gen.next_row(), gen.next_row());
+        for shared in [0, 1, 20, 31, 32, 33, 100, 300] {
+            let cut = x.runs()[shared].start();
+            let tail = |r: &RleRow| -> Vec<Run> {
+                let after = r.runs().iter().filter(|run| run.start() > cut + 1);
+                after.copied().collect()
+            };
+            let mut a = x.runs()[..shared].to_vec();
+            a.extend(tail(&x));
+            let mut b = x.runs()[..shared].to_vec();
+            b.extend(tail(&y).into_iter().skip(shared % 7));
+            let a = RleRow::from_runs(4096, a).unwrap();
+            let b = RleRow::from_runs(4096, b).unwrap();
+            let expected = xor(&a, &b);
+            let mut scratch = KernelScratch::new();
+            for (p, q) in [(&a, &b), (&b, &a)] {
+                let (got, stats, _) = diff_row(Kernel::Packed, &mut scratch, p, q).unwrap();
+                assert_eq!(got, expected, "{shared} shared runs");
+                assert_eq!(stats.iterations, 64);
+            }
+        }
     }
 
     #[test]

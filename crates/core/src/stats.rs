@@ -166,7 +166,7 @@ pub struct PipelineStats {
     pub rows_fast_path: usize,
     /// Rows diffed by the sequential RLE merge kernel.
     pub rows_rle_kernel: usize,
-    /// Rows diffed by the decode → word-XOR → re-encode kernel.
+    /// Rows diffed by the packed edge-parity kernel.
     pub rows_packed_kernel: usize,
     /// Rows diffed by the cycle-accurate systolic simulation.
     pub rows_systolic_kernel: usize,

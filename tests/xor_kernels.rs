@@ -2,8 +2,10 @@
 //! kernels must be bit-identical to the canonical RLE XOR
 //! ([`rle::ops::xor`]) on every input — across the full density sweep
 //! (empty → sparse → the calibrated crossover → dense → full), at odd and
-//! word-unaligned widths, and on the valid-but-non-canonical rows the
-//! paper admits as input.
+//! word-unaligned widths, on the valid-but-non-canonical rows the paper
+//! admits as input, and on the cases where the packed kernel's run edges
+//! matter: rows that share nothing, runs ending at the row end, touching
+//! runs, and run lists that must resynchronise after an error site.
 
 mod common;
 
@@ -12,7 +14,7 @@ use proptest::prelude::*;
 use rle_systolic::rle;
 use rle_systolic::rle::{RleRow, Run};
 use rle_systolic::systolic_core::engine::kernel::{diff_row, KernelScratch, PACKED_RUNS_PER_WORD};
-use rle_systolic::systolic_core::{Kernel, KernelChoice};
+use rle_systolic::systolic_core::{Kernel, KernelChoice, SimdLevel};
 use rle_systolic::workload::{errors, ErrorModel, GenParams, RowGenerator};
 
 /// Runs one row pair through every kernel policy and checks each against
@@ -38,6 +40,27 @@ fn assert_kernels_agree(a: &RleRow, b: &RleRow) -> KernelChoice {
         }
     }
     auto_choice
+}
+
+/// [`assert_kernels_agree`], plus the two policies that run the packed
+/// kernel at every SIMD level (a level above the host's clamps down).
+/// `case` names the pair in a failure message instead of its runs.
+/// Returns the choice the adaptive policy made.
+fn assert_kernels_agree_at_every_level(case: &str, a: &RleRow, b: &RleRow) -> KernelChoice {
+    let choice = assert_kernels_agree(a, b);
+    let expected = rle::ops::xor(a, b);
+    for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+        let mut scratch = KernelScratch::with_simd(level);
+        for kernel in [Kernel::Auto, Kernel::Packed] {
+            let (got, _, _) = diff_row(kernel, &mut scratch, a, b)
+                .unwrap_or_else(|e| panic!("{case}: {kernel:?} at {level} failed: {e}"));
+            assert!(
+                got == expected,
+                "{case}: {kernel:?} at {level} disagrees with rle::ops::xor"
+            );
+        }
+    }
+    choice
 }
 
 /// A row of the given width with `runs` unit runs spread evenly, shifted
@@ -115,7 +138,6 @@ fn xor_kernels_agree_around_the_calibrated_threshold() {
 
 #[test]
 fn packed_kernel_is_bit_identical_at_every_simd_level() {
-    use rle_systolic::systolic_core::SimdLevel;
     // Force each level explicitly (the SYSTOLIC_SIMD env path is the same
     // resolve call, exercised by CI re-running this suite under each
     // value); a request above the host's capability clamps down, so every
@@ -176,4 +198,115 @@ fn xor_kernels_agree_on_non_canonical_input() {
     let empty = RleRow::new(16);
     assert_kernels_agree(&a, &empty);
     assert_kernels_agree(&empty, &b);
+}
+
+#[test]
+fn xor_kernels_agree_on_unrelated_dense_rows() {
+    // Two independent draws, as `FrameSequence` redraws a churned row:
+    // run lengths 2–4 at 30 % density, so almost no run cancels and every
+    // run of both rows reaches the edge scratch.
+    for width in [8191u32, 8192, 8193, 16384] {
+        let mut gen = RowGenerator::new(GenParams::with_runs(width, (2, 4), 0.3), 0xC0DE);
+        let (a, b) = (gen.next_row(), gen.next_row());
+        let choice = assert_kernels_agree_at_every_level(&format!("width {width}"), &a, &b);
+        assert_eq!(choice, KernelChoice::Packed, "width {width}");
+    }
+}
+
+#[test]
+fn xor_kernels_agree_on_runs_ending_at_the_row_end() {
+    // A run ending at the row end has its end edge at `width`: at a width
+    // ≡ 0 (mod 64) that edge lands in the scratch's extra word. One side
+    // ending there flips that edge once; both ending there flip it twice.
+    for width in [63u32, 64, 65, 127, 128, 129, 4095, 4096, 4097] {
+        // Unit runs every 8 px up to `width - 8`, then the final run.
+        let row = |offset: u32, last: Run| {
+            let body = evenly_spread(width - 8, (width as usize / 8).max(1), offset);
+            let mut runs = body.into_runs();
+            runs.push(last);
+            RleRow::from_runs(width, runs).unwrap()
+        };
+        let a = row(0, Run::new(width - 3, 3));
+        let b = row(1, Run::new(width - 5, 5));
+        let short = row(2, Run::new(width - 7, 2));
+        for (case, x, y) in [
+            ("both end at the edge", &a, &b),
+            ("one ends at the edge", &a, &short),
+        ] {
+            assert_kernels_agree_at_every_level(&format!("{case}, width {width}"), x, y);
+            assert_kernels_agree_at_every_level(&format!("{case} (swapped), width {width}"), y, x);
+        }
+    }
+}
+
+#[test]
+fn xor_kernels_agree_on_touching_runs() {
+    // Across the two rows: [0, 5) against [5, 8) is one run [0, 8), the
+    // shared edge 5 flipping once per row.
+    for width in [8u32, 64, 65] {
+        let a = RleRow::from_pairs(width, &[(0, 5)]).unwrap();
+        let b = RleRow::from_pairs(width, &[(5, 3)]).unwrap();
+        assert_kernels_agree_at_every_level(&format!("[0,5) ^ [5,8), width {width}"), &a, &b);
+    }
+    // Inside one row: every run of a dense row split into touching halves
+    // (a valid, non-canonical row), so each split point is an edge that
+    // one row flips twice, against an edited copy of the canonical row.
+    for width in [1000u32, 8192] {
+        let canonical =
+            RowGenerator::new(GenParams::with_runs(width, (2, 4), 0.3), 0x7C).next_row();
+        let split = canonical
+            .runs()
+            .iter()
+            .flat_map(|r| match r.len() {
+                1 => vec![*r],
+                len => vec![
+                    Run::new(r.start(), len / 2),
+                    Run::new(r.start() + len / 2, len - len / 2),
+                ],
+            })
+            .collect();
+        let split = RleRow::from_runs(width, split).unwrap();
+        assert!(!split.is_canonical());
+        let edited = errors::apply_errors(&canonical, &ErrorModel::fraction(0.05), 0x5EED);
+        let unrelated =
+            RowGenerator::new(GenParams::with_runs(width, (2, 4), 0.3), 0x7D).next_row();
+        for (case, other) in [
+            ("canonical twin", &canonical),
+            ("edited", &edited),
+            ("unrelated", &unrelated),
+        ] {
+            assert_kernels_agree_at_every_level(
+                &format!("split ^ {case}, width {width}"),
+                &split,
+                other,
+            );
+            assert_kernels_agree_at_every_level(
+                &format!("{case} ^ split, width {width}"),
+                other,
+                &split,
+            );
+        }
+    }
+}
+
+#[test]
+fn xor_kernels_resynchronise_after_an_error_site() {
+    // A long identical prefix, one run split in two by a cleared pixel,
+    // then an identical tail: the lists fall out of step at the error and
+    // must cancel again after it. The XOR is that one pixel.
+    for width in [4096u32, 16384] {
+        let a = RowGenerator::new(GenParams::with_runs(width, (2, 4), 0.3), 0xA11).next_row();
+        let runs = a.runs();
+        let at = (runs.len() / 2..runs.len())
+            .find(|&i| runs[i].len() >= 3)
+            .expect("a run of length ≥ 3 past the middle");
+        let r = runs[at];
+        let mut split = runs[..at].to_vec();
+        split.extend([Run::new(r.start(), 1), Run::new(r.start() + 2, r.len() - 2)]);
+        split.extend_from_slice(&runs[at + 1..]);
+        let b = RleRow::from_runs(width, split).unwrap();
+        assert_eq!(rle::ops::xor(&a, &b).runs(), [Run::new(r.start() + 1, 1)]);
+        assert_kernels_agree_at_every_level(&format!("split run, width {width}"), &a, &b);
+        assert_kernels_agree_at_every_level(&format!("split run (swapped), width {width}"), &b, &a);
+    }
 }
