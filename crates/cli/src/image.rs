@@ -332,7 +332,6 @@ pub(crate) fn diff_image(cmd: &Command) -> Result<String, CliError> {
             stats.rows_sig_skipped, stats.sig_collisions, stats.sig_verified
         );
     }
-    let _ = writeln!(s, "  allocations: {} buffers reused", stats.buffers_reused);
     if stats.retries + stats.respawns + stats.timeouts > 0 {
         let _ = writeln!(
             s,

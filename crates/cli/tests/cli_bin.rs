@@ -190,7 +190,7 @@ fn diff_image_kernel_and_chunk_target_flags() {
     rlediff(&["gen", "glyphs", "-o", b.to_str().unwrap(), "--text", "XOS"]);
 
     // Every kernel policy produces the same pixel diff; the stats block
-    // reports the per-kernel row counts and avoided allocations.
+    // reports the per-kernel row counts.
     let mut diffs = Vec::new();
     for kernel in ["auto", "rle", "packed", "systolic"] {
         let out_path = tmp(&format!("k_d_{kernel}.rle"));
@@ -212,7 +212,6 @@ fn diff_image_kernel_and_chunk_target_flags() {
         );
         let text = String::from_utf8_lossy(&out.stdout).to_string();
         assert!(text.contains("kernels    :"), "{kernel}: {text}");
-        assert!(text.contains("buffers reused"), "{kernel}: {text}");
         let first_line = text.lines().next().unwrap_or("").to_string();
         diffs.push((std::fs::read(&out_path).unwrap(), first_line));
     }

@@ -1,6 +1,7 @@
-//! The diff engine: a supervised, sharded worker pool that diffs whole
-//! images row by row, scheduling each image pair as an independent **job**
-//! (kernel, row range, source `Arc`s, job id, contiguous ticket range).
+//! The diff engine: a supervised worker pool on one run queue that diffs
+//! whole images row by row, scheduling each image pair as an independent
+//! **job** (kernel, row range, source `Arc`s, job id, contiguous ticket
+//! range).
 //!
 //! [`crate::engine::parallel`] parallelises *within* one row by splitting
 //! the cell array across threads. For whole images the natural unit of
@@ -33,24 +34,26 @@
 //!
 //! # Scheduling
 //!
-//! Many jobs are in flight on one shard set at once:
+//! Many jobs are in flight on one run queue at once:
 //!
-//! * **Job-fair scheduling.** Every shard keeps one deque *per job* plus a
+//! * **Job-fair scheduling.** The queue keeps one deque *per job* plus a
 //!   round-robin rotation over the job ids present, so chunks from
-//!   different jobs interleave: a submitter with four rows gets its turn
-//!   between the chunks of a 100 000-row batch instead of queueing behind
-//!   all of them. The owner pops the front of the rotated job's deque, a
-//!   thief the back, and steals are attributed to the stolen chunk's job.
+//!   different jobs interleave: a submitter with four rows waits behind
+//!   at most one chunk of each other job instead of queueing behind all
+//!   of a 100 000-row batch. Every worker pops the front of the rotated
+//!   job's deque; an idle worker checks the queue and sleeps on its
+//!   condvar under the queue's one lock, so a push cannot slip between
+//!   the check and the sleep.
 //! * **Result routing keyed by job id.** A worker delivers each finished
 //!   chunk straight into the owning job's completion state (a mutex +
 //!   condvar pair per job) — there is no shared collector loop and no
 //!   global pending queue to serialize on. [`JobHandle::collect_next`]
 //!   waits on its own job's condvar; concurrent submitters never contend
-//!   except on the shard queues themselves.
-//! * **Job-granular attribution.** Retries, respawns, timeouts, steals and
-//!   buffer hits are counted on the owning job, which makes per-job
-//!   [`PipelineStats`] exact under interleaving. Executor-wide totals live
-//!   only in the always-on metrics registry ([`DiffExecutor::observer`]);
+//!   except on the run queue itself.
+//! * **Job-granular attribution.** Retries, respawns and timeouts are
+//!   counted on the owning job, which makes per-job [`PipelineStats`]
+//!   exact under interleaving. Executor-wide totals live only in the
+//!   always-on metrics registry ([`DiffExecutor::observer`]);
 //!   [`DiffExecutor::counters`] and [`DiffExecutor::in_flight`] read it.
 //!
 //! The ticket space is global and monotonic, so a fresh executor numbers
@@ -71,7 +74,7 @@
 //!   (as a structured [`SystolicError::RowFailed`]); the sibling rows are
 //!   re-queued as smaller chunks.
 //! * **Dead workers.** A worker parks the chunk it is processing in its
-//!   shard's *checkout slot*. A dedicated supervisor thread ticks every
+//!   own *checkout slot*. A dedicated supervisor thread ticks every
 //!   `SUPERVISION_TICK`, respawns worker threads that exited without being
 //!   asked to, and recovers the orphaned chunk — re-enqueued, failed past
 //!   the retry budget, or written off if its job was already abandoned.
@@ -108,15 +111,13 @@ use std::time::{Duration, Instant};
 use crate::engine::fault::{Fault, FaultPlan};
 
 /// How often the supervisor thread checks worker liveness (and a blocked
-/// worker or collector re-polls — the doorbell backstop).
+/// collector re-polls).
 const SUPERVISION_TICK: Duration = Duration::from_millis(20);
 
-/// The scheduler aims for this many chunks per worker, so stragglers can
-/// steal the tail of a job without per-row traffic.
+/// The scheduler aims for this many chunks per worker, so a worker that
+/// finishes early takes more of the job from the queue without per-row
+/// queue traffic.
 const CHUNKS_PER_WORKER: usize = 4;
-
-/// At most this many spare chunk-result vectors are kept for reuse.
-const SPARE_POOL_CAP: usize = 64;
 
 /// In paranoid mode ([`DiffExecutorConfig::verify_signatures`]), every
 /// `SIG_VERIFY_SAMPLE`-th signature skip of a job (starting with the
@@ -264,8 +265,6 @@ struct JobState {
     retries: AtomicU64,
     respawns: AtomicU64,
     timeouts: AtomicU64,
-    steals: AtomicU64,
-    buffer_hits: AtomicU64,
     inner: Mutex<JobInner>,
     bell: Condvar,
 }
@@ -282,8 +281,6 @@ impl JobState {
             retries: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            buffer_hits: AtomicU64::new(0),
             inner: Mutex::new(JobInner {
                 pending: VecDeque::new(),
                 undelivered: (hi - lo) as usize,
@@ -313,8 +310,8 @@ impl JobState {
     }
 }
 
-/// Per-shard queue state: one deque per job plus a round-robin rotation
-/// over the job ids present, so a pop services jobs in turn instead of
+/// The run queue: one deque per job plus a round-robin rotation over the
+/// job ids present, so a pop services jobs in turn instead of
 /// first-come-first-drained.
 #[derive(Default)]
 struct JobQueues {
@@ -333,16 +330,11 @@ impl JobQueues {
         queue.push_back(chunk);
     }
 
-    /// Pops one chunk, rotating the job order: the owner takes the front
-    /// of the next job's deque, a thief the back.
-    fn pop(&mut self, own: bool) -> Option<Chunk> {
+    /// Pops the front chunk of the next job in the rotation.
+    fn pop(&mut self) -> Option<Chunk> {
         let id = self.order.pop_front()?;
         let queue = self.queues.get_mut(&id).expect("ordered job is queued");
-        let chunk = if own {
-            queue.pop_front()
-        } else {
-            queue.pop_back()
-        };
+        let chunk = queue.pop_front();
         if queue.is_empty() {
             self.queues.remove(&id);
         } else {
@@ -363,37 +355,24 @@ impl JobQueues {
     }
 }
 
-/// One worker's slice of the scheduler: its job-fair input queues and its
-/// checkout slot, each behind its own short-lived lock.
-#[derive(Default)]
-struct Shard {
-    queue: Mutex<JobQueues>,
-    /// The chunk this worker is currently processing, parked here so the
-    /// supervisor can recover it if the thread dies mid-chunk.
-    running: Mutex<Option<Chunk>>,
-}
-
 struct Shared {
-    shards: Vec<Shard>,
+    /// The one run queue every worker pops.
+    queue: Mutex<JobQueues>,
+    /// Doorbell for idle workers, waited on under `queue`'s lock.
+    work_ready: Condvar,
+    /// One checkout slot per worker: the chunk it is processing, parked
+    /// so the supervisor can recover it if the thread dies mid-chunk.
+    running: Vec<Mutex<Option<Chunk>>>,
     /// Rows written off by abandoned jobs whose stale results are still
     /// outstanding; drains back to 0 as they arrive or are recovered.
     abandoned_rows: AtomicUsize,
     next_ticket: AtomicU64,
     next_job_id: AtomicU64,
-    /// Round-robin cursor dealing chunks across the shards.
-    submit_cursor: AtomicUsize,
     shutdown: AtomicBool,
-    /// Doorbell for workers: producers notify while holding the bell, and
-    /// sleepers re-check the `queue_depth` gauge under it, so a push can
-    /// never slip between a worker's check and its wait.
-    work_bell: Mutex<()>,
-    work_ready: Condvar,
-    /// The supervisor's private bell, so the retry path's `notify_one` can
-    /// never be swallowed by the supervisor instead of a worker.
+    /// The supervisor's private bell, so a push's `notify_one` can never
+    /// be swallowed by the supervisor instead of a worker.
     sup_bell: Mutex<()>,
     sup_ready: Condvar,
-    /// Chunk-result vectors recycled back to workers.
-    spare: Mutex<Vec<Vec<RowResult>>>,
     kernel: Kernel,
     /// Resolved SIMD level every worker's kernel scratch is built with.
     simd: SimdLevel,
@@ -422,73 +401,50 @@ struct Shared {
 }
 
 impl Shared {
-    /// Enqueues a chunk onto `shard`'s queues. The depth gauge moves
-    /// inside the same critical section as the push, so it can never
-    /// undercount the queues' true contents.
-    fn push_chunk(&self, shard: usize, chunk: Chunk) {
-        let mut queue = lock(&self.shards[shard].queue);
-        queue.push(chunk);
-        self.obs.metrics.queue_depth.add(1);
+    /// Enqueues `chunks` under one lock, then wakes one idle worker for
+    /// one chunk or all of them for more. The depth gauge moves inside the
+    /// same critical section as the pushes, so it can never undercount
+    /// the queue's true contents.
+    fn push(&self, chunks: impl IntoIterator<Item = Chunk>) {
+        let mut queue = lock(&self.queue);
+        let mut pushed = 0;
+        for chunk in chunks {
+            queue.push(chunk);
+            pushed += 1;
+        }
+        self.obs.metrics.queue_depth.add(pushed);
+        drop(queue);
+        match pushed {
+            0 => {}
+            1 => self.work_ready.notify_one(),
+            _ => self.work_ready.notify_all(),
+        }
     }
 
-    fn pop_shard(&self, shard: usize, own: bool) -> Option<Chunk> {
-        let mut queue = lock(&self.shards[shard].queue);
-        let chunk = queue.pop(own);
-        if chunk.is_some() {
-            self.obs.metrics.queue_depth.sub(1);
-        }
-        chunk
-    }
-
-    /// One non-blocking attempt to find work for `worker`: its own shard
-    /// first, then each sibling in ring order (a steal, attributed to the
-    /// stolen chunk's job).
-    fn try_pop(&self, worker: usize) -> Option<Chunk> {
-        if self.obs.metrics.queue_depth.get() <= 0 {
-            return None;
-        }
-        if let Some(chunk) = self.pop_shard(worker, true) {
-            return Some(chunk);
-        }
-        let n = self.shards.len();
-        for d in 1..n {
-            if let Some(chunk) = self.pop_shard((worker + d) % n, false) {
-                chunk.job.steals.fetch_add(1, Ordering::Relaxed);
-                self.obs.metrics.chunks_stolen.inc();
-                return Some(chunk);
-            }
-        }
-        None
-    }
-
-    /// Blocks until a chunk is available for `worker` or shutdown is
-    /// requested. The doorbell re-check plus tick timeout make a lost
-    /// wakeup impossible to get stuck on.
-    fn next_chunk(&self, worker: usize) -> Option<Chunk> {
+    /// Blocks until a chunk is queued or shutdown is requested; chunks
+    /// still queued at shutdown are handed out first. The emptiness check
+    /// and the wait both happen under the queue lock, so no push or
+    /// shutdown notice can slip between them.
+    fn next_chunk(&self) -> Option<Chunk> {
+        let mut queue = lock(&self.queue);
         loop {
-            if let Some(chunk) = self.try_pop(worker) {
+            if let Some(chunk) = queue.pop() {
+                self.obs.metrics.queue_depth.sub(1);
                 return Some(chunk);
             }
             if self.shutdown.load(Ordering::Relaxed) {
                 return None;
             }
-            let bell = lock(&self.work_bell);
-            if self.obs.metrics.queue_depth.get() > 0 {
-                continue; // work arrived between the pop and the bell
-            }
-            if self.shutdown.load(Ordering::Relaxed) {
-                return None;
-            }
-            let _unused = self
+            queue = self
                 .work_ready
-                .wait_timeout(bell, SUPERVISION_TICK)
+                .wait(queue)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Books a retry of `chunk` (on its job and in the registry) and puts
-    /// it back on `worker`'s shard; the caller rings the doorbell.
-    fn requeue(&self, worker: usize, chunk: Chunk) {
+    /// it back on the run queue.
+    fn requeue(&self, chunk: Chunk) {
         chunk.job.retries.fetch_add(1, Ordering::Relaxed);
         self.obs.metrics.retries.inc();
         self.obs.record(TraceKind::Retry {
@@ -496,89 +452,53 @@ impl Shared {
             rows: chunk.len() as u32,
             attempt: chunk.attempts,
         });
-        self.push_chunk(worker, chunk);
-    }
-
-    fn notify_work_all(&self) {
-        let _bell = lock(&self.work_bell);
-        self.work_ready.notify_all();
-    }
-
-    fn notify_work_one(&self) {
-        let _bell = lock(&self.work_bell);
-        self.work_ready.notify_one();
-    }
-
-    fn take_spare(&self, job: &JobState) -> Vec<RowResult> {
-        let recycled = lock(&self.spare).pop();
-        match recycled {
-            Some(vec) => {
-                job.buffer_hits.fetch_add(1, Ordering::Relaxed);
-                vec
-            }
-            None => Vec::new(),
-        }
-    }
-
-    fn return_spare(&self, mut vec: Vec<RowResult>) {
-        vec.clear();
-        if vec.capacity() == 0 {
-            return;
-        }
-        let mut pool = lock(&self.spare);
-        if pool.len() < SPARE_POOL_CAP {
-            pool.push(vec);
-        }
+        self.push([chunk]);
     }
 
     /// Routes one finished chunk to its owning job: live rows join the
     /// job's pending queue (ringing its bell); rows of an abandoned job
     /// are discarded here, never delivered — the result-isolation
-    /// invariant. The result vector is recycled afterwards.
-    fn deliver(&self, worker: usize, job: &Arc<JobState>, mut results: Vec<RowResult>) {
-        {
-            let mut inner = lock(&job.inner);
-            if inner.abandoned {
-                for row in results.drain(..) {
-                    inner.stale = inner.stale.saturating_sub(1);
-                    decrement(&self.abandoned_rows);
-                    // Only successfully diffed rows entered `rows_diffed`;
-                    // booking errored rows as discarded would unbalance
-                    // the `rows_diffed == rows_completed + rows_discarded`
-                    // ledger.
-                    if row.result.is_ok() {
-                        self.obs.metrics.rows_discarded.inc();
-                    }
+    /// invariant.
+    fn deliver(&self, worker: usize, job: &JobState, results: Vec<RowResult>) {
+        let mut inner = lock(&job.inner);
+        if inner.abandoned {
+            for row in results {
+                inner.stale = inner.stale.saturating_sub(1);
+                decrement(&self.abandoned_rows);
+                // Only successfully diffed rows entered `rows_diffed`;
+                // booking errored rows as discarded would unbalance the
+                // `rows_diffed == rows_completed + rows_discarded` ledger.
+                if row.result.is_ok() {
+                    self.obs.metrics.rows_discarded.inc();
                 }
-            } else {
-                let n = results.len();
-                let ok = results.iter().filter(|row| row.result.is_ok()).count();
-                self.obs.metrics.rows_completed.add(ok as u64);
-                self.obs.metrics.rows_errored.add((n - ok) as u64);
-                if ok > 0 {
-                    inner.seen[worker] = true;
-                }
-                for row in results.drain(..) {
-                    inner.pending.push_back(RowOutcome {
-                        ticket: Ticket(row.ticket),
-                        worker,
-                        kernel: row.kernel,
-                        result: row.result,
-                    });
-                }
-                inner.undelivered -= n;
-                if inner.undelivered == 0 && !inner.completed {
-                    inner.completed = true;
-                    self.obs.metrics.jobs_completed.inc();
-                    self.obs.record(TraceKind::JobDone {
-                        job: job.id,
-                        rows: job.rows(),
-                    });
-                }
-                job.bell.notify_all();
             }
+            return;
         }
-        self.return_spare(results);
+        let n = results.len();
+        let ok = results.iter().filter(|row| row.result.is_ok()).count();
+        self.obs.metrics.rows_completed.add(ok as u64);
+        self.obs.metrics.rows_errored.add((n - ok) as u64);
+        if ok > 0 {
+            inner.seen[worker] = true;
+        }
+        inner
+            .pending
+            .extend(results.into_iter().map(|row| RowOutcome {
+                ticket: Ticket(row.ticket),
+                worker,
+                kernel: row.kernel,
+                result: row.result,
+            }));
+        inner.undelivered -= n;
+        if inner.undelivered == 0 && !inner.completed {
+            inner.completed = true;
+            self.obs.metrics.jobs_completed.inc();
+            self.obs.record(TraceKind::JobDone {
+                job: job.id,
+                rows: job.rows(),
+            });
+        }
+        job.bell.notify_all();
     }
 }
 
@@ -805,8 +725,8 @@ pub struct JobOutcome {
     pub tickets: (u64, u64),
     /// The reassembled diff image.
     pub image: RleImage,
-    /// Per-job statistics — retries, respawns, steals and buffer hits are
-    /// attributed to *this* job only, exact under interleaving.
+    /// Per-job statistics — retries, respawns and timeouts are attributed
+    /// to *this* job only, exact under interleaving.
     pub stats: PipelineStats,
     /// Submission → first chunk checkout: time the job waited for a
     /// worker.
@@ -823,7 +743,7 @@ enum Deadline {
     Collect(Duration),
 }
 
-/// A supervised, shard-scheduled worker pool that runs many independent
+/// A supervised worker pool on one run queue that runs many independent
 /// image-pair jobs concurrently (see the module docs). Every job runs the
 /// same path and all its state lives in the job or the shared pool, so
 /// any number of threads can submit through `&self`.
@@ -858,17 +778,15 @@ impl DiffExecutor {
             SimdLevel::resolve(Some(level))
         });
         let shared = Arc::new(Shared {
-            shards: (0..config.threads).map(|_| Shard::default()).collect(),
+            queue: Mutex::new(JobQueues::default()),
+            work_ready: Condvar::new(),
+            running: (0..config.threads).map(|_| Mutex::new(None)).collect(),
             abandoned_rows: AtomicUsize::new(0),
             next_ticket: AtomicU64::new(0),
             next_job_id: AtomicU64::new(0),
-            submit_cursor: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            work_bell: Mutex::new(()),
-            work_ready: Condvar::new(),
             sup_bell: Mutex::new(()),
             sup_ready: Condvar::new(),
-            spare: Mutex::new(Vec::new()),
             kernel: config.kernel,
             simd,
             chunk_target: config.chunk_target,
@@ -901,7 +819,7 @@ impl DiffExecutor {
     /// Number of worker slots in the pool.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.shared.shards.len()
+        self.shared.running.len()
     }
 
     /// The SIMD level the pool's kernels resolved to (after the env /
@@ -959,7 +877,7 @@ impl DiffExecutor {
 
     /// Submits one job over `ranges` of the shared images: allocates its
     /// id and a contiguous ticket range, records the submit ledger, and
-    /// deals the chunks round-robin across the shards. Ranges must be
+    /// pushes the chunks onto the run queue under one lock. Ranges must be
     /// disjoint and ascending; row `lo + k` of a range gets the ticket
     /// after all rows of the ranges before it.
     fn submit_job(
@@ -1004,9 +922,8 @@ impl DiffExecutor {
             obs.metrics.jobs_completed.inc();
             obs.record(TraceKind::JobDone { job: id, rows: 0 });
         }
-        let shards = self.shared.shards.len();
         let mut base = lo;
-        for (lo, hi) in ranges {
+        self.shared.push(ranges.into_iter().map(|(lo, hi)| {
             let chunk = Chunk {
                 base,
                 lo,
@@ -1017,10 +934,8 @@ impl DiffExecutor {
                 job: Arc::clone(&job),
             };
             base += chunk.len() as u64;
-            let shard = self.shared.submit_cursor.fetch_add(1, Ordering::Relaxed) % shards;
-            self.shared.push_chunk(shard, chunk);
-        }
-        self.shared.notify_work_all();
+            chunk
+        }));
         JobHandle {
             job,
             shared: Arc::clone(&self.shared),
@@ -1319,7 +1234,12 @@ fn absorb_row(stats: &mut PipelineStats, row: &ArrayStats, kernel: Option<Kernel
 impl Drop for DiffExecutor {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.notify_work_all();
+        {
+            // Notifying under the queue lock means no idle worker can sit
+            // between its shutdown check and its wait, missing the bell.
+            let _queue = lock(&self.shared.queue);
+            self.shared.work_ready.notify_all();
+        }
         {
             let _bell = lock(&self.shared.sup_bell);
             self.shared.sup_ready.notify_all();
@@ -1382,14 +1302,12 @@ impl JobHandle {
     }
 
     /// Copies this job's supervision attribution into `stats` — exact for
-    /// this job even when other jobs were interleaving on the same shard
-    /// set.
+    /// this job even when other jobs were interleaving on the same run
+    /// queue.
     fn fill_supervision(&self, stats: &mut PipelineStats) {
         stats.retries = self.job.retries.load(Ordering::Relaxed);
         stats.respawns = self.job.respawns.load(Ordering::Relaxed);
         stats.timeouts = self.job.timeouts.load(Ordering::Relaxed);
-        stats.chunks_stolen = self.job.steals.load(Ordering::Relaxed);
-        stats.buffers_reused = self.job.buffer_hits.load(Ordering::Relaxed);
         stats.effective_workers = self.effective_workers();
     }
 
@@ -1410,11 +1328,12 @@ impl JobHandle {
         }
     }
 
-    /// Chunks of this job popped by a non-owning shard (tail
-    /// rebalancing), attributed to this job alone.
+    /// Always 0: every worker pops the one run queue, so no chunk is ever
+    /// stolen. It stays because the repository benchmark's replay
+    /// (`perfbench`) still reads it.
     #[must_use]
     pub fn steals(&self) -> u64 {
-        self.job.steals.load(Ordering::Relaxed)
+        0
     }
 
     /// Blocks for this job's next completed row, in completion order.
@@ -1474,15 +1393,13 @@ impl JobHandle {
     /// Uncollected pending rows are dropped too. The executor (and every
     /// other job) is unaffected.
     pub fn abandon(&self) {
-        let mut dropped_chunks = 0usize;
-        let mut dropped_rows = 0usize;
-        for shard in &self.shared.shards {
-            let (chunks, rows) = lock(&shard.queue).remove_job(self.job.id);
-            dropped_chunks += chunks;
-            dropped_rows += rows;
-        }
         let metrics = &self.shared.obs.metrics;
-        metrics.queue_depth.sub(dropped_chunks as i64);
+        let dropped_rows = {
+            let mut queue = lock(&self.shared.queue);
+            let (chunks, rows) = queue.remove_job(self.job.id);
+            metrics.queue_depth.sub(chunks as i64);
+            rows
+        };
         let mut inner = lock(&self.job.inner);
         if inner.abandoned {
             return;
@@ -1521,7 +1438,7 @@ impl JobHandle {
 /// so its rows leave the `in_flight` gauge (which `diffd` admission reads)
 /// instead of staying there forever. A fully collected job — every
 /// [`DiffExecutor::diff_pair`] ends this way — returns after one look at
-/// the job's own lock, touching no shard.
+/// the job's own lock, touching no run queue.
 impl Drop for JobHandle {
     fn drop(&mut self) {
         {
@@ -1639,7 +1556,7 @@ fn supervise(shared: &Arc<Shared>) {
         }
         // Take the orphan before the replacement starts so the new thread
         // can never race us for the slot.
-        let orphan = lock(&shared.shards[worker].running).take();
+        let orphan = lock(&shared.running[worker]).take();
         let replacement = spawn_worker(shared, worker);
         let dead = std::mem::replace(&mut handles[worker], replacement);
         let _ = dead.join();
@@ -1659,9 +1576,8 @@ fn supervise(shared: &Arc<Shared>) {
 /// worker's checkout slot — at job granularity: an abandoned job's orphan
 /// is written off against that job's stale count only.
 fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
-    let job = Arc::clone(&chunk.job);
     {
-        let mut inner = lock(&job.inner);
+        let mut inner = lock(&chunk.job.inner);
         if inner.abandoned {
             let n = chunk.len();
             inner.stale = inner.stale.saturating_sub(n);
@@ -1691,27 +1607,25 @@ fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
                 }),
             })
             .collect();
-        shared.deliver(worker, &job, results);
+        shared.deliver(worker, &chunk.job, results);
     } else {
-        shared.requeue(worker, chunk);
-        shared.notify_work_all();
+        shared.requeue(chunk);
     }
 }
 
-/// A worker: pop chunks from its shard (job-fair, stealing the tail of
-/// siblings' when its own runs dry) until shutdown, diffing each row
-/// through the configured kernel on persistent per-worker scratch and
-/// routing each finished chunk to its owning job.
+/// A worker: pop chunks from the run queue (job-fair) until shutdown,
+/// diffing each row through the configured kernel on persistent
+/// per-worker scratch and routing each finished chunk to its owning job.
 ///
-/// Each chunk is parked in the shard's checkout slot before processing
+/// Each chunk is parked in the worker's checkout slot before processing
 /// (so the supervisor can recover it if this thread dies) and every row
 /// runs under `catch_unwind` (so a panicking row costs its chunk one
 /// retry, not the worker).
 fn worker_loop(shared: &Arc<Shared>, worker: usize) {
     let mut scratch = KernelScratch::with_simd(shared.simd);
     let obs = &shared.obs;
-    while let Some(chunk) = shared.next_chunk(worker) {
-        *lock(&shared.shards[worker].running) = Some(chunk.clone());
+    while let Some(chunk) = shared.next_chunk() {
+        *lock(&shared.running[worker]) = Some(chunk.clone());
         chunk.job.stamp_checkout();
         obs.record(TraceKind::Checkout {
             chunk: chunk.base,
@@ -1721,8 +1635,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         });
         let chunk_start = Instant::now();
 
-        let mut out = shared.take_spare(&chunk.job);
-        out.reserve(chunk.len());
+        let mut out = Vec::with_capacity(chunk.len());
         // Index and panic message of the row that crashed this chunk, if
         // any; rows before it are discarded and recomputed on retry so a
         // chunk's results are all-or-nothing (keeps stats totals exact).
@@ -1750,8 +1663,8 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     Fault::PoisonLock => {
                         let shared = Arc::clone(shared);
                         let _ = catch_unwind(AssertUnwindSafe(move || {
-                            let _guard = lock(&shared.shards[worker].queue);
-                            panic!("injected fault: poisoning a shard queue lock");
+                            let _guard = lock(&shared.queue);
+                            panic!("injected fault: poisoning the run-queue lock");
                         }));
                     }
                 }
@@ -1805,7 +1718,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
 
         match crashed {
             None => {
-                *lock(&shared.shards[worker].running) = None;
+                *lock(&shared.running[worker]) = None;
                 let latency_ns = chunk_start.elapsed().as_nanos() as u64;
                 obs.metrics.chunks_completed.inc();
                 obs.metrics.chunk_latency_ns.record(latency_ns);
@@ -1822,8 +1735,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                 // their rows were diffed (and counted) but will be
                 // diffed again.
                 obs.metrics.rows_discarded.add(out.len() as u64);
-                shared.return_spare(out);
-                *lock(&shared.shards[worker].running) = None;
+                *lock(&shared.running[worker]) = None;
                 let mut chunk = chunk;
                 chunk.attempts += 1;
                 if chunk.attempts > shared.retry_limit {
@@ -1834,10 +1746,9 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                         ticket,
                         attempts: chunk.attempts,
                     });
-                    let job = Arc::clone(&chunk.job);
                     shared.deliver(
                         worker,
-                        &job,
+                        &chunk.job,
                         vec![RowResult {
                             ticket,
                             kernel: None,
@@ -1848,16 +1759,14 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                             }),
                         }],
                     );
-                    if culprit > chunk.lo {
-                        shared.push_chunk(worker, chunk.slice(chunk.lo, culprit));
-                    }
-                    if culprit + 1 < chunk.hi {
-                        shared.push_chunk(worker, chunk.slice(culprit + 1, chunk.hi));
-                    }
-                    shared.notify_work_all();
+                    shared.push(
+                        [(chunk.lo, culprit), (culprit + 1, chunk.hi)]
+                            .into_iter()
+                            .filter(|(lo, hi)| lo < hi)
+                            .map(|(lo, hi)| chunk.slice(lo, hi)),
+                    );
                 } else {
-                    shared.requeue(worker, chunk);
-                    shared.notify_work_one();
+                    shared.requeue(chunk);
                 }
             }
         }
@@ -2133,19 +2042,6 @@ mod tests {
         let b = img("####....\n..##..#.\n");
         let (_, stats) = pipeline.diff_images(&a, &b).unwrap();
         assert_eq!(stats.chunks, 2);
-    }
-
-    #[test]
-    fn result_buffers_are_recycled_across_batches() {
-        let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
-        let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
-        let mut pipeline = DiffExecutorConfig::new(1).chunk_target(1).build();
-        let (_, _first) = pipeline.diff_images(&a, &b).unwrap();
-        let (_, stats) = pipeline.diff_images(&a, &b).unwrap();
-        assert!(
-            stats.buffers_reused > 0,
-            "second batch must hit the recycling pool: {stats:?}"
-        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * the **executor** ([`executor::DiffExecutor`]) moves the parallelism
 //!   up a level: a persistent worker pool schedules whole images as
 //!   independent *jobs* — many image pairs in flight at once, chunks from
-//!   different jobs interleaved round-robin on the same work-stealing
-//!   shards — each worker diffing rows through an adaptive [`kernel`] (RLE
+//!   different jobs interleaved round-robin on one run queue that every
+//!   worker pops — each diffing rows through an adaptive [`kernel`] (RLE
 //!   merge vs. packed words vs. the systolic simulation) on reusable
 //!   scratch buffers. Every job takes one path, whose first stage — the
 //!   signature prefilter and the inline residual — settles matching and

@@ -50,8 +50,8 @@ impl Gauge {
 
     /// Adds `n`. Callers must pair every `add` with a matching [`Self::sub`]
     /// inside the same critical section that mutates the mirrored
-    /// structure (the sharded queues do this per shard lock), so the gauge
-    /// can drift neither negative nor away from the ledger.
+    /// structure (the executor's run queue does this under its lock), so
+    /// the gauge can drift neither negative nor away from the ledger.
     #[inline]
     pub fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -250,9 +250,6 @@ pub struct MetricsRegistry {
     pub chunks_dispatched: Counter,
     /// Chunks a worker carried to completion and sent back.
     pub chunks_completed: Counter,
-    /// Chunks a worker popped from another worker's shard (work-stealing
-    /// on the sharded scheduler; a measure of tail imbalance).
-    pub chunks_stolen: Counter,
     /// Chunk re-enqueues after a panic or worker death (read back by
     /// `DiffExecutor::counters`).
     pub retries: Counter,
@@ -319,7 +316,6 @@ impl MetricsRegistry {
             rows_systolic_kernel: self.rows_systolic_kernel.get(),
             chunks_dispatched: self.chunks_dispatched.get(),
             chunks_completed: self.chunks_completed.get(),
-            chunks_stolen: self.chunks_stolen.get(),
             retries: self.retries.get(),
             respawns: self.respawns.get(),
             timeouts: self.timeouts.get(),
@@ -359,7 +355,6 @@ pub struct MetricsSnapshot {
     pub rows_systolic_kernel: u64,
     pub chunks_dispatched: u64,
     pub chunks_completed: u64,
-    pub chunks_stolen: u64,
     pub retries: u64,
     pub respawns: u64,
     pub timeouts: u64,
@@ -430,7 +425,6 @@ impl MetricsSnapshot {
                 C("rows_systolic_kernel", self.rows_systolic_kernel),
                 C("chunks_dispatched", self.chunks_dispatched),
                 C("chunks_completed", self.chunks_completed),
-                C("chunks_stolen", self.chunks_stolen),
                 C("retries", self.retries),
                 C("respawns", self.respawns),
                 C("timeouts", self.timeouts),

@@ -135,10 +135,6 @@ pub struct PipelineStats {
     /// Contiguous row chunks the scheduler dispatched (the checkout and
     /// retry granularity; see [`crate::DiffExecutorConfig::chunk_target`]).
     pub chunks: usize,
-    /// Chunks a worker stole from another worker's shard during this batch
-    /// (tail rebalancing on the sharded scheduler; 0 when every shard
-    /// drained its own queue in time).
-    pub chunks_stolen: u64,
     /// Rows resolved host-side by the signature prefilter
     /// ([`crate::DiffExecutorConfig::signature_prefilter`]): matching row signatures
     /// short-circuited them to an empty diff before any chunk was planned —
@@ -170,9 +166,6 @@ pub struct PipelineStats {
     pub rows_packed_kernel: usize,
     /// Rows diffed by the cycle-accurate systolic simulation.
     pub rows_systolic_kernel: usize,
-    /// Chunk result buffers taken from the recycling pool instead of
-    /// freshly allocated during this batch.
-    pub buffers_reused: u64,
 }
 
 impl PipelineStats {

@@ -46,42 +46,44 @@ fn parse(args: &[String]) -> Result<(String, DiffServerConfig), String> {
     let mut cfg = DiffServerConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
+        let flag = flag.as_str();
+        let mut value = || -> Result<&String, String> {
+            it.next().ok_or_else(|| format!("{flag} needs a value"))
         };
-        match flag.as_str() {
-            "--addr" => addr = value("--addr")?.clone(),
-            "--threads" => cfg.threads = parse_num(value("--threads")?)?,
-            "--max-pending-rows" => cfg.max_pending_rows = parse_num(value("--max-pending-rows")?)?,
-            "--max-requests" => {
-                cfg.max_concurrent_requests = parse_num(value("--max-requests")?)?;
-            }
-            "--max-connections" => cfg.max_connections = parse_num(value("--max-connections")?)?,
-            "--deadline-ms" => {
-                cfg.default_deadline = Duration::from_millis(parse_num(value("--deadline-ms")?)?);
-            }
-            "--max-deadline-ms" => {
-                cfg.max_deadline = Duration::from_millis(parse_num(value("--max-deadline-ms")?)?);
-            }
-            "--idle-timeout-ms" => {
-                cfg.idle_timeout = Duration::from_millis(parse_num(value("--idle-timeout-ms")?)?);
-            }
-            "--frame-timeout-ms" => {
-                cfg.frame_timeout = Duration::from_millis(parse_num(value("--frame-timeout-ms")?)?);
-            }
-            "--max-frame-len" => cfg.max_frame_len = parse_num(value("--max-frame-len")?)?,
+        match flag {
+            "--addr" => addr = value()?.clone(),
+            "--threads" => cfg.threads = positive(flag, value()?)?,
+            "--max-pending-rows" => cfg.max_pending_rows = positive(flag, value()?)?,
+            "--max-requests" => cfg.max_concurrent_requests = positive(flag, value()?)?,
+            "--max-connections" => cfg.max_connections = positive(flag, value()?)?,
+            "--deadline-ms" => cfg.default_deadline = millis(flag, value()?)?,
+            "--max-deadline-ms" => cfg.max_deadline = millis(flag, value()?)?,
+            "--idle-timeout-ms" => cfg.idle_timeout = millis(flag, value()?)?,
+            "--frame-timeout-ms" => cfg.frame_timeout = millis(flag, value()?)?,
+            "--max-frame-len" => cfg.max_frame_len = positive(flag, value()?)?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag: {other}")),
         }
     }
-    if cfg.threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     Ok((addr, cfg))
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("not a number: {s}"))
+/// A count, size or time that must be at least 1: at 0 none of these
+/// flags leaves a server that can serve (no worker, every request shed,
+/// every connection refused, every frame too large, every budget or read
+/// window already spent).
+fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, s: &str) -> Result<T, String> {
+    let n: T = s
+        .parse()
+        .map_err(|_| format!("{flag}: not a number: {s}"))?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+fn millis(flag: &str, s: &str) -> Result<Duration, String> {
+    positive(flag, s).map(Duration::from_millis)
 }
 
 fn main() {
@@ -133,4 +135,72 @@ fn main() {
         report.sessions_at_shutdown, report.sessions_drained, report.sessions_detached
     );
     let _ = handle;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COUNT_FLAGS: [&str; 9] = [
+        "--threads",
+        "--max-pending-rows",
+        "--max-requests",
+        "--max-connections",
+        "--max-frame-len",
+        "--deadline-ms",
+        "--max-deadline-ms",
+        "--idle-timeout-ms",
+        "--frame-timeout-ms",
+    ];
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn every_count_size_and_time_flag_refuses_zero_and_names_itself() {
+        for flag in COUNT_FLAGS {
+            let err = parse(&args(&[flag, "0"])).expect_err(flag);
+            assert_eq!(err, format!("{flag} must be at least 1"));
+        }
+    }
+
+    #[test]
+    fn every_count_size_and_time_flag_accepts_one() {
+        for flag in COUNT_FLAGS {
+            let (_, cfg) = parse(&args(&[flag, "1"])).expect(flag);
+            let one = Duration::from_millis(1);
+            let set = match flag {
+                "--threads" => cfg.threads == 1,
+                "--max-pending-rows" => cfg.max_pending_rows == 1,
+                "--max-requests" => cfg.max_concurrent_requests == 1,
+                "--max-connections" => cfg.max_connections == 1,
+                "--max-frame-len" => cfg.max_frame_len == 1,
+                "--deadline-ms" => cfg.default_deadline == one,
+                "--max-deadline-ms" => cfg.max_deadline == one,
+                "--idle-timeout-ms" => cfg.idle_timeout == one,
+                "--frame-timeout-ms" => cfg.frame_timeout == one,
+                _ => unreachable!(),
+            };
+            assert!(set, "{flag} 1 was not applied: {cfg:?}");
+        }
+    }
+
+    #[test]
+    fn bad_values_and_unknown_flags_are_refused() {
+        assert_eq!(
+            parse(&args(&["--threads", "x"])).unwrap_err(),
+            "--threads: not a number: x"
+        );
+        assert_eq!(
+            parse(&args(&["--max-requests"])).unwrap_err(),
+            "--max-requests needs a value"
+        );
+        assert_eq!(
+            parse(&args(&["--listen", "x"])).unwrap_err(),
+            "unknown flag: --listen"
+        );
+        let (addr, _) = parse(&args(&["--addr", "127.0.0.1:0"])).unwrap();
+        assert_eq!(addr, "127.0.0.1:0");
+    }
 }

@@ -4,7 +4,7 @@
 //! * **Concurrent sessions, no pipeline mutex** — every session submits
 //!   its request directly as an executor *job* via
 //!   [`DiffExecutor::diff_pair`]; jobs from different sessions interleave
-//!   on the shared worker shards under the executor's round-robin policy,
+//!   on the executor's one run queue under its round-robin policy,
 //!   so one huge request can no longer serialize the rest behind a lock.
 //! * **Admission control** — before a request touches the executor it must
 //!   pass the shed policy, driven by the executor's `queue_depth` /
@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use systolic_core::obs::Observer;
-use systolic_core::{DiffExecutor, DiffExecutorConfig, Kernel, SystolicError};
+use systolic_core::{DiffExecutor, DiffExecutorConfig, SystolicError};
 
 #[cfg(feature = "fault-injection")]
 use systolic_core::FaultPlan;
@@ -71,10 +71,6 @@ pub struct DiffServerConfig {
     pub poll_interval: Duration,
     /// How long drain waits for sessions before detaching them.
     pub shutdown_grace: Duration,
-    /// Kernel policy for the shared executor.
-    pub kernel: Kernel,
-    /// Chunk-target override for the shared executor.
-    pub chunk_target: Option<usize>,
     #[cfg(feature = "fault-injection")]
     /// Deterministic fault plan installed into the executor (chaos drills).
     pub fault_plan: Option<FaultPlan>,
@@ -94,8 +90,6 @@ impl Default for DiffServerConfig {
             frame_timeout: Duration::from_secs(10),
             poll_interval: Duration::from_millis(25),
             shutdown_grace: Duration::from_secs(5),
-            kernel: Kernel::Auto,
-            chunk_target: None,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
@@ -157,17 +151,16 @@ pub struct ServerHandle {
 
 impl DiffServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and spins up the shared
-    /// executor, with its trace ring attached. Admission control reads the
-    /// executor's registry gauges and `/metrics` serves its exposition.
+    /// executor with its default kernel policy and chunk plan, and no
+    /// trace ring: nothing serves a trace yet, so its `diffpipeline_trace_*`
+    /// counters read 0. Admission control reads the executor's registry
+    /// gauges and `/metrics` serves its exposition.
     pub fn bind(addr: impl ToSocketAddrs, cfg: DiffServerConfig) -> std::io::Result<Self> {
         assert!(cfg.threads > 0, "need at least one executor worker");
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let executor = DiffExecutorConfig {
             threads: cfg.threads,
-            kernel: cfg.kernel,
-            chunk_target: cfg.chunk_target,
-            observe: Some(systolic_core::ObsConfig::default()),
             #[cfg(feature = "fault-injection")]
             fault_plan: cfg.fault_plan.clone(),
             ..DiffExecutorConfig::default()

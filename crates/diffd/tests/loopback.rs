@@ -482,3 +482,24 @@ fn graceful_drain_flushes_open_sessions_and_reports() {
         other => panic!("session should be gone after drain, got {other:?}"),
     }
 }
+
+#[test]
+fn the_binary_refuses_a_zero_request_limit_before_binding() {
+    // Hold the address: a binary that tried to bind first would fail
+    // with exit 1 ("cannot bind"), not with the usage error.
+    let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = held.local_addr().unwrap().to_string();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_diffd"))
+        .args(["--addr", &addr, "--max-requests", "0"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--max-requests must be at least 1"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+    assert!(out.stdout.is_empty(), "it never started listening");
+}

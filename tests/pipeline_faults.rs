@@ -7,7 +7,7 @@
 //! [`PipelineStats`] / [`SupervisionCounters`].
 //!
 //! The second half re-runs the matrix at **job granularity** on the shared
-//! multi-image executor: several jobs in flight on one shard set while a
+//! multi-image executor: several jobs in flight on one run queue while a
 //! worker panics, dies, or poisons a lock mid-stream. The bar gains a
 //! clause — recovery must also be *isolated*: every collected ticket stays
 //! inside its owning job's range, the intervention is charged to the job
@@ -342,10 +342,10 @@ fn collect_job(handle: &JobHandle) -> Vec<RleRow> {
 fn worker_death_between_two_in_flight_jobs_recovers_both_in_isolation() {
     quiet_injected_panics();
     // Both jobs are submitted before either is collected, so their chunks
-    // interleave round-robin across the same shard set and the doomed
-    // worker processes chunks from both jobs. Ticket 3 belongs to job A
-    // (tickets 0..16): the worker dies mid-stream while job B's chunks
-    // are also live on the shards.
+    // interleave round-robin on the one run queue and the doomed worker
+    // processes chunks from both jobs. Ticket 3 belongs to job A (tickets
+    // 0..16): the worker dies mid-stream while job B's chunks are also
+    // queued.
     let (a1, b1) = seeded_pair(16, 0xD1E1);
     let (a2, b2) = seeded_pair(16, 0xD1E2);
     let executor = DiffExecutorConfig {
