@@ -1,4 +1,4 @@
-//! The diff engine: a supervised worker pool on one run queue that diffs
+//! The diff engine: a self-healing worker pool on one run queue that diffs
 //! whole images row by row, scheduling each image pair as an independent
 //! **job** (kernel, row range, source `Arc`s, job id, contiguous ticket
 //! range).
@@ -60,7 +60,7 @@
 //! rows `0, 1, 2, …` in submission order and the deterministic fault
 //! drills address rows by ticket.
 //!
-//! # Supervision
+//! # Recovery
 //!
 //! The pool is built for the continuous-inspection service the paper
 //! targets, where one crashed row must not take down the line. The *chunk*
@@ -73,11 +73,14 @@
 //!   extra attempts. A chunk that keeps crashing fails only the culprit row
 //!   (as a structured [`SystolicError::RowFailed`]); the sibling rows are
 //!   re-queued as smaller chunks.
-//! * **Dead workers.** A worker parks the chunk it is processing in its
-//!   own *checkout slot*. A dedicated supervisor thread ticks every
-//!   `SUPERVISION_TICK`, respawns worker threads that exited without being
-//!   asked to, and recovers the orphaned chunk — re-enqueued, failed past
-//!   the retry budget, or written off if its job was already abandoned.
+//! * **Dead workers.** A worker holds the chunk it is processing in a
+//!   *checkout slot*, a guard local to the worker thread. A thread that
+//!   ends before shutdown (a panic outside the per-row `catch_unwind`)
+//!   drops that guard while it unwinds, and the guard is the recovery: it
+//!   spawns the replacement on the same worker index, then recovers the
+//!   orphaned chunk — re-enqueued, failed past the retry budget, or
+//!   written off if its job was already abandoned. No other thread
+//!   watches the workers and no timer drives recovery.
 //! * **Stalls and deadlines.** A collect deadline bounds how long a wedged
 //!   worker can hold a caller, returning
 //!   [`SystolicError::DeadlineExceeded`] instead of hanging. An expired job
@@ -109,10 +112,6 @@ use std::time::{Duration, Instant};
 
 #[cfg(feature = "fault-injection")]
 use crate::engine::fault::{Fault, FaultPlan};
-
-/// How often the supervisor thread checks worker liveness (and a blocked
-/// collector re-polls).
-const SUPERVISION_TICK: Duration = Duration::from_millis(20);
 
 /// The scheduler aims for this many chunks per worker, so a worker that
 /// finishes early takes more of the job from the queue without per-row
@@ -160,14 +159,14 @@ pub struct RowOutcome {
     /// accounting; see [`PipelineStats::effective_workers`]).
     pub worker: usize,
     /// Which kernel diffed the row; `None` when the row errored before a
-    /// kernel could run (or was failed by the supervisor).
+    /// kernel could run (or was failed after its worker kept dying).
     pub kernel: Option<KernelChoice>,
     /// The diff row and its per-row statistics, or the error for this row
     /// pair.
     pub result: Result<(RleRow, ArrayStats), SystolicError>,
 }
 
-/// Lifetime totals of the supervisor's interventions (never reset; the
+/// Lifetime totals of the pool's recovery interventions (never reset; the
 /// per-job view lives in [`PipelineStats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SupervisionCounters {
@@ -184,8 +183,7 @@ pub struct SupervisionCounters {
 /// `base + (i - lo)`, so per-row identity survives chunking; the `job`
 /// `Arc` routes every result (and every supervision event) back to the
 /// owner. The rows stay in the caller's images, indexed by absolute image
-/// row, so cloning a chunk (checkout, retry re-enqueue) copies no row
-/// data.
+/// row, so slicing a chunk into a culprit's siblings copies no row data.
 #[derive(Clone)]
 struct Chunk {
     base: u64,
@@ -241,9 +239,6 @@ struct JobInner {
     /// All rows were delivered (guards the `jobs_completed` count against
     /// double-fire).
     completed: bool,
-    /// Wedged rows a worker still holds for this abandoned job; each one
-    /// decrements on (discarded) arrival or orphan recovery.
-    stale: usize,
     /// Which worker slots delivered at least one successful row.
     seen: Vec<bool>,
 }
@@ -286,7 +281,6 @@ impl JobState {
                 undelivered: (hi - lo) as usize,
                 abandoned: false,
                 completed: false,
-                stale: 0,
                 seen: vec![false; workers],
             }),
             bell: Condvar::new(),
@@ -360,19 +354,13 @@ struct Shared {
     queue: Mutex<JobQueues>,
     /// Doorbell for idle workers, waited on under `queue`'s lock.
     work_ready: Condvar,
-    /// One checkout slot per worker: the chunk it is processing, parked
-    /// so the supervisor can recover it if the thread dies mid-chunk.
-    running: Vec<Mutex<Option<Chunk>>>,
     /// Rows written off by abandoned jobs whose stale results are still
-    /// outstanding; drains back to 0 as they arrive or are recovered.
+    /// outstanding; booked under the job's lock as the job is abandoned,
+    /// and drains back to 0 as they arrive or are recovered.
     abandoned_rows: AtomicUsize,
     next_ticket: AtomicU64,
     next_job_id: AtomicU64,
     shutdown: AtomicBool,
-    /// The supervisor's private bell, so a push's `notify_one` can never
-    /// be swallowed by the supervisor instead of a worker.
-    sup_bell: Mutex<()>,
-    sup_ready: Condvar,
     kernel: Kernel,
     /// Resolved SIMD level every worker's kernel scratch is built with.
     simd: SimdLevel,
@@ -390,11 +378,12 @@ struct Shared {
     /// which compares below no threshold, so the first job always runs
     /// the prefilter.
     sig_skip_rate: AtomicU64,
-    /// Worker thread handles, shared between the supervisor (respawns)
-    /// and `Drop` (joins). Indexed by worker slot.
+    /// Worker thread handles, indexed by worker slot: a dying worker's
+    /// checkout guard puts its replacement here, and `Drop` takes them all
+    /// to join.
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// The executor's one counter store (always on) and its optional trace
-    /// ring, shared by workers, supervisor and collectors.
+    /// ring, shared by workers and collectors.
     obs: Arc<Observer>,
     #[cfg(feature = "fault-injection")]
     faults: Option<FaultPlan>,
@@ -455,27 +444,31 @@ impl Shared {
         self.push([chunk]);
     }
 
+    /// Drains `n` stale rows from [`Self::abandoned_rows`]. `abandon` books
+    /// them in the critical section that sets the job's abandoned flag,
+    /// and only a row that saw that flag comes here, so the count is never
+    /// short; a debug build says so loudly if it ever is.
+    fn drain_abandoned(&self, n: usize) {
+        let before = self.abandoned_rows.fetch_sub(n, Ordering::Relaxed);
+        debug_assert!(before >= n, "abandoned-row count {before} drained by {n}");
+    }
+
     /// Routes one finished chunk to its owning job: live rows join the
     /// job's pending queue (ringing its bell); rows of an abandoned job
     /// are discarded here, never delivered — the result-isolation
     /// invariant.
     fn deliver(&self, worker: usize, job: &JobState, results: Vec<RowResult>) {
         let mut inner = lock(&job.inner);
-        if inner.abandoned {
-            for row in results {
-                inner.stale = inner.stale.saturating_sub(1);
-                decrement(&self.abandoned_rows);
-                // Only successfully diffed rows entered `rows_diffed`;
-                // booking errored rows as discarded would unbalance the
-                // `rows_diffed == rows_completed + rows_discarded` ledger.
-                if row.result.is_ok() {
-                    self.obs.metrics.rows_discarded.inc();
-                }
-            }
-            return;
-        }
         let n = results.len();
         let ok = results.iter().filter(|row| row.result.is_ok()).count();
+        if inner.abandoned {
+            self.drain_abandoned(n);
+            // Only successfully diffed rows entered `rows_diffed`; booking
+            // errored rows as discarded would unbalance the
+            // `rows_diffed == rows_completed + rows_discarded` ledger.
+            self.obs.metrics.rows_discarded.add(ok as u64);
+            return;
+        }
         self.obs.metrics.rows_completed.add(ok as u64);
         self.obs.metrics.rows_errored.add((n - ok) as u64);
         if ok > 0 {
@@ -502,28 +495,22 @@ impl Shared {
     }
 }
 
-/// `fetch_sub(1)` clamped at zero (mirrors the old collector's
-/// `saturating_sub` robustness against double write-offs).
-fn decrement(counter: &AtomicUsize) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-}
-
 /// Configuration for a [`DiffExecutor`].
 #[derive(Clone, Debug)]
 pub struct DiffExecutorConfig {
     /// Worker threads in the pool (must be > 0).
     pub threads: usize,
-    /// Extra attempts the supervisor grants a chunk whose worker panicked
-    /// or died. A chunk is attempted at most `retry_limit + 1` times before
+    /// Extra attempts the pool grants a chunk whose worker panicked or
+    /// died. A chunk is attempted at most `retry_limit + 1` times before
     /// its culprit row surfaces as [`SystolicError::RowFailed`].
     pub retry_limit: u32,
     /// Per-collect deadline of the batch calls: the longest
     /// [`DiffExecutor::diff_images_shared`] waits for the *next* completed
     /// row before abandoning the batch with
     /// [`SystolicError::DeadlineExceeded`]. `None` (the default) waits
-    /// indefinitely (supervision still recovers dead workers; only genuine
-    /// stalls can block). [`DiffExecutor::diff_pair`] takes a per-call
-    /// budget instead.
+    /// indefinitely (a dying worker still recovers its own chunk; only
+    /// genuine stalls can block). [`DiffExecutor::diff_pair`] takes a
+    /// per-call budget instead.
     pub row_deadline: Option<Duration>,
     /// How long [`Drop`] waits for workers to exit before detaching wedged
     /// threads instead of joining them (the never-deadlock guarantee).
@@ -743,13 +730,13 @@ enum Deadline {
     Collect(Duration),
 }
 
-/// A supervised worker pool on one run queue that runs many independent
+/// A self-healing worker pool on one run queue that runs many independent
 /// image-pair jobs concurrently (see the module docs). Every job runs the
 /// same path and all its state lives in the job or the shared pool, so
 /// any number of threads can submit through `&self`.
 pub struct DiffExecutor {
     shared: Arc<Shared>,
-    supervisor: Option<JoinHandle<()>>,
+    workers: usize,
     shutdown_grace: Duration,
     row_deadline: Option<Duration>,
 }
@@ -766,11 +753,12 @@ impl std::fmt::Debug for DiffExecutor {
 }
 
 impl DiffExecutor {
-    /// Spawns the worker pool and its supervisor.
+    /// Spawns the worker pool: `config.threads` threads and no others.
     ///
     /// # Panics
     ///
-    /// Panics if `config.threads == 0`.
+    /// Panics if `config.threads == 0` or a worker thread cannot be
+    /// spawned. Replacing a worker that dies later never panics.
     #[must_use]
     pub fn new(config: DiffExecutorConfig) -> Self {
         assert!(config.threads > 0, "need at least one thread");
@@ -780,13 +768,10 @@ impl DiffExecutor {
         let shared = Arc::new(Shared {
             queue: Mutex::new(JobQueues::default()),
             work_ready: Condvar::new(),
-            running: (0..config.threads).map(|_| Mutex::new(None)).collect(),
             abandoned_rows: AtomicUsize::new(0),
             next_ticket: AtomicU64::new(0),
             next_job_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            sup_bell: Mutex::new(()),
-            sup_ready: Condvar::new(),
             kernel: config.kernel,
             simd,
             chunk_target: config.chunk_target,
@@ -801,16 +786,14 @@ impl DiffExecutor {
             #[cfg(feature = "fault-injection")]
             faults: config.fault_plan,
         });
-        *lock(&shared.handles) = (0..config.threads)
-            .map(|worker| spawn_worker(&shared, worker))
-            .collect();
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || supervisor_loop(&shared))
-        };
+        // Spawned under the handles' lock, so a worker that dies at once
+        // waits there for its slot.
+        lock(&shared.handles).extend(
+            (0..config.threads).map(|w| spawn_worker(&shared, w).expect("spawn executor worker")),
+        );
         Self {
             shared,
-            supervisor: Some(supervisor),
+            workers: config.threads,
             shutdown_grace: config.shutdown_grace,
             row_deadline: config.row_deadline,
         }
@@ -819,7 +802,7 @@ impl DiffExecutor {
     /// Number of worker slots in the pool.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.shared.running.len()
+        self.workers
     }
 
     /// The SIMD level the pool's kernels resolved to (after the env /
@@ -860,7 +843,7 @@ impl DiffExecutor {
     /// Rows written off by abandoned jobs whose stale results are still
     /// outstanding — held by a wedged worker. Each one is discarded (and
     /// this count decremented) when its stale result finally arrives or
-    /// its dead worker is reaped, so a healed executor drains back to 0.
+    /// its worker dies holding it, so a healed executor drains back to 0.
     #[must_use]
     pub fn abandoned(&self) -> usize {
         self.shared.abandoned_rows.load(Ordering::Relaxed)
@@ -1240,21 +1223,20 @@ impl Drop for DiffExecutor {
             let _queue = lock(&self.shared.queue);
             self.shared.work_ready.notify_all();
         }
-        {
-            let _bell = lock(&self.shared.sup_bell);
-            self.shared.sup_ready.notify_all();
-        }
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
+        // Take the handles out of their lock before waiting on them: a
+        // worker dying now finds the shutdown flag under that lock and
+        // leaves without a respawn, never waiting on the loop below.
+        let handles = std::mem::take(&mut *lock(&self.shared.handles));
         // Join workers that exit within the grace period; detach the rest
         // (e.g. a wedged worker mid-stall) so Drop can never deadlock. A
         // detached worker sees the shutdown flag and exits as soon as it
         // unwedges; the Arc keeps its shared state alive until then.
         let deadline = Instant::now() + self.shutdown_grace;
-        for handle in lock(&self.shared.handles).drain(..) {
+        for handle in handles {
+            // An idle worker exits within microseconds of the notify, so
+            // a fine poll keeps a clean Drop about as quick as a join.
             while !handle.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
+                std::thread::sleep(Duration::from_micros(50));
             }
             if handle.is_finished() {
                 let _ = handle.join();
@@ -1374,15 +1356,17 @@ impl JobHandle {
                     });
                 }
             }
-            let wait = deadline.map_or(SUPERVISION_TICK, |d| {
-                SUPERVISION_TICK.min(d.saturating_duration_since(now))
-            });
-            let (guard, _timed_out) = self
-                .job
-                .bell
-                .wait_timeout(inner, wait)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
+            // The bell rings on every delivery and on abandon, so only a
+            // deadline needs a timed wait.
+            let bell = &self.job.bell;
+            inner = match deadline {
+                None => bell.wait(inner).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    bell.wait_timeout(inner, d - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
         }
     }
 
@@ -1394,43 +1378,42 @@ impl JobHandle {
     /// other job) is unaffected.
     pub fn abandon(&self) {
         let metrics = &self.shared.obs.metrics;
+        let mut inner = lock(&self.job.inner);
+        if inner.abandoned {
+            return;
+        }
+        // The run-queue lock nests inside the job's (never the other way
+        // round), so a second `abandon` can only find the flag set.
         let dropped_rows = {
             let mut queue = lock(&self.shared.queue);
             let (chunks, rows) = queue.remove_job(self.job.id);
             metrics.queue_depth.sub(chunks as i64);
             rows
         };
-        let mut inner = lock(&self.job.inner);
-        if inner.abandoned {
-            return;
-        }
-        let pending_rows = inner.pending.len();
-        let undelivered = inner.undelivered;
-        // Rows neither queued nor pending are held by a worker (possibly
-        // wedged): they become stale and are discarded on arrival.
-        let wedged = undelivered - dropped_rows;
+        let undelivered = std::mem::take(&mut inner.undelivered);
+        metrics
+            .in_flight
+            .sub((inner.pending.len() + undelivered) as i64);
         inner.pending.clear();
-        inner.undelivered = 0;
+        // With every row delivered (and counted completed/errored),
+        // dropping the uncollected remainder writes off nothing.
         if undelivered > 0 {
             inner.abandoned = true;
-            inner.stale += wedged;
+            // Rows neither queued nor pending are held by a (possibly
+            // wedged) worker and discarded on arrival. They are booked
+            // under the lock, so a worker that sees the flag sees them.
+            self.shared
+                .abandoned_rows
+                .fetch_add(undelivered - dropped_rows, Ordering::Relaxed);
+            // Ledger: neither dropped nor wedged rows can ever reach
+            // `rows_completed` / `rows_errored`; booking them here closes
+            // `rows_submitted == rows_completed + rows_errored + rows_abandoned`.
+            metrics.rows_abandoned.add(undelivered as u64);
+            metrics.jobs_abandoned.inc();
         }
         drop(inner);
-        metrics.in_flight.sub((pending_rows + undelivered) as i64);
-        if undelivered == 0 {
-            // All rows were delivered (and counted completed/errored);
-            // dropping the uncollected remainder writes off nothing.
-            return;
-        }
-        self.shared
-            .abandoned_rows
-            .fetch_add(wedged, Ordering::Relaxed);
-        // Ledger: dropped rows never ran and wedged rows will be
-        // discarded on arrival, so neither can ever reach
-        // `rows_completed` / `rows_errored`; booking them here closes
-        // `rows_submitted == rows_completed + rows_errored + rows_abandoned`.
-        metrics.rows_abandoned.add((dropped_rows + wedged) as u64);
-        metrics.jobs_abandoned.inc();
+        // A collector blocked without a deadline wakes only on this bell.
+        self.job.bell.notify_all();
     }
 }
 
@@ -1517,76 +1500,64 @@ fn plan_ranges(
     ranges
 }
 
-fn spawn_worker(shared: &Arc<Shared>, worker: usize) -> JoinHandle<()> {
+fn spawn_worker(shared: &Arc<Shared>, worker: usize) -> std::io::Result<JoinHandle<()>> {
     let shared = Arc::clone(shared);
-    std::thread::spawn(move || worker_loop(&shared, worker))
+    std::thread::Builder::new().spawn(move || worker_loop(&shared, worker))
 }
 
-/// The supervisor: ticks until shutdown, replacing dead worker threads
-/// and recovering the chunks they held. Workers only exit voluntarily
-/// once `shutdown` is set, so any finished handle seen here is a
-/// casualty.
-fn supervisor_loop(shared: &Arc<Shared>) {
-    loop {
-        {
-            let bell = lock(&shared.sup_bell);
+/// A worker's checkout slot: the chunk it is processing, owned by the
+/// worker thread. Workers leave their loop only once `shutdown` is set, so
+/// a slot dropped before then belongs to a dying thread (a panic outside
+/// the per-row `catch_unwind`), and its `Drop` is the recovery: it spawns
+/// the replacement on the same worker index, then hands the chunk back.
+/// If the spawn fails, the pool runs one worker short.
+struct Checkout<'a> {
+    shared: &'a Arc<Shared>,
+    worker: usize,
+    chunk: Option<Chunk>,
+}
+
+impl Drop for Checkout<'_> {
+    // This runs while the thread unwinds, where a second panic would abort
+    // the process, so a failed spawn is handled, not unwrapped.
+    fn drop(&mut self) {
+        let shared = self.shared;
+        let respawned = {
+            let mut handles = lock(&shared.handles);
+            // `new` fills the handles under this lock and `Drop` raises the
+            // flag before taking them, so with the flag unset every slot
+            // is in place.
             if shared.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            let _unused = shared
-                .sup_ready
-                .wait_timeout(bell, SUPERVISION_TICK)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        supervise(shared);
-    }
-}
-
-fn supervise(shared: &Arc<Shared>) {
-    let mut handles = lock(&shared.handles);
-    for worker in 0..handles.len() {
-        if !handles[worker].is_finished() {
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        // Take the orphan before the replacement starts so the new thread
-        // can never race us for the slot.
-        let orphan = lock(&shared.running[worker]).take();
-        let replacement = spawn_worker(shared, worker);
-        let dead = std::mem::replace(&mut handles[worker], replacement);
-        let _ = dead.join();
-        shared.obs.metrics.respawns.inc();
-        shared.obs.record(TraceKind::Respawn {
-            worker: worker as u32,
-        });
-        let Some(chunk) = orphan else {
-            continue;
+            // The dying thread's own handle is dropped, which detaches it.
+            spawn_worker(shared, self.worker)
+                .map(|replacement| handles[self.worker] = replacement)
+                .is_ok()
         };
-        chunk.job.respawns.fetch_add(1, Ordering::Relaxed);
-        recover_orphan(shared, worker, chunk);
+        // Booked before the orphan is handed back, so its retry follows.
+        if respawned {
+            shared.obs.metrics.respawns.inc();
+            shared.obs.record(TraceKind::Respawn {
+                worker: self.worker as u32,
+            });
+        }
+        if let Some(chunk) = self.chunk.take() {
+            if respawned {
+                chunk.job.respawns.fetch_add(1, Ordering::Relaxed);
+            }
+            recover_orphan(shared, self.worker, chunk);
+        }
     }
 }
 
-/// Re-enqueues, fails, or writes off the chunk recovered from a dead
-/// worker's checkout slot — at job granularity: an abandoned job's orphan
-/// is written off against that job's stale count only.
+/// Re-enqueues, fails, or writes off the chunk a dying worker's checkout
+/// slot held — at job granularity: an abandoned job's orphan is written
+/// off against the stale rows that job booked.
 fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
-    {
-        let mut inner = lock(&chunk.job.inner);
-        if inner.abandoned {
-            let n = chunk.len();
-            inner.stale = inner.stale.saturating_sub(n);
-            drop(inner);
-            for _ in 0..n {
-                decrement(&shared.abandoned_rows);
-            }
-            return;
-        }
+    if lock(&chunk.job.inner).abandoned {
+        shared.drain_abandoned(chunk.len());
+        return;
     }
     chunk.attempts += 1;
     if chunk.attempts > shared.retry_limit {
@@ -1617,15 +1588,20 @@ fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
 /// diffing each row through the configured kernel on persistent
 /// per-worker scratch and routing each finished chunk to its owning job.
 ///
-/// Each chunk is parked in the worker's checkout slot before processing
-/// (so the supervisor can recover it if this thread dies) and every row
-/// runs under `catch_unwind` (so a panicking row costs its chunk one
-/// retry, not the worker).
+/// Each chunk sits in the worker's [`Checkout`] slot while it is processed
+/// (so the slot can recover it if this thread dies) and every row runs
+/// under `catch_unwind` (so a panicking row costs its chunk one retry, not
+/// the worker).
 fn worker_loop(shared: &Arc<Shared>, worker: usize) {
     let mut scratch = KernelScratch::with_simd(shared.simd);
     let obs = &shared.obs;
-    while let Some(chunk) = shared.next_chunk() {
-        *lock(&shared.running[worker]) = Some(chunk.clone());
+    let mut slot = Checkout {
+        shared,
+        worker,
+        chunk: None,
+    };
+    while let Some(next) = shared.next_chunk() {
+        let chunk = &*slot.chunk.insert(next);
         chunk.job.stamp_checkout();
         obs.record(TraceKind::Checkout {
             chunk: chunk.base,
@@ -1650,15 +1626,16 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                 match fault {
                     Fault::Panic => injected_panic = true,
                     Fault::Stall(duration) => std::thread::sleep(duration),
-                    // Exit with the chunk still parked in the checkout
-                    // slot: the supervisor must notice the dead thread
-                    // and recover the orphan. Injected death is
-                    // cooperative, so the rows already diffed into `out`
-                    // can be booked as discarded (a real crash can't do
-                    // this; `rows_discarded` is a lower bound there).
+                    // Unwind out of the thread with the chunk still in
+                    // the checkout slot, as a real crash would: the slot
+                    // respawns this worker and recovers the orphan.
+                    // Injected death is cooperative, so the rows already
+                    // diffed into `out` can be booked as discarded (a real
+                    // crash can't do this; `rows_discarded` is a lower
+                    // bound there).
                     Fault::Die => {
                         obs.metrics.rows_discarded.add(out.len() as u64);
-                        return;
+                        panic!("injected fault: worker death on row {ticket}");
                     }
                     Fault::PoisonLock => {
                         let shared = Arc::clone(shared);
@@ -1716,9 +1693,11 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             }
         }
 
+        // Out of the slot before delivery, as the chunk is no longer an
+        // orphan if this thread dies now.
+        let mut chunk = slot.chunk.take().expect("the slot holds the chunk");
         match crashed {
             None => {
-                *lock(&shared.running[worker]) = None;
                 let latency_ns = chunk_start.elapsed().as_nanos() as u64;
                 obs.metrics.chunks_completed.inc();
                 obs.metrics.chunk_latency_ns.record(latency_ns);
@@ -1735,8 +1714,6 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                 // their rows were diffed (and counted) but will be
                 // diffed again.
                 obs.metrics.rows_discarded.add(out.len() as u64);
-                *lock(&shared.running[worker]) = None;
-                let mut chunk = chunk;
                 chunk.attempts += 1;
                 if chunk.attempts > shared.retry_limit {
                     // Only the culprit row fails; its siblings go back to
@@ -1936,7 +1913,7 @@ mod tests {
         assert_eq!(stats.rows_systolic_kernel, 4);
         assert_eq!(stats.workers, 3);
         assert!(stats.effective_workers >= 1 && stats.effective_workers <= 3);
-        // A healthy run needs no supervisor interventions.
+        // A healthy run needs no recovery interventions.
         assert_eq!((stats.retries, stats.respawns, stats.timeouts), (0, 0, 0));
         assert_eq!(exact.counters(), SupervisionCounters::default());
 

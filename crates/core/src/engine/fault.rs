@@ -1,5 +1,5 @@
 //! Deterministic fault injection for the [`crate::engine::executor`]
-//! supervisor (compiled only with the `fault-injection` feature).
+//! worker pool (compiled only with the `fault-injection` feature).
 //!
 //! A [`FaultPlan`] maps **ticket ids** (the submission sequence numbers
 //! carried by [`crate::engine::executor::Ticket`]; for a fresh executor's
@@ -7,7 +7,7 @@
 //! triggers the moment it picks that row up. Faults are keyed by the
 //! ticket, not the worker, so a plan reproduces the same failure
 //! regardless of which thread wins the race for the row — every
-//! failure-handling path in the supervisor has a deterministic test.
+//! failure-handling path in the executor has a deterministic test.
 //!
 //! Tickets are allocated executor-wide, so on a shared
 //! [`crate::engine::executor::DiffExecutor`] a ticket id also selects a
@@ -19,13 +19,13 @@
 //! Each registered fault carries a trigger budget: a fault armed with
 //! [`FaultPlan::panic_on_row`] fires exactly once (the retry of that row
 //! runs clean), while [`FaultPlan::panic_on_row_times`] can outlast the
-//! supervisor's retry budget to force a
+//! executor's retry budget to force a
 //! [`crate::error::SystolicError::RowFailed`].
 //!
 //! This module is test infrastructure: it is feature-gated so production
 //! builds carry no injection hooks, and the plan is deliberately tiny —
-//! the four faults below cover every recovery path the supervisor has
-//! (caught panic → retry, dead thread → respawn + re-enqueue, stall →
+//! the four faults below cover every recovery path the executor has
+//! (caught panic → retry, dying thread → respawn + re-enqueue, stall →
 //! deadline, poisoned lock → poison-tolerant recovery).
 
 use std::collections::HashMap;
@@ -36,15 +36,16 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub enum Fault {
     /// Panic while processing the row. The worker's `catch_unwind` catches
-    /// it, discards the (possibly corrupt) array and the supervisor retries
-    /// the row.
+    /// it, discards the (possibly corrupt) array and re-enqueues the row's
+    /// chunk for a retry.
     Panic,
     /// Sleep for the given duration while the row counts as in-flight,
     /// emulating a wedged worker; used to exercise deadline handling.
     Stall(Duration),
-    /// Exit the worker thread with the row still checked out, emulating a
-    /// crashed thread; the supervisor must respawn the worker and re-enqueue
-    /// the orphaned row.
+    /// Panic outside the per-row `catch_unwind` with the row still checked
+    /// out, so the worker thread unwinds and ends as a crashed one would.
+    /// Its checkout slot must respawn the worker while the thread unwinds
+    /// and re-enqueue the orphaned row.
     Die,
     /// Panic while holding the shared state lock (inside an inner
     /// `catch_unwind`, so the worker itself survives), poisoning the mutex;
@@ -82,7 +83,7 @@ impl FaultPlan {
     }
 
     /// Arms a panic that fires on the first `times` attempts of the ticket
-    /// (use `times > retry_limit` to exhaust the supervisor's patience).
+    /// (use `times > retry_limit` to exhaust the executor's patience).
     #[must_use]
     pub fn panic_on_row_times(self, row: u64, times: u32) -> Self {
         self.arm(row, Fault::Panic, times)

@@ -52,7 +52,7 @@ pub enum SystolicError {
         /// Human-readable description of the violated invariant.
         what: String,
     },
-    /// An executor row crashed its worker on every attempt the supervisor
+    /// An executor row crashed its worker on every attempt the executor
     /// was willing to grant (see [`DiffExecutorConfig::retry_limit`]).
     /// Raised instead of propagating the worker's panic to the caller.
     ///

@@ -253,7 +253,8 @@ pub struct MetricsRegistry {
     /// Chunk re-enqueues after a panic or worker death (read back by
     /// `DiffExecutor::counters`).
     pub retries: Counter,
-    /// Worker threads replaced by the supervisor.
+    /// Worker threads replaced after dying before shutdown (a dying
+    /// worker's checkout slot spawns its replacement).
     pub respawns: Counter,
     /// Deadline expiries observed by collectors.
     pub timeouts: Counter,

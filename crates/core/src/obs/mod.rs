@@ -4,7 +4,7 @@
 //!
 //! The paper's evaluation (§5, Figure 5 / Table 1) is about *measured*
 //! iteration behaviour; this module is the substrate that turns such
-//! measurements — and every supervision claim the executor makes — into
+//! measurements — and every recovery claim the executor makes — into
 //! machine-checkable artefacts. Design constraints, in order:
 //!
 //! 1. **One ledger, always on; the trace is opt-in.** Every executor owns

@@ -1,7 +1,7 @@
 //! Structured trace events and the lock-light ring buffer they live in.
 //!
 //! A trace answers the questions metrics can't: *which* rows retried,
-//! *which* worker a chunk ran on, in *what order* supervision interleaved
+//! *which* worker a chunk ran on, in *what order* recovery interleaved
 //! with the hot path. Events are small `Copy` values stamped with a
 //! monotonic sequence number and nanoseconds since the observer's epoch;
 //! the ring keeps the most recent `capacity` of them and overwrites the
@@ -16,8 +16,8 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// The taxonomy mirrors the pipeline's life cycle: rows are *submitted*,
 /// chunks are *checked out* by workers, every row a kernel finishes gets a
-/// *kernel* event, completed chunks produce *chunk-done*; the supervision
-/// plane contributes *retry*, *row-failed*, *respawn* and *timeout*; jobs
+/// *kernel* event, completed chunks produce *chunk-done*; recovery and
+/// deadlines contribute *retry*, *row-failed*, *respawn* and *timeout*; jobs
 /// are bracketed by *job-submit* and *job-done*, and the signature
 /// prefilter's host-side resolutions are *sig-skip*. Per row the causal
 /// chain `Submit < Checkout < Kernel < ChunkDone` must hold in sequence
@@ -85,7 +85,9 @@ pub enum TraceKind {
         /// Total attempts charged to the row.
         attempts: u32,
     },
-    /// The supervisor replaced a dead worker thread.
+    /// A dying worker thread was replaced: its checkout slot spawned the
+    /// replacement on the same slot while the thread unwound, before
+    /// recovering the chunk it held (so a `Retry` of that chunk follows).
     Respawn {
         /// The worker slot that was respawned.
         worker: u32,

@@ -126,8 +126,8 @@ pub struct PipelineStats {
     /// Rows re-enqueued after a worker panic or death during this batch
     /// (each retry re-runs the row from scratch on a healthy array).
     pub retries: u64,
-    /// Worker threads the supervisor replaced during this batch because
-    /// they exited without being asked to shut down.
+    /// Worker threads that died holding one of this batch's chunks and
+    /// were replaced by their own checkout slot as they unwound.
     pub respawns: u64,
     /// Deadline expiries ([`crate::error::SystolicError::DeadlineExceeded`])
     /// observed during this batch.

@@ -224,8 +224,8 @@ mod faults {
     use diffd::proto::ErrorCode;
     use systolic_core::FaultPlan;
 
-    /// Silence the default panic hook for *injected* worker panics (they
-    /// are caught by the pipeline supervisor; the hook would only spray
+    /// Silence the default panic hook for *injected* worker panics (the
+    /// executor catches and retries them; the hook would only spray
     /// backtraces over the output). Real panics keep default reporting.
     fn quiet_injected_panics() {
         static ONCE: std::sync::Once = std::sync::Once::new();

@@ -758,7 +758,8 @@ mod faults {
     use rle_systolic::systolic_core::{FaultPlan, SigPrefilterMode};
     use std::time::Duration;
 
-    /// Silence the default panic hook for injected panics (same helper as
+    /// Silence the default panic hook for injected panics, caught row
+    /// panics and injected deaths alike (same helper as
     /// `pipeline_faults.rs`; real panics keep full reporting).
     fn quiet_injected_panics() {
         static ONCE: std::sync::Once = std::sync::Once::new();

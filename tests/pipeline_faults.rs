@@ -1,6 +1,6 @@
-//! Supervised-pipeline fault drills (requires `--features fault-injection`).
+//! Executor fault drills (requires `--features fault-injection`).
 //!
-//! Every failure mode the supervisor claims to tolerate is driven here by a
+//! Every failure mode the worker pool claims to tolerate is driven here by a
 //! deterministic [`FaultPlan`] and checked against the one acceptance bar
 //! that matters: after recovery, `diff_images` is **bit-identical** to the
 //! sequential reference `xor_image`, and the intervention is visible in
@@ -24,9 +24,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Silence the default panic hook for the *injected* panics these drills
-/// fire on worker threads (they are caught by the supervisor, but the hook
-/// would still spray backtraces over the test output). Real panics keep
-/// the default reporting.
+/// fire on worker threads (a caught row panic is retried, and an injected
+/// death unwinds its thread on purpose, but the hook would still spray
+/// backtraces over the test output). Real panics keep the default
+/// reporting.
 fn quiet_injected_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
@@ -103,7 +104,7 @@ fn dead_sole_worker_still_recovers() {
     let (a, b) = image_pair(6);
     let (expected, _) = xor_image(&a, &b).unwrap();
     // threads = 1: the only worker dies; nothing can make progress until
-    // the supervisor respawns it.
+    // its checkout slot respawns it.
     let mut pipeline = DiffExecutorConfig::new(1)
         .fault_plan(FaultPlan::new().die_on_row(2))
         .build();
@@ -248,6 +249,35 @@ fn streaming_collect_timeout_trips_on_a_stall_then_recovers() {
         "stalled row must still produce the exact diff"
     );
     assert_eq!(pipeline.in_flight(), 0);
+}
+
+#[test]
+fn abandon_releases_a_collector_blocked_without_a_deadline() {
+    quiet_injected_panics();
+    let (a, b) = image_pair(1);
+    // The sole worker wedges on the only row, so no delivery can wake the
+    // collector: only the abandon's bell can.
+    let executor = DiffExecutorConfig::new(1)
+        .shutdown_grace(Duration::from_millis(50))
+        .fault_plan(FaultPlan::new().stall_on_row(0, Duration::from_secs(3)))
+        .build();
+    let handle = Arc::new(executor.submit_pair(&Arc::new(a), &Arc::new(b)).unwrap());
+    let (tx, rx) = std::sync::mpsc::channel();
+    let collector = Arc::clone(&handle);
+    // Detached and reporting through the channel, so a collector that
+    // never wakes fails this test instead of hanging it.
+    std::thread::spawn(move || {
+        let _ = tx.send(collector.collect_next(None));
+    });
+    // Time for the collector to block before the abandon.
+    std::thread::sleep(Duration::from_millis(50));
+    handle.abandon();
+    let released = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("abandon must wake a collector blocked without a deadline");
+    assert!(matches!(released, Ok(None)), "{released:?}");
+    assert_eq!(executor.in_flight(), 0);
+    assert_eq!(executor.abandoned(), 1, "the wedged row is written off");
 }
 
 #[test]
